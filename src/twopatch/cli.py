@@ -318,9 +318,7 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
         fh.write(f"# n={grid.n} L={_fmt(grid.L)} m={grid.m} h={_fmt(grid.h)}\n")
         fh.write(f"# t={_fmt(traj.t[-1])} extinct={traj.extinct}\n")
         fh.write(",".join(f"x{k + 1}" for k in range(grid.n)) + ",u1,u2\n")
-        for i in range(coords.shape[0]):
-            parts = [_fmt(c) for c in coords[i]] + [_fmt(u1[i]), _fmt(u2[i])]
-            fh.write(",".join(parts) + "\n")
+        np.savetxt(fh, np.column_stack([coords, u1, u2]), fmt="%.15g", delimiter=",")
     return {"trajectory": traj_path, "final_state": state_path}
 
 
@@ -359,7 +357,7 @@ def cmd_ibm(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
 
 
 def cmd_threshold(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
-    """Bisect the requested critical parameter; write threshold.csv."""
+    """Find the requested critical parameter; write threshold.csv."""
     params = to_model_params(config)
     bracket = None
     if config.threshold_lo is not None and config.threshold_hi is not None:
@@ -404,9 +402,8 @@ def _phase_cell(args) -> PhaseCell:
         classification = classify(params, lam=lam)
 
         # Shared box across cells so PDE finals are comparable row to row.
-        beta_max = model.beta_of(max(config.sweep_max[1], config.m_D))
-        length = config.L if config.L is not None else max(
-            4.0 * beta_max, 6.0 * math.sqrt(config.mu)) + 2.0
+        widest = params.with_m_D(max(config.sweep_max[1], config.m_D))
+        length = config.L if config.L is not None else default_box(widest)
         m = config.m if config.m is not None else 2 * max(1, round(8.0 * length)) + 1
         grid = build_grid(config.n, length, m)
         state0 = initial_state(config, params, grid)
@@ -421,7 +418,9 @@ def _phase_cell(args) -> PhaseCell:
             n_ibm = float(summary.n_total_mean[-1])
         return PhaseCell(delta=delta, m_D=m_d, lam=lam, classification=classification,
                          n_total_pde=n_pde, n_total_ibm_mean=n_ibm, error="")
-    except Exception as exc:  # cell failures land in the error column
+    # Numerical and config failures land in the error column; anything else
+    # is a programming error and propagates.
+    except (SolverError, EigenError, IbmOverflowError, ValueError, FloatingPointError) as exc:
         return PhaseCell(delta=delta, m_D=m_d, lam=math.nan, classification="error",
                          n_total_pde=math.nan, n_total_ibm_mean=math.nan,
                          error=f"{type(exc).__name__}: {exc}")
@@ -521,7 +520,7 @@ def main(argv=None) -> int:
         ("eigen", "estimate the principal eigenvalue via the box ladder"),
         ("ibm", "run replicate individual-based simulations"),
         ("phase", "sweep the (delta, m_D) plane and classify persistence"),
-        ("threshold", "bisect a critical parameter value"),
+        ("threshold", "find a critical parameter value"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a key = value config file")

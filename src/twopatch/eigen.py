@@ -5,9 +5,9 @@ The operator acts on density pairs (v1, v2) over the truncated box:
     (A v)_i = -(mu^2 / 2) lap(v_i) - (r_i - d_ii) v_i - d_ij v_j
 
 Its smallest eigenvalue lambda decides long-time fate: negative means the
-linear semigroup grows, positive means it decays. With symmetric migration
-and equal fitness ceilings the habitats are mirror images, and the problem
-reduces to a scalar operator with a reflection coupling,
+linearized population grows, positive means it decays. With symmetric
+migration and equal fitness ceilings the habitats are mirror images, and
+the problem reduces to a scalar operator with a reflection coupling,
 
     M phi = -(mu^2 / 2) lap(phi) - r_1 phi + delta (phi - phi o iota),
 
@@ -45,7 +45,7 @@ class Operator:
     matrix: sp.csr_matrix
     grid: Grid
     components: int  # 1 = reduced scalar form, 2 = full two-habitat form
-    symmetric: bool
+    symmetric: bool  # d12 == d21; lets dense checks pick a symmetric solver
     lower_bound: float
 
 
@@ -88,11 +88,7 @@ def spectral_lower_bound(params: model.ModelParams) -> float:
     min_i ( -rmax_i + d_ii - d_ij ): with symmetric migration the migration
     rates cancel and this is -max(rmax1, rmax2).
     """
-    mig = params.migration
-    if isinstance(mig, model.Symmetric):
-        d11 = d12 = d21 = d22 = mig.delta
-    else:
-        d11, d12, d21, d22 = mig.d11, mig.d12, mig.d21, mig.d22
+    d11, d12, d21, d22 = params.migration.rates
     return min(-params.rmax1 + d11 - d12, -params.rmax2 + d22 - d21)
 
 
@@ -137,11 +133,7 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
     """Full two-component operator; symmetric whenever d12 == d21."""
     r1, r2 = fitness_fields(params, grid)
-    mig = params.migration
-    if isinstance(mig, model.Symmetric):
-        d11 = d12 = d21 = d22 = mig.delta
-    else:
-        d11, d12, d21, d22 = mig.d11, mig.d12, mig.d21, mig.d22
+    d11, d12, d21, d22 = params.migration.rates
     half_mu2 = 0.5 * params.mu * params.mu
     neg_lap = _neg_laplacian_matrix(grid)
     eye = sp.identity(grid.size)
@@ -160,47 +152,39 @@ def _assemble(params: model.ModelParams, grid: Grid) -> Operator:
 
 
 def principal_eigenpair(operator, lower_bound: float | None = None, *,
-                        symmetric: bool | None = None,
                         tol_value: float = 1e-10, tol_residual: float = 1e-8,
-                        max_iter: int = 2000, shift_hint: float | None = None,
-                        semigroup_tol: float = 1e-6, semigroup_window: float = 1.0,
-                        semigroup_tmax: float = 600.0) -> EigenPair:
+                        max_iter: int = 2000,
+                        shift_hint: float | None = None) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of an assembled operator.
 
-    Symmetric operators: shift-invert iteration started at the certified
-    shift sigma = lower_bound - 1 (the shifted matrix is positive definite),
-    with Rayleigh-quotient refinement; converged when the eigenvalue moves
-    < tol_value and the sup-norm residual is < tol_residual (both relative).
-    A shift_hint (an eigenvalue estimate from a related discretization)
-    starts the iteration just below it instead, which saves most of the
-    warm-up sweeps; a failed hint falls back to the certified shift.
+    Shift-invert iteration started at the certified shift
+    sigma = lower_bound - 1, with Rayleigh-quotient refinement; converged
+    when the eigenvalue moves < tol_value and the sup-norm residual is
+    < tol_residual (both relative). A shift_hint (an eigenvalue estimate
+    from a related discretization) starts the iteration just below it
+    instead, which saves most of the warm-up sweeps; a failed hint falls
+    back to the certified shift.
 
-    Nonsymmetric operators (one-way-biased migration): growth-rate
-    estimation on the linear semigroup, lambda ~ -d ln||v|| / dt, with the
-    state renormalized every semigroup_window time units.
+    One route serves every migration pattern, symmetric or not: each
+    assembled operator has nonpositive off-diagonal entries (a Z-matrix)
+    and row sums >= lower_bound, so at the certified shift A - sigma I is
+    a strictly diagonally dominant Z-matrix, i.e. a nonsingular M-matrix,
+    and its inverse is entrywise nonnegative (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994). Iterating
+    that inverse from a positive start therefore finds the Perron pair
+    whether or not d12 == d21.
 
     Accepts an Operator or a raw sparse matrix (then lower_bound is
-    required and symmetry defaults to True).
+    required).
     """
     if isinstance(operator, Operator):
         mat = operator.matrix
         lb = operator.lower_bound if lower_bound is None else lower_bound
-        sym = operator.symmetric if symmetric is None else symmetric
     else:
         mat = sp.csr_matrix(operator)
         if lower_bound is None:
             raise ValueError("lower_bound is required for a raw matrix")
         lb = lower_bound
-        sym = True if symmetric is None else symmetric
-    if sym:
-        return _eigenpair_shift_invert(mat, lb, tol_value, tol_residual, max_iter,
-                                       shift_hint=shift_hint)
-    return _eigenpair_semigroup(mat, semigroup_tol, semigroup_window, semigroup_tmax)
-
-
-def _eigenpair_shift_invert(mat: sp.csr_matrix, lower_bound: float,
-                            tol_value: float, tol_residual: float,
-                            max_iter: int, shift_hint: float | None = None) -> EigenPair:
     # A hint sits much closer to the target than the certified shift, so
     # the warm-up contracts fast; the hinted shift must stay strictly below
     # the eigenvalue it chases, hence the margin. Wrong basin (caught by the
@@ -208,7 +192,7 @@ def _eigenpair_shift_invert(mat: sp.csr_matrix, lower_bound: float,
     starts = []
     if shift_hint is not None:
         starts.append(shift_hint - max(1e-2, 1e-3 * abs(shift_hint)))
-    starts.append(lower_bound - 1.0)
+    starts.append(lb - 1.0)
     last: EigenError | None = None
     for sigma0 in starts:
         try:
@@ -272,50 +256,6 @@ def _shift_invert_from(mat: sp.csr_matrix, sigma0: float,
     return EigenPair(value=rho, vector=v, residual=residual, iterations=iterations)
 
 
-def _eigenpair_semigroup(mat: sp.csr_matrix, tol: float, window: float,
-                         tmax: float) -> EigenPair:
-    n = mat.shape[0]
-    v = np.full(n, 1.0)
-    v /= np.linalg.norm(v, np.inf)
-    # Classic RK4 on v' = -M v; the step obeys a Gershgorin bound on the
-    # spectral radius (stability interval ~2.8 on the negative real axis).
-    radius = float(np.abs(mat).sum(axis=1).max())
-    steps_per_window = max(1, int(math.ceil(window * radius / 2.5)))
-    dt = window / steps_per_window
-
-    lam_prev = math.inf
-    lam = math.inf
-    windows = 0
-    t = 0.0
-    while t < tmax:
-        for _ in range(steps_per_window):
-            k1 = -(mat @ v)
-            k2 = -(mat @ (v + 0.5 * dt * k1))
-            k3 = -(mat @ (v + 0.5 * dt * k2))
-            k4 = -(mat @ (v + dt * k3))
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += window
-        windows += 1
-        nrm = float(np.linalg.norm(v, np.inf))
-        if nrm <= 0 or not math.isfinite(nrm):
-            raise EigenError(f"semigroup iterate degenerated at t={t:.3g} (norm {nrm})")
-        lam_prev, lam = lam, -math.log(nrm) / window
-        v /= nrm
-        if windows >= 3 and abs(lam - lam_prev) < tol:
-            break
-    else:
-        raise EigenError(
-            f"semigroup growth rate not converged within t={tmax:.3g} "
-            f"(last slope change {abs(lam - lam_prev):.3g}, tol {tol:.3g})")
-
-    if v.sum() < 0:
-        v = -v
-    v = np.maximum(v, 0.0)
-    v /= v.max()
-    residual = float(np.linalg.norm(mat @ v - lam * v, np.inf))
-    return EigenPair(value=lam, vector=v, residual=residual, iterations=windows)
-
-
 def default_schedules(params: model.ModelParams, *, h_target: float | None = None,
                       rungs: int = 4) -> tuple[list[float], list[int]]:
     """Box ladder (L_schedule, m_schedule) with constant spacing across rungs.
@@ -336,8 +276,7 @@ def default_schedules(params: model.ModelParams, *, h_target: float | None = Non
 
 def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
                  tol_domain: float = 1e-6, richardson: bool = True,
-                 tol_value: float = 1e-10, tol_residual: float = 1e-8,
-                 semigroup_tol: float = 1e-6, semigroup_tmax: float = 600.0) -> EigenResult:
+                 tol_value: float = 1e-10, tol_residual: float = 1e-8) -> EigenResult:
     """Climb the box ladder until lambda_L stabilizes, then refine in h.
 
     lambda_L must be nonincreasing along the ladder (it is, exactly, when
@@ -352,8 +291,7 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
     if not ls:
         raise ValueError("empty schedule")
 
-    solver_opts = dict(tol_value=tol_value, tol_residual=tol_residual,
-                       semigroup_tol=semigroup_tol, semigroup_tmax=semigroup_tmax)
+    solver_opts = dict(tol_value=tol_value, tol_residual=tol_residual)
     rows: list[EigenRow] = []
     iterations = 0
     converged = False

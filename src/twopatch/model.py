@@ -30,6 +30,11 @@ class Symmetric:
 
     delta: float
 
+    @property
+    def rates(self) -> tuple[float, float, float, float]:
+        """(d11, d12, d21, d22): every rate equals delta."""
+        return self.delta, self.delta, self.delta, self.delta
+
 
 @dataclass(frozen=True)
 class General:
@@ -43,6 +48,11 @@ class General:
     d12: float
     d21: float
     d22: float
+
+    @property
+    def rates(self) -> tuple[float, float, float, float]:
+        """(d11, d12, d21, d22)."""
+        return self.d11, self.d12, self.d21, self.d22
 
 
 Migration = Symmetric | General

@@ -146,11 +146,7 @@ def _make_rhs(params: model.ModelParams, grid: Grid, r1: np.ndarray, r2: np.ndar
     """Build a stacked-array RHS closure; state y has shape (2, *grid.shape)."""
     half_mu2 = 0.5 * params.mu * params.mu
     logistic = params.growth == model.GROWTH_LOGISTIC
-    mig = params.migration
-    if isinstance(mig, model.Symmetric):
-        d11 = d12 = d21 = d22 = mig.delta
-    else:
-        d11, d12, d21, d22 = mig.d11, mig.d12, mig.d21, mig.d22
+    d11, d12, d21, d22 = params.migration.rates
 
     def f(y: np.ndarray) -> np.ndarray:
         u1, u2 = y[0], y[1]

@@ -67,13 +67,12 @@ def _with_value(params: model.ModelParams, which: str, value: float) -> model.Mo
 def _check_existence(params: model.ModelParams, which: str) -> tuple[float, float]:
     """Validate the existence inequalities; return a certified (lo, hi) bracket.
 
-    lo always sits on the persistence side (lambda < 0) and hi on the
-    extinction side when theory certifies one; otherwise hi is a starting
-    point for geometric expansion.
+    params must be mirror-symmetric (find_threshold checks). lo always sits
+    on the persistence side (lambda < 0) and hi on the extinction side when
+    theory certifies one; otherwise hi is a starting point for geometric
+    expansion.
     """
     n, mu, rmax = params.n, params.mu, params.rmax1
-    if not isinstance(params.migration, model.Symmetric) or params.rmax1 != params.rmax2:
-        raise ThresholdError("threshold search requires Symmetric migration and rmax1 == rmax2")
     load = 0.5 * mu * n  # mutation load: lambda -> -rmax + load as delta -> 0
     m_d = params.m_D
     delta = params.migration.delta
@@ -110,19 +109,22 @@ def _check_existence(params: model.ModelParams, which: str) -> tuple[float, floa
         if lo <= 0:
             lo = 0.25 * hi  # expansion below confirms the small-mu side
         return lo, hi
-    if which == "rmax":
-        # lambda(rmax) = lambda(0) - rmax exactly: certified two-sided bracket.
-        return load + min(delta, 0.25 * m_d) + 1.0, load
     raise ValueError(f"unknown threshold parameter {which!r}; expected one of {_PARAMETERS}")
 
 
 def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
                    tol_lambda: float = 1e-4, max_iter: int = 40,
                    **eigen_opts) -> ThresholdResult:
-    """Bisect for the parameter value where lambda crosses zero.
+    """Find the parameter value where lambda crosses zero.
+
+    delta, m_D and mu are bisected. rmax needs no bracket: the box ladder
+    depends only on beta and mu, so lambda(rmax') = lambda(rmax) - (rmax' -
+    rmax) holds on it exactly and the crossing is rmax + lambda(params),
+    returned with iterations = 0, lo = hi = value and a fresh lambda there.
 
     Args:
-        params: baseline model; the searched parameter's entry is ignored.
+        params: baseline model; the searched parameter's entry is ignored
+            (rmax reads it as the reference height).
         which: one of "delta", "m_D", "mu", "rmax".
         bracket: optional (lo, hi) with lo on the lambda < 0 side; defaults
             to the certified bracket from the existence inequalities.
@@ -134,6 +136,13 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         ThresholdError: existence inequality fails, or no sign change is
             found after geometric bracket expansion.
     """
+    if not isinstance(params.migration, model.Symmetric) or params.rmax1 != params.rmax2:
+        raise ThresholdError("threshold search requires Symmetric migration and rmax1 == rmax2")
+    if which == "rmax":
+        value = params.rmax1 + lambda_of(params, **eigen_opts)
+        f_value = lambda_of(_with_value(params, which, value), **eigen_opts)
+        return ThresholdResult(parameter=which, lo=value, hi=value, value=value,
+                               lambda_at_value=f_value, iterations=0)
     lo_cert, hi0 = _check_existence(params, which)
     lo, hi = bracket if bracket is not None else (lo_cert, hi0)
     if not (lo > 0 and hi > 0):
@@ -163,9 +172,6 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         evaluations += 1
     else:
         raise ThresholdError(f"no sign change: lambda stays < 0 up to {which} = {hi:.3g}")
-    if lo > hi:
-        lo, hi = hi, lo  # rmax searches run downhill; keep lo < hi for bisection
-        f_lo, f_hi = f_hi, f_lo
 
     value, f_value = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     iterations = 0

@@ -269,6 +269,18 @@ def test_cmd_phase_cell_failure_lands_in_error_column(tmp_path):
         assert parts[2] == "nan"
 
 
+def test_cmd_phase_programming_error_propagates(tmp_path, monkeypatch):
+    # only numerical and config failures become error cells; a bug must
+    # surface instead of being filed as one
+    def broken(*args, **kwargs):
+        raise TypeError("broken eigen call")
+
+    monkeypatch.setattr(cli, "lambda_of", broken)
+    cfg = quick_phase_config(phase_ibm=False, t_end=2.0)
+    with pytest.raises(TypeError, match="broken eigen call"):
+        cli.cmd_phase(cfg, str(tmp_path))
+
+
 # ---------------------------------------------------------------- main
 
 

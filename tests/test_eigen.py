@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from twopatch import eigen, model
@@ -127,6 +128,23 @@ def test_semigroup_route_matches_symmetrized_oracle():
     lam_semi = eigen.principal_eigenpair(biased).value
     lam_si = eigen.principal_eigenpair(symm).value
     assert lam_semi == pytest.approx(lam_si, abs=1e-4)
+
+
+@pytest.mark.parametrize("d12, d21", [(0.02, 0.05), (0.0, 0.05), (0.02, 0.0)],
+                         ids=["biased", "one_way_d12_0", "one_way_d21_0"])
+def test_nonsymmetric_operator_matches_dense_spectrum(d12, d21):
+    # small spectral gap (~0.009): a value that has not converged shows up
+    # well above these tolerances; the one-way cases are block-triangular
+    p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX,
+                          beta=0.5, migration=model.General(0.05, d12, d21, 0.03))
+    op = eigen.assemble_full(p, build_grid(1, 3.0, 61))
+    assert not op.symmetric
+    dense = scipy.linalg.eigvals(op.matrix.toarray()).real.min()
+    pair = eigen.principal_eigenpair(op)
+    assert pair.value == pytest.approx(dense, abs=1e-10)
+    v = pair.vector
+    assert np.abs(op.matrix @ v - pair.value * v).max() <= 1e-8 * max(1.0, abs(pair.value))
+    assert v.min() >= 0.0
 
 
 def test_ladder_is_monotone_and_converges():
