@@ -228,13 +228,12 @@ def to_model_params(config: ExperimentConfig, *, delta: float | None = None,
         migration=mig, growth=config.growth)
 
 
-def default_box(params: model.ModelParams) -> float:
-    """Default truncation half-width max(4 beta, 6 sqrt(mu)) + 2."""
-    return max(4.0 * params.beta, 6.0 * math.sqrt(params.mu)) + 2.0
-
-
 def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
-    length = config.L if config.L is not None else default_box(params)
+    """The config's L and m, else the default box max(4 beta, 6 sqrt(mu)) + 2
+    at spacing ~1/16: the one default grid of solve and phase."""
+    length = config.L
+    if length is None:
+        length = max(4.0 * params.beta, 6.0 * math.sqrt(params.mu)) + 2.0
     if config.m is not None:
         m = config.m
     else:
@@ -250,12 +249,13 @@ def solver_config(config: ExperimentConfig) -> SolverConfig:
 
 def initial_state(config: ExperimentConfig, params: model.ModelParams,
                   grid: Grid) -> Field2:
-    """Initial densities: identical in both habitats (mirror-symmetric data).
+    """Initial x1 profiles: identical in both habitats (mirror-symmetric data).
 
     "origin": one Gaussian bump at the midpoint between the optima.
     "spread": equal-mass bumps at the midpoint and at both optima; same
     total mass, far smaller transient, which matters when classifying
-    persistence from a finite horizon.
+    persistence from a finite horizon. initial_variance (default mu) is the
+    x1 width; the transverse traits start at their stationary width mu.
     """
     variance = config.initial_variance if config.initial_variance is not None else params.mu
     if config.initial == "origin":
@@ -310,15 +310,20 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     _write_csv(traj_path, "t,N1,N2,rbar1,rbar2",
                zip(traj.t, traj.N1, traj.N2, traj.rbar1, traj.rbar2))
 
+    # Rows run over the m^n nodes, x1 slowest: the x1 profile times the
+    # stationary Gaussian N(0, mu) in each of x2..xn.
     state_path = os.path.join(out_dir, "final_state.txt")
-    coords = grid.coords().reshape(-1, grid.n)
-    u1 = final.u1.ravel()
-    u2 = final.u2.ravel()
+    ax = grid.axis()
+    idx = np.indices((grid.m,) * grid.n).reshape(grid.n, -1).T
+    phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
+    transverse = np.prod(phi[idx[:, 1:]], axis=1)
     with open(state_path, "w") as fh:
         fh.write(f"# n={grid.n} L={_fmt(grid.L)} m={grid.m} h={_fmt(grid.h)}\n")
         fh.write(f"# t={_fmt(traj.t[-1])} extinct={traj.extinct}\n")
         fh.write(",".join(f"x{k + 1}" for k in range(grid.n)) + ",u1,u2\n")
-        np.savetxt(fh, np.column_stack([coords, u1, u2]), fmt="%.15g", delimiter=",")
+        np.savetxt(fh, np.column_stack([ax[idx], final.u1[idx[:, 0]] * transverse,
+                                        final.u2[idx[:, 0]] * transverse]),
+                   fmt="%.15g", delimiter=",")
     return {"trajectory": traj_path, "final_state": state_path}
 
 
@@ -402,10 +407,7 @@ def _phase_cell(args) -> PhaseCell:
         classification = classify(params, lam=lam)
 
         # Shared box across cells so PDE finals are comparable row to row.
-        widest = params.with_m_D(max(config.sweep_max[1], config.m_D))
-        length = config.L if config.L is not None else default_box(widest)
-        m = config.m if config.m is not None else 2 * max(1, round(8.0 * length)) + 1
-        grid = build_grid(config.n, length, m)
+        grid = grid_for(config, params.with_m_D(max(config.sweep_max[1], config.m_D)))
         state0 = initial_state(config, params, grid)
         traj, _ = integrate_to(params, grid, state0, solver_config(config))
         n_pde = float(traj.N1[-1] + traj.N2[-1])

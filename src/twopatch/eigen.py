@@ -1,15 +1,18 @@
 """Principal eigenvalue of the coupled selection-mutation-migration operator.
 
-The operator acts on density pairs (v1, v2) over the truncated box:
+The operator acts on density pairs (v1, v2) over the x1 axis of the
+truncated box:
 
-    (A v)_i = -(mu^2 / 2) lap(v_i) - (r_i - d_ii) v_i - d_ij v_j
+    (A v)_i = -(mu^2 / 2) v_i'' - (r_i - d_ii) v_i - d_ij v_j
 
-Its smallest eigenvalue lambda decides long-time fate: negative means the
-linearized population grows, positive means it decays. With symmetric
-migration and equal fitness ceilings the habitats are mirror images, and
-the problem reduces to a scalar operator with a reflection coupling,
+with r_i the axis fitness of pde.fitness_fields, which carries the
+transverse traits exactly, so its smallest eigenvalue lambda is the
+n-trait one. Negative lambda means the linearized population grows,
+positive means it decays. With symmetric migration and equal fitness
+ceilings the habitats are mirror images, and the problem reduces to a
+scalar operator with a reflection coupling,
 
-    M phi = -(mu^2 / 2) lap(phi) - r_1 phi + delta (phi - phi o iota),
+    M phi = -(mu^2 / 2) phi'' - r_1 phi + delta (phi - phi o iota),
 
 whose smallest eigenvalue equals the full system's (the Perron vector of
 the full matrix is the symmetric pair (phi, phi o iota)).
@@ -69,6 +72,9 @@ class EigenRow:
 
 @dataclass
 class EigenResult:
+    """Ladder result; eigenfield is the x1 factor of the principal
+    eigenfunction on the finest grid (times N(0, mu I_{n-1}) for n traits)."""
+
     rows: list[EigenRow]
     lam: float
     eigenfield: Field2
@@ -93,24 +99,15 @@ def spectral_lower_bound(params: model.ModelParams) -> float:
 
 
 def _neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """-lap as a sparse matrix over all grid nodes (Dirichlet zero ghosts)."""
-    m, h = grid.m, grid.h
-    e = np.ones(m)
-    t = sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]) / (h * h)
-    if grid.n == 1:
-        return t.tocsr()
-    eye = sp.identity(m)
-    return (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
+    """-d^2/dx1^2 as a sparse tridiagonal matrix (Dirichlet zero ghosts)."""
+    e = np.ones(grid.m)
+    return (sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]) / (grid.h * grid.h)).tocsr()
 
 
 def reflection_permutation(grid: Grid) -> sp.csr_matrix:
     """Sparse matrix P with (P v)[k] = v at the x1-mirrored node of k."""
-    if grid.n == 1:
-        perm = np.arange(grid.m)[::-1]
-    else:
-        perm = np.arange(grid.size).reshape(grid.shape)[::-1, :].ravel()
-    n = grid.size
-    return sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    m = grid.m
+    return sp.csr_matrix((np.ones(m), (np.arange(m), np.arange(m)[::-1])), shape=(m, m))
 
 
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:
@@ -124,7 +121,7 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     half_mu2 = 0.5 * params.mu * params.mu
     eye = sp.identity(grid.size)
     mat = (half_mu2 * _neg_laplacian_matrix(grid)
-           - sp.diags(r1.ravel())
+           - sp.diags(r1)
            + delta * (eye - reflection_permutation(grid)))
     return Operator(matrix=mat.tocsr(), grid=grid, components=1, symmetric=True,
                     lower_bound=spectral_lower_bound(params))
@@ -137,8 +134,8 @@ def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
     half_mu2 = 0.5 * params.mu * params.mu
     neg_lap = _neg_laplacian_matrix(grid)
     eye = sp.identity(grid.size)
-    a11 = half_mu2 * neg_lap - sp.diags(r1.ravel() - d11)
-    a22 = half_mu2 * neg_lap - sp.diags(r2.ravel() - d22)
+    a11 = half_mu2 * neg_lap - sp.diags(r1 - d11)
+    a22 = half_mu2 * neg_lap - sp.diags(r2 - d22)
     mat = sp.bmat([[a11, -d12 * eye], [-d21 * eye, a22]], format="csr")
     return Operator(matrix=mat, grid=grid, components=2, symmetric=(d12 == d21),
                     lower_bound=spectral_lower_bound(params))
@@ -328,12 +325,9 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
         g, op, pair = g2, op2, pair2
 
     if op.components == 1:
-        phi = pair.vector.reshape(g.shape)
-        field = Field2(phi, reflect_field(g, phi))
+        field = Field2(pair.vector, reflect_field(g, pair.vector))
     else:
-        half = g.size
-        field = Field2(pair.vector[:half].reshape(g.shape),
-                       pair.vector[half:].reshape(g.shape))
+        field = Field2(pair.vector[:g.size], pair.vector[g.size:])
     return EigenResult(rows=rows, lam=lam, eigenfield=field, grid=g,
                        residual=pair.residual, iterations=iterations,
                        converged=converged)

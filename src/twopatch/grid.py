@@ -1,10 +1,11 @@
-"""Tensor grids on the truncated phenotype box [-L, L]^n with n in {1, 2}.
+"""The x1 axis of the truncated phenotype box [-L, L]^n, for any n >= 1.
 
-The box is a computational truncation of phenotype space: solutions of
-interest decay super-exponentially, so homogeneous Dirichlet conditions
-(zero ghost nodes) are imposed on the boundary. The node count per axis is
-kept odd so that x1 = 0 is an exact node and the habitat-swap reflection
-x1 -> -x1 is a pure index permutation, never an interpolation.
+The transverse traits factor out of every solve (pde.fitness_fields), so
+fields live on the x1 axis alone. The box is a computational truncation:
+solutions of interest decay super-exponentially, so homogeneous Dirichlet
+conditions (zero ghost nodes) are imposed at both ends. The node count is
+odd so that x1 = 0 is an exact node and the habitat-swap reflection
+x1 -> -x1 is a pure index reversal, never an interpolation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on [-L, L]^n.
+    """Uniform grid on the x1 axis of the box [-L, L]^n.
 
     Attributes:
-        n: spatial dimension, 1 or 2.
+        n: trait dimension (integer >= 1); only x1 is discretized.
         L: half-width of the box (> 0).
-        m: nodes per axis including both boundary nodes; odd, >= 3.
+        m: nodes on the axis including both boundary nodes; odd, >= 3.
     """
 
     n: int
@@ -29,8 +30,8 @@ class Grid:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {self.n!r}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"trait dimension n must be an integer >= 1, got {self.n!r}")
         if not (self.L > 0):
             raise ValueError(f"L must be > 0, got {self.L!r}")
         if self.m < 3 or self.m % 2 == 0:
@@ -42,25 +43,17 @@ class Grid:
         return 2.0 * self.L / (self.m - 1)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.m,) * self.n
+    def shape(self) -> tuple[int]:
+        return (self.m,)
 
     @property
     def size(self) -> int:
-        return self.m**self.n
+        return self.m
 
     def axis(self) -> np.ndarray:
         # Built symmetrically around the center index so the midpoint is 0.0
         # exactly and axis[m-1-k] == -axis[k] bitwise.
         return (np.arange(self.m) - (self.m - 1) // 2) * self.h
-
-    def coords(self) -> np.ndarray:
-        """Node coordinates as an array of shape (*shape, n)."""
-        ax = self.axis()
-        if self.n == 1:
-            return ax[:, None]
-        mesh = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack(mesh, axis=-1)
 
 
 @dataclass
@@ -85,35 +78,29 @@ def build_grid(n: int, L: float, m: int) -> Grid:
     return Grid(n=n, L=L, m=int(m))
 
 
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Second-order centered Laplacian with Dirichlet zero ghost nodes.
-
-    Exact on quadratics at interior nodes (returns 2n for f = ||x||^2).
-    Boundary nodes see zero beyond the box, matching the truncation.
-    """
+def _check_shape(grid: Grid, f: np.ndarray) -> None:
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
-    h2 = grid.h * grid.h
+
+
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Second-order centered second difference with Dirichlet zero ghost nodes.
+
+    Exact on quadratics at interior nodes (returns 2 for f = x1^2).
+    Boundary nodes see zero beyond the box, matching the truncation.
+    """
+    _check_shape(grid, f)
     p = np.pad(f, 1)
-    if grid.n == 1:
-        return (p[:-2] + p[2:] - 2.0 * f) / h2
-    out = (p[:-2, 1:-1] + p[2:, 1:-1] - 2.0 * f) / h2
-    out += (p[1:-1, :-2] + p[1:-1, 2:] - 2.0 * f) / h2
-    return out
+    return (p[:-2] + p[2:] - 2.0 * f) / (grid.h * grid.h)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
-    """Trapezoid quadrature of a nodal field over the box."""
-    if f.shape != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
-    out = f
-    for _ in range(grid.n):
-        out = np.trapezoid(out, dx=grid.h, axis=-1)
-    return float(out)
+    """Trapezoid quadrature of a nodal field along the axis."""
+    _check_shape(grid, f)
+    return float(np.trapezoid(f, dx=grid.h))
 
 
 def reflect_field(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Habitat-swap reflection x1 -> -x1 as an exact index reversal on axis 0."""
-    if f.shape != grid.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
-    return np.flip(f, axis=0).copy()
+    """Habitat-swap reflection x1 -> -x1 as an exact index reversal."""
+    _check_shape(grid, f)
+    return f[::-1].copy()

@@ -1,9 +1,11 @@
 """Time integration of the two-habitat selection-mutation-migration system.
 
-The state is a pair of phenotype densities (u1, u2) on the truncated box.
-Each density diffuses with coefficient mu**2 / 2 (mutation), grows at the
-local fitness (minus the habitat's total mass under logistic growth), and
-exchanges mass with the other habitat through migration.
+The state is a pair of phenotype densities (u1, u2) on the x1 axis of the
+truncated box. Each density diffuses with coefficient mu**2 / 2 (mutation),
+grows at the axis fitness of fitness_fields (minus the habitat's total mass
+under logistic growth), and exchanges mass with the other habitat through
+migration. Masses and mean fitnesses of the profile are those of the
+n-trait density, which is the profile times N(0, mu I_{n-1}).
 
 Time stepping uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control. Steps land exactly on the record cadence, so no dense output is
@@ -85,34 +87,38 @@ class Trajectory:
 
 
 def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal fitness surfaces (r1, r2) of the two habitats."""
-    x = grid.coords()
-    return model.fitness(params, 1, x), model.fitness(params, 2, x)
+    """Axis fitness (r1, r2): r_i(x1, 0, ..., 0) - (n - 1) mu / 2 at the nodes.
+
+    The only place where the trait dimension n enters the numerics. The
+    n - 1 transverse traits see isotropic mutation and the same quadratic
+    selection about 0 in both habitats: a harmonic oscillator whose
+    stationary Gaussian N(0, mu) decays at exactly (n - 1) mu / 2 (Mehler's
+    formula), the fitness averaged over it. So the one-trait eigenproblem
+    and PDE with this fitness are the n-trait ones, whose density is the
+    x1 profile times N(0, mu I_{n-1}). A grid of another n is a ValueError.
+    """
+    if grid.n != params.n:
+        raise ValueError(f"grid has {grid.n} trait(s) but the model has {params.n}")
+    x = np.zeros((grid.m, params.n))
+    x[:, 0] = grid.axis()
+    load = 0.5 * (params.n - 1) * params.mu
+    return model.fitness(params, 1, x) - load, model.fitness(params, 2, x) - load
 
 
-def gaussian_initial(grid: Grid, center, variance: float, mass: float) -> np.ndarray:
-    """Isotropic Gaussian bump scaled so its trapezoid integral equals mass.
+def gaussian_initial(grid: Grid, center: float, variance: float, mass: float) -> np.ndarray:
+    """Gaussian x1 profile at center, scaled so its trapezoid integral equals mass.
 
-    center may be a scalar (placed on the x1 axis) or a length-n vector.
     Warns if the center lies outside the box.
     """
     if not (variance > 0):
         raise ValueError(f"variance must be > 0, got {variance!r}")
     if not (mass > 0):
         raise ValueError(f"mass must be > 0, got {mass!r}")
-    c = np.zeros(grid.n)
-    c_in = np.atleast_1d(np.asarray(center, dtype=float))
-    if c_in.size == 1:
-        c[0] = c_in[0]
-    elif c_in.size == grid.n:
-        c = c_in
-    else:
-        raise ValueError(f"center must be a scalar or length-{grid.n} vector, got size {c_in.size}")
-    if np.any(np.abs(c) > grid.L):
-        warnings.warn(f"gaussian_initial center {c} lies outside the box [-{grid.L}, {grid.L}]^{grid.n}",
+    c = float(center)
+    if abs(c) > grid.L:
+        warnings.warn(f"gaussian_initial center {c} lies outside the box [-{grid.L}, {grid.L}]",
                       stacklevel=2)
-    x = grid.coords()
-    g = np.exp(-0.5 * np.sum(np.square(x - c), axis=-1) / variance)
+    g = np.exp(-0.5 * np.square(grid.axis() - c) / variance)
     z = integrate(grid, g)
     if z <= 0:
         raise ValueError("initial bump has zero mass on this grid (variance too small for h?)")
@@ -143,7 +149,7 @@ def rhs(params: model.ModelParams, grid: Grid, state: Field2) -> Field2:
 
 
 def _make_rhs(params: model.ModelParams, grid: Grid, r1: np.ndarray, r2: np.ndarray):
-    """Build a stacked-array RHS closure; state y has shape (2, *grid.shape)."""
+    """Build a stacked-array RHS closure; state y has shape (2, m)."""
     half_mu2 = 0.5 * params.mu * params.mu
     logistic = params.growth == model.GROWTH_LOGISTIC
     d11, d12, d21, d22 = params.migration.rates

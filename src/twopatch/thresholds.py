@@ -35,6 +35,7 @@ class ThresholdResult:
     value: float
     lambda_at_value: float
     iterations: int
+    evaluations: int  # eigenvalue solves (lambda_of calls) the search made
 
 
 def classify(params: model.ModelParams, *, tol: float = 1e-6,
@@ -142,7 +143,7 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         value = params.rmax1 + lambda_of(params, **eigen_opts)
         f_value = lambda_of(_with_value(params, which, value), **eigen_opts)
         return ThresholdResult(parameter=which, lo=value, hi=value, value=value,
-                               lambda_at_value=f_value, iterations=0)
+                               lambda_at_value=f_value, iterations=0, evaluations=2)
     lo_cert, hi0 = _check_existence(params, which)
     lo, hi = bracket if bracket is not None else (lo_cert, hi0)
     if not (lo > 0 and hi > 0):
@@ -191,4 +192,5 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
             break
 
     return ThresholdResult(parameter=which, lo=lo, hi=hi, value=value,
-                           lambda_at_value=f_value, iterations=iterations)
+                           lambda_at_value=f_value, iterations=iterations,
+                           evaluations=evaluations)

@@ -236,9 +236,8 @@ def test_criterion_11_desk_scale_phase_diagram():
     config = cli.ExperimentConfig(initial="spread", initial_mass=1e4,
                                   t_end=150.0, record_every=150.0,
                                   N0=1000, T=150, replicates=10)
-    beta_max = model.beta_of(float(mds[-1]))
-    length = max(4.0 * beta_max, 6.0 * math.sqrt(MU)) + 2.0
-    g = build_grid(2, length, 2 * max(1, round(8.0 * length)) + 1)
+    # the CLI's default grid for the widest cell, shared by every cell
+    g = cli.grid_for(config, cli.to_model_params(config, m_d=float(mds[-1])))
     solver_cfg = cli.solver_config(config)
 
     pde_agree = ibm_agree = 0

@@ -119,6 +119,27 @@ def test_cmd_solve_outputs(tmp_path):
     np.testing.assert_allclose(rows[:, 1], rows[:, 2], rtol=1e-9)
 
 
+def test_cmd_solve_three_traits_expands_final_state(tmp_path):
+    written = cli.cmd_solve(quick_solve_config(n=3, L=2.0, m=9, t_end=1.0), str(tmp_path))
+    with open(written["final_state"]) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "# n=3 L=2 m=9 h=0.5"
+    assert lines[2] == "x1,x2,x3,u1,u2"
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[3:]])
+    assert rows.shape == (9 ** 3, 5)
+    # x1 varies slowest, x3 fastest
+    np.testing.assert_array_equal(rows[0, :3], [-2.0, -2.0, -2.0])
+    np.testing.assert_array_equal(rows[1, :3], [-2.0, -2.0, -1.5])
+    np.testing.assert_array_equal(rows[9, :3], [-2.0, -1.5, -2.0])
+    np.testing.assert_array_equal(rows[81, :3], [-1.5, -2.0, -2.0])
+    # the density is the x1 profile times N(0, mu) in each transverse trait
+    mu = 0.1
+    phi = np.exp(-0.5 * (rows[:, 1] ** 2 + rows[:, 2] ** 2) / mu) / (2.0 * math.pi * mu)
+    on_axis = (rows[:, 1] == 0.0) & (rows[:, 2] == 0.0)
+    profile = rows[on_axis, 3] * (2.0 * math.pi * mu)
+    np.testing.assert_allclose(rows[:, 3], np.repeat(profile, 81) * phi, rtol=1e-12, atol=0)
+
+
 def test_cmd_solve_rewrite_is_bit_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -151,6 +172,21 @@ def test_cmd_eigen_closed_form_and_ladder(tmp_path):
     assert len(footer) == 1 and footer[0].startswith("# lambda=")
     lam = float(footer[0].split("=")[1])
     assert lam == pytest.approx(-1.0 / 18.0 + 0.05, abs=1e-3)
+
+
+def test_cmd_eigen_three_traits_adds_transverse_load(tmp_path):
+    # same ladder at n = 1 and n = 3; lambda moves by exactly (n - 1) mu / 2
+    lams, ladders = {}, {}
+    for n in (1, 3):
+        out = tmp_path / f"n{n}"
+        out.mkdir()
+        cli.cmd_eigen(ExperimentConfig(n=n, mu=0.1, m_D=0.5, delta=0.05, h_target=0.25),
+                      str(out))
+        _, data, footer = read_csv(str(out / "eigen.csv"))
+        lams[n] = float(footer[0].split("=")[1])
+        ladders[n] = [ln.split(",")[:2] for ln in data]
+    assert ladders[3] == ladders[1]
+    assert lams[3] == pytest.approx(lams[1] + 0.1, abs=1e-12)
 
 
 def test_cmd_eigen_explicit_grid_single_solve(tmp_path):

@@ -67,10 +67,19 @@ def test_spectral_lower_bound_formula():
 
 def test_closed_form_when_habitats_coincide():
     # beta = 0 collapses to one quadratic well: lambda = -rmax + n*mu/2
-    for n in (1, 2):
+    for n in (1, 2, 3):
         p = ref_params(n=n, beta=0.0)
         lam = eigen.lambda_of(p)
         assert lam == pytest.approx(-FIG_RMAX + n * FIG_MU / 2.0, abs=1e-4)
+
+
+def test_trait_dimension_adds_the_transverse_load():
+    # same box ladder for every n (it depends on beta and mu only), and the
+    # axis operator at n traits is the one-trait operator shifted by (n-1) mu/2
+    lam1 = eigen.lambda_of(ref_params(n=1))
+    for n in (2, 3):
+        lam = eigen.lambda_of(ref_params(n=n))
+        assert lam == pytest.approx(lam1 + 0.5 * (n - 1) * FIG_MU, abs=1e-12)
 
 
 def test_reflection_permutation_is_reflect_field():
@@ -112,9 +121,9 @@ def test_general_migration_with_equal_rates_matches_symmetric():
     assert lam_gen == pytest.approx(lam_sym, abs=1e-9)
 
 
-def test_semigroup_route_matches_symmetrized_oracle():
+def test_biased_operator_matches_diagonally_similar_symmetric_twin():
     # a one-way-biased system is diagonally similar to a symmetric one with
-    # geometric-mean coupling, so the two solver paths must agree
+    # geometric-mean coupling, so the two spectra coincide
     d11, d12, d21, d22 = 0.2, 0.05, 0.15, 0.3
     gm = math.sqrt(d12 * d21)
     base = dict(n=1, mu=0.25, rmax1=0.3, rmax2=0.1, beta=0.4)
@@ -125,9 +134,9 @@ def test_semigroup_route_matches_symmetrized_oracle():
     symm = eigen.assemble_full(
         model.ModelParams(**base, migration=model.General(d11, gm, gm, d22)), g)
     assert symm.symmetric
-    lam_semi = eigen.principal_eigenpair(biased).value
-    lam_si = eigen.principal_eigenpair(symm).value
-    assert lam_semi == pytest.approx(lam_si, abs=1e-4)
+    lam_biased = eigen.principal_eigenpair(biased).value
+    lam_twin = eigen.principal_eigenpair(symm).value
+    assert lam_biased == pytest.approx(lam_twin, abs=1e-10)
 
 
 @pytest.mark.parametrize("d12, d21", [(0.02, 0.05), (0.0, 0.05), (0.02, 0.0)],

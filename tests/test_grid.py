@@ -8,7 +8,7 @@ from twopatch import grid as g
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="dimension"):
-        g.build_grid(3, 1.0, 5)
+        g.build_grid(0, 1.0, 5)
     with pytest.raises(ValueError, match="L must be"):
         g.build_grid(1, 0.0, 5)
     with pytest.raises(ValueError, match="odd"):
@@ -18,11 +18,13 @@ def test_grid_validation():
 
 
 def test_spacing_shape_size():
-    gr = g.build_grid(2, 3.0, 7)
-    assert gr.h == 1.0
-    assert gr.shape == (7, 7)
-    assert gr.size == 49
-    assert g.build_grid(1, 2.0, 9).shape == (9,)
+    # fields live on the x1 axis whatever the trait dimension
+    for n in (1, 2, 3):
+        gr = g.build_grid(n, 3.0, 7)
+        assert gr.n == n
+        assert gr.h == 1.0
+        assert gr.shape == (7,)
+        assert gr.size == 7
 
 
 def test_axis_is_bitwise_antisymmetric_with_center_zero():
@@ -33,24 +35,14 @@ def test_axis_is_bitwise_antisymmetric_with_center_zero():
     assert ax[0] == -1.7 and ax[-1] == 1.7
 
 
-def test_coords_layout():
-    gr = g.build_grid(2, 1.0, 3)
-    c = gr.coords()
-    assert c.shape == (3, 3, 2)
-    np.testing.assert_array_equal(c[0, 2], [-1.0, 1.0])
-    np.testing.assert_array_equal(c[1, 1], [0.0, 0.0])
-
-
 def test_laplacian_exact_on_quadratic_interior():
     # Centered second differences are exact on polynomials up to degree 3,
-    # so ||x||^2 must map to the constant 2n away from the boundary ring.
+    # so x1^2 must map to the constant 2 away from the boundary nodes.
     for n in (1, 2):
         gr = g.build_grid(n, 2.0, 17)
-        c = gr.coords()
-        f = np.sum(c * c, axis=-1)
-        lap = g.laplacian(gr, f)
-        interior = lap[1:-1] if n == 1 else lap[1:-1, 1:-1]
-        np.testing.assert_allclose(interior, 2.0 * n, rtol=0, atol=1e-11)
+        x = gr.axis()
+        lap = g.laplacian(gr, x * x)
+        np.testing.assert_allclose(lap[1:-1], 2.0, rtol=0, atol=1e-11)
 
 
 def test_laplacian_sees_zero_ghost_nodes():
@@ -74,10 +66,9 @@ def test_quadrature_second_order_on_smooth_field():
     gr2 = g.build_grid(2, 2.0, 41)
 
     def smooth(gr):
-        c = gr.coords()
-        return np.cos(c[..., 0]) * np.cos(c[..., 1])
+        return np.cos(gr.axis())
 
-    exact = (2.0 * math.sin(2.0)) ** 2
+    exact = 2.0 * math.sin(2.0)
     e1 = abs(g.integrate(gr1, smooth(gr1)) - exact)
     e2 = abs(g.integrate(gr2, smooth(gr2)) - exact)
     assert e1 / e2 > 3.5  # halving h should shrink the error ~4x

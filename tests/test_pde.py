@@ -7,30 +7,28 @@ from twopatch import eigen, model, pde
 from twopatch.grid import Field2, build_grid, integrate
 
 
-def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3):
-    return model.ModelParams(n=1, mu=0.2, rmax1=rmax, rmax2=rmax, beta=0.5,
+def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
+    return model.ModelParams(n=n, mu=0.2, rmax1=rmax, rmax2=rmax, beta=0.5,
                              migration=model.Symmetric(delta), growth=growth)
 
 
-def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN):
-    p = small_params(delta=delta, growth=growth)
-    g = build_grid(1, 4.0, 81)
+def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN, n=1):
+    p = small_params(delta=delta, growth=growth, n=n)
+    g = build_grid(n, 4.0, 81)
     u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
     return p, g, Field2(u, u.copy())
 
 
-def test_gaussian_initial_mass_and_center_forms():
+def test_gaussian_initial_mass_and_validation():
     g = build_grid(2, 3.0, 41)
     u = pde.gaussian_initial(g, 0.5, 0.2, 7.0)
+    assert u.shape == (41,)
     assert integrate(g, u) == pytest.approx(7.0, rel=1e-12)
-    v = pde.gaussian_initial(g, [0.5, 0.0], 0.2, 7.0)
-    np.testing.assert_array_equal(u, v)  # scalar center means "on the first axis"
+    assert abs(g.axis()[np.argmax(u)] - 0.5) <= 0.5 * g.h  # profile along x1
     with pytest.raises(ValueError, match="variance"):
         pde.gaussian_initial(g, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="mass"):
         pde.gaussian_initial(g, 0.0, 0.2, -1.0)
-    with pytest.raises(ValueError, match="length-2"):
-        pde.gaussian_initial(g, [0.0, 0.0, 0.0], 0.2, 1.0)
 
 
 def test_gaussian_initial_warns_outside_box():
@@ -83,6 +81,7 @@ def test_rhs_agrees_with_assembled_operator():
     p = model.ModelParams(n=2, mu=0.15, rmax1=0.2, rmax2=0.05, beta=0.6,
                           migration=model.General(0.1, 0.3, 0.2, 0.4))
     g = build_grid(2, 2.0, 15)
+    assert g.shape == (15,)
     rng = np.random.default_rng(12)
     u1 = rng.random(g.shape)
     u2 = rng.random(g.shape)
@@ -145,17 +144,19 @@ def test_logistic_mass_stays_bounded():
 
 def test_logistic_rescaling_of_malthusian_run():
     # the two growth laws are linked: N_log(t) = N_mal(t) / (1 + int_0^t N_mal)
-    # habitat by habitat when the setup is mirror-symmetric
-    p, g, s0 = small_setup(delta=0.1)
-    cfg = pde.SolverConfig(t_end=6.0, record_every=0.05, rel_tol=1e-8, abs_tol=1e-12)
-    mal, _ = pde.integrate_to(p, g, s0, cfg)
-    p_log = model.ModelParams(n=p.n, mu=p.mu, rmax1=p.rmax1, rmax2=p.rmax2,
-                              beta=p.beta, migration=p.migration,
-                              growth=model.GROWTH_LOGISTIC)
-    log, _ = pde.integrate_to(p_log, g, s0, cfg)
-    cum = np.concatenate([[0.0], np.cumsum((mal.N1[1:] + mal.N1[:-1]) * 0.5 * 0.05)])
-    predicted = mal.N1 / (1.0 + cum)
-    np.testing.assert_allclose(log.N1, predicted, rtol=2e-4)
+    # habitat by habitat when the setup is mirror-symmetric; the transverse
+    # factor keeps this exact in any trait dimension
+    for n in (1, 2):
+        p, g, s0 = small_setup(delta=0.1, n=n)
+        cfg = pde.SolverConfig(t_end=6.0, record_every=0.05, rel_tol=1e-8, abs_tol=1e-12)
+        mal, _ = pde.integrate_to(p, g, s0, cfg)
+        p_log = model.ModelParams(n=p.n, mu=p.mu, rmax1=p.rmax1, rmax2=p.rmax2,
+                                  beta=p.beta, migration=p.migration,
+                                  growth=model.GROWTH_LOGISTIC)
+        log, _ = pde.integrate_to(p_log, g, s0, cfg)
+        cum = np.concatenate([[0.0], np.cumsum((mal.N1[1:] + mal.N1[:-1]) * 0.5 * 0.05)])
+        predicted = mal.N1 / (1.0 + cum)
+        np.testing.assert_allclose(log.N1, predicted, rtol=2e-4)
 
 
 def test_extinction_flag_on_decaying_run():
@@ -167,6 +168,18 @@ def test_extinction_flag_on_decaying_run():
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
     assert traj.n_total()[-1] < 1e-6 * 2.0
+
+
+def test_fitness_fields_carry_the_transverse_load():
+    # axis fitness at n traits is the one-trait fitness minus (n - 1) mu / 2
+    g1 = build_grid(1, 2.0, 17)
+    r1, r2 = pde.fitness_fields(small_params(n=1), g1)
+    for n in (2, 3):
+        rn1, rn2 = pde.fitness_fields(small_params(n=n), build_grid(n, 2.0, 17))
+        np.testing.assert_allclose(rn1, r1 - 0.5 * (n - 1) * 0.2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rn2, r2 - 0.5 * (n - 1) * 0.2, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="trait"):
+        pde.fitness_fields(small_params(n=2), g1)
 
 
 def test_initial_state_validation():

@@ -69,6 +69,20 @@ def test_rmax_threshold_matches_unit_slope_identity():
     assert res.value == pytest.approx(r0 + lam0, abs=1.5e-4)
 
 
+@pytest.mark.parametrize("which", ["delta", "rmax"])
+def test_evaluations_count_every_eigen_solve(which, monkeypatch):
+    calls = []
+
+    def counted(params, **kwargs):
+        calls.append(params)
+        return eigen.lambda_of(params, **kwargs)
+
+    monkeypatch.setattr(thresholds, "lambda_of", counted)
+    res = thresholds.find_threshold(base_params(), which)
+    assert res.evaluations == len(calls)
+    assert res.evaluations >= res.iterations + 2
+
+
 def test_explicit_bracket_is_used():
     p = base_params()
     auto = thresholds.find_threshold(p, "delta")
