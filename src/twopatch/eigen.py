@@ -7,7 +7,8 @@ truncated box:
 
 with r_i the axis fitness of pde.fitness_fields, which carries the
 transverse traits exactly, so its smallest eigenvalue lambda is the
-n-trait one. Negative lambda means the linearized population grows,
+n-trait one. The matrix is pde.two_habitat_operator, the one the PDE
+integrates. Negative lambda means the linearized population grows,
 positive means it decays. With symmetric migration and equal fitness
 ceilings the habitats are mirror images, and the problem reduces to a
 scalar operator with a reflection coupling,
@@ -34,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from . import model
 from .grid import Field2, Grid, build_grid, reflect_field
-from .pde import fitness_fields
+from .pde import fitness_fields, neg_laplacian_matrix, two_habitat_operator
 
 
 class EigenError(RuntimeError):
@@ -98,12 +99,6 @@ def spectral_lower_bound(params: model.ModelParams) -> float:
     return min(-params.rmax1 + d11 - d12, -params.rmax2 + d22 - d21)
 
 
-def _neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """-d^2/dx1^2 as a sparse tridiagonal matrix (Dirichlet zero ghosts)."""
-    e = np.ones(grid.m)
-    return (sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]) / (grid.h * grid.h)).tocsr()
-
-
 def reflection_permutation(grid: Grid) -> sp.csr_matrix:
     """Sparse matrix P with (P v)[k] = v at the x1-mirrored node of k."""
     m = grid.m
@@ -120,7 +115,7 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     delta = params.migration.delta
     half_mu2 = 0.5 * params.mu * params.mu
     eye = sp.identity(grid.size)
-    mat = (half_mu2 * _neg_laplacian_matrix(grid)
+    mat = (half_mu2 * neg_laplacian_matrix(grid)
            - sp.diags(r1)
            + delta * (eye - reflection_permutation(grid)))
     return Operator(matrix=mat.tocsr(), grid=grid, components=1, symmetric=True,
@@ -128,17 +123,11 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
 
 
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
-    """Full two-component operator; symmetric whenever d12 == d21."""
-    r1, r2 = fitness_fields(params, grid)
-    d11, d12, d21, d22 = params.migration.rates
-    half_mu2 = 0.5 * params.mu * params.mu
-    neg_lap = _neg_laplacian_matrix(grid)
-    eye = sp.identity(grid.size)
-    a11 = half_mu2 * neg_lap - sp.diags(r1 - d11)
-    a22 = half_mu2 * neg_lap - sp.diags(r2 - d22)
-    mat = sp.bmat([[a11, -d12 * eye], [-d21 * eye, a22]], format="csr")
-    return Operator(matrix=mat, grid=grid, components=2, symmetric=(d12 == d21),
-                    lower_bound=spectral_lower_bound(params))
+    """Full two-component operator, the one the PDE integrates; symmetric
+    whenever d12 == d21."""
+    _, d12, d21, _ = params.migration.rates
+    return Operator(matrix=two_habitat_operator(params, grid), grid=grid, components=2,
+                    symmetric=(d12 == d21), lower_bound=spectral_lower_bound(params))
 
 
 def _assemble(params: model.ModelParams, grid: Grid) -> Operator:

@@ -7,6 +7,10 @@ under logistic growth), and exchanges mass with the other habitat through
 migration. Masses and mean fitnesses of the profile are those of the
 n-trait density, which is the profile times N(0, mu I_{n-1}).
 
+The right-hand side is -A u with A = two_habitat_operator, the sparse matrix
+whose smallest eigenvalue eigen computes, minus N_i u_i per habitat under
+logistic growth (N_i a trapezoid-weight dot product).
+
 Time stepping uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control. Steps land exactly on the record cadence, so no dense output is
 needed. Tiny negative undershoots (above -abs_tol) are clipped to zero;
@@ -17,12 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import model
-from .grid import Field2, Grid, integrate, laplacian
+# laplacian stays a module attribute for bench/tracing.py, which wraps it here.
+from .grid import Field2, Grid, integrate, laplacian  # noqa: F401
 
 
 class SolverError(RuntimeError):
@@ -81,6 +87,11 @@ class Trajectory:
     rbar1: np.ndarray
     rbar2: np.ndarray
     extinct: bool = False
+    # PDE solver counters (0 for IBM runs): rhs_evals is 1 + 6 (steps +
+    # rejected) plus one per accepted step whose state was clipped.
+    steps: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
 
     def n_total(self) -> np.ndarray:
         return self.N1 + self.N2
@@ -139,51 +150,64 @@ def _diagnostics(grid: Grid, u1: np.ndarray, u2: np.ndarray, r1: np.ndarray, r2:
     return n1, n2, rbar1, rbar2
 
 
+def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+    """-d^2/dx1^2 as a sparse tridiagonal matrix (Dirichlet zero ghosts)."""
+    e = np.ones(grid.m)
+    return (sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]) / (grid.h * grid.h)).tocsr()
+
+
+def two_habitat_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix:
+    """A on stacked pairs (v1, v2): (A v)_i = -(mu^2/2) v_i'' - (r_i - d_ii) v_i - d_ij v_j.
+
+    Malthusian growth is du/dt = -A u; eigen finds its smallest eigenvalue.
+    """
+    r1, r2 = fitness_fields(params, grid)
+    d11, d12, d21, d22 = params.migration.rates
+    half_mu2 = 0.5 * params.mu * params.mu
+    neg_lap = neg_laplacian_matrix(grid)
+    eye = sp.identity(grid.size)
+    a11 = half_mu2 * neg_lap - sp.diags(r1 - d11)
+    a22 = half_mu2 * neg_lap - sp.diags(r2 - d22)
+    return sp.bmat([[a11, -d12 * eye], [-d21 * eye, a22]], format="csr")
+
+
+def _mass_weights(params: model.ModelParams, grid: Grid) -> np.ndarray | None:
+    """Trapezoid weights of the logistic mass term; None under Malthusian growth."""
+    if params.growth != model.GROWTH_LOGISTIC:
+        return None
+    return np.r_[0.5, np.ones(grid.m - 2), 0.5] * grid.h
+
+
+def _rhs(gen: sp.csr_matrix, weights: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+    """gen @ y, minus N_i u_i per habitat when weights are given; y is (u1, u2) stacked."""
+    dy = gen @ y
+    if weights is not None:
+        u = y.reshape(2, -1)
+        du = dy.reshape(2, -1)
+        du -= (u @ weights)[:, None] * u
+    return dy
+
+
 def rhs(params: model.ModelParams, grid: Grid, state: Field2) -> Field2:
     """Right-hand side of the coupled system at the given state."""
-    r1, r2 = fitness_fields(params, grid)
-    f = _make_rhs(params, grid, r1, r2)
-    y = np.stack([state.u1, state.u2])
-    dy = f(y)
-    return Field2(dy[0], dy[1])
+    y = np.concatenate([state.u1, state.u2])
+    dy = _rhs(-two_habitat_operator(params, grid), _mass_weights(params, grid), y)
+    return Field2(dy[:grid.size], dy[grid.size:])
 
 
-def _make_rhs(params: model.ModelParams, grid: Grid, r1: np.ndarray, r2: np.ndarray):
-    """Build a stacked-array RHS closure; state y has shape (2, m)."""
-    half_mu2 = 0.5 * params.mu * params.mu
-    logistic = params.growth == model.GROWTH_LOGISTIC
-    d11, d12, d21, d22 = params.migration.rates
-
-    def f(y: np.ndarray) -> np.ndarray:
-        u1, u2 = y[0], y[1]
-        g1 = r1 * u1
-        g2 = r2 * u2
-        if logistic:
-            # Per-habitat total mass enters the growth term and is recomputed
-            # from the current state on every evaluation.
-            g1 = g1 - integrate(grid, u1) * u1
-            g2 = g2 - integrate(grid, u2) * u2
-        du1 = half_mu2 * laplacian(grid, u1) + g1 - d11 * u1 + d12 * u2
-        du2 = half_mu2 * laplacian(grid, u2) + g2 + d21 * u1 - d22 * u2
-        return np.stack([du1, du2])
-
-    return f
-
-
-# Dormand-Prince 5(4) tableau (FSAL: stage 7 is the next step's stage 1).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+# Dormand-Prince 5(4) tableau; the last row is b5, so the last stage input is
+# y_new and stage 7 is the next step's stage 1 (FSAL). No nodes c: autonomous.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 # b5 - b4: weights of the embedded error estimate.
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
@@ -203,12 +227,14 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     if state0.u1.shape != grid.shape:
         raise ValueError(f"state shape {state0.u1.shape} does not match grid shape {grid.shape}")
     r1, r2 = fitness_fields(params, grid)
-    f = _make_rhs(params, grid, r1, r2)
+    gen = -two_habitat_operator(params, grid)
+    weights = _mass_weights(params, grid)
+    m = grid.size
 
-    y = np.stack([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
+    y = np.concatenate([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
     if np.any(y < 0):
         raise ValueError("initial densities must be nonnegative")
-    n1_0, n2_0, rb1, rb2 = _diagnostics(grid, y[0], y[1], r1, r2)
+    n1_0, n2_0, rb1, rb2 = _diagnostics(grid, y[:m], y[m:], r1, r2)
     if n1_0 <= 0 or n2_0 <= 0:
         raise ValueError(f"initial mass must be positive in each habitat, got N1={n1_0}, N2={n2_0}")
     mass0 = n1_0 + n2_0
@@ -218,22 +244,22 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     rec_times = [k * config.record_every for k in range(1, n_rec + 1)]
     if not rec_times or rec_times[-1] < config.t_end - 1e-9 * config.t_end:
         rec_times.append(config.t_end)
-    rec_t = [0.0]
-    rec_n1, rec_n2 = [n1_0], [n2_0]
-    rec_rb1, rec_rb2 = [rb1], [rb2]
+    records = [(0.0, n1_0, n2_0, rb1, rb2)]  # (t, N1, N2, rbar1, rbar2)
 
     t = 0.0
     dt = min(config.dt_init, rec_times[0])
-    k1 = f(y)
+    # Stage derivatives, one row each; every stage input, y_new and the
+    # error vector is a tableau row times this array.
+    ks = np.empty((7, y.size))
+    ks[0] = _rhs(gen, weights, y)
+    rhs_evals = 1
     err_prev = 1.0
     extinct = False
-    n_stages = 7
-    ks = [k1] + [None] * (n_stages - 1)
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
     # PI exponents for a 5th-order pair (Soderlind-style control).
     pi_alpha, pi_beta = 0.7 / 5.0, 0.4 / 5.0
     i_rec = 0
-    steps = 0
+    steps = rejected = 0
 
     while t < config.t_end - 1e-12 * config.t_end:
         if steps >= config.max_steps:
@@ -244,20 +270,11 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
         if dt < dt_min:
             raise SolverError(f"step size underflow at t={t:.6g} (dt={dt:.3g})")
 
-        for s in range(1, n_stages):
-            acc = ks[0] * _DP_A[s][0]
-            for j in range(1, s):
-                if _DP_A[s][j] != 0.0:
-                    acc = acc + ks[j] * _DP_A[s][j]
-            ks[s] = f(y + dt * acc)
-        y_new = y + dt * (
-            _DP_B5[0] * ks[0] + _DP_B5[2] * ks[2] + _DP_B5[3] * ks[3]
-            + _DP_B5[4] * ks[4] + _DP_B5[5] * ks[5]
-        )
-        err_vec = dt * (
-            _DP_E[0] * ks[0] + _DP_E[2] * ks[2] + _DP_E[3] * ks[3]
-            + _DP_E[4] * ks[4] + _DP_E[5] * ks[5] + _DP_E[6] * ks[6]
-        )
+        for s in range(1, 7):
+            y_new = y + dt * (_DP_A[s, :s] @ ks[:s])
+            ks[s] = _rhs(gen, weights, y_new)
+        rhs_evals += 6
+        err_vec = dt * (_DP_E @ ks)
 
         finite = bool(np.isfinite(y_new).all())
         if finite:
@@ -274,28 +291,28 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
         if err <= 1.0 and not undershot:
             t_new = t + dt
             neg = y_new < 0
-            if neg.any():
+            clipped = bool(neg.any())
+            if clipped:
                 y_new[neg] = 0.0  # within (-abs_tol, 0) by the check above
             y = y_new
             t = t_new
             steps += 1
-            ks[0] = ks[6] if not neg.any() else f(y)  # FSAL unless clipping dirtied the state
+            # FSAL unless clipping dirtied the state
+            ks[0] = _rhs(gen, weights, y) if clipped else ks[6]
+            rhs_evals += clipped
             factor = safety * max(err, 1e-10) ** -pi_alpha * err_prev**pi_beta
             err_prev = max(err, 1e-10)
             if t >= target - 1e-12 * max(1.0, target):
                 t = target
-                n1, n2, rb1, rb2 = _diagnostics(grid, y[0], y[1], r1, r2)
-                rec_t.append(t)
-                rec_n1.append(n1)
-                rec_n2.append(n2)
-                rec_rb1.append(rb1)
-                rec_rb2.append(rb2)
+                n1, n2, rb1, rb2 = _diagnostics(grid, y[:m], y[m:], r1, r2)
+                records.append((t, n1, n2, rb1, rb2))
                 i_rec += 1
                 if n1 + n2 < config.extinction_rel * mass0:
                     extinct = True
                     break
             dt *= min(fac_max, max(fac_min, factor))
         else:
+            rejected += 1
             if not finite and dt < 1e-13 * max(1.0, abs(t)):
                 raise SolverError(f"state became non-finite at t={t:.6g} even at dt={dt:.3g}")
             if not finite:
@@ -306,12 +323,6 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
                 factor = safety * err**-pi_alpha
             dt *= min(1.0, max(fac_min, factor))
 
-    traj = Trajectory(
-        t=np.asarray(rec_t),
-        N1=np.asarray(rec_n1),
-        N2=np.asarray(rec_n2),
-        rbar1=np.asarray(rec_rb1),
-        rbar2=np.asarray(rec_rb2),
-        extinct=extinct,
-    )
-    return traj, Field2(y[0].copy(), y[1].copy())
+    traj = Trajectory(*np.array(records).T.copy(), extinct=extinct, steps=steps,
+                      rejected=rejected, rhs_evals=rhs_evals)
+    return traj, Field2(y[:m].copy(), y[m:].copy())

@@ -10,7 +10,6 @@ rules it out rather than with a bracket-expansion timeout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from . import model

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from twopatch import eigen, model, pde
-from twopatch.grid import Field2, build_grid, integrate
+from twopatch.grid import Field2, build_grid, integrate, laplacian
 
 
 def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
@@ -56,10 +57,27 @@ def test_rhs_matches_hand_formula_with_general_migration():
     u2 = rng.random(g.shape)
     out = pde.rhs(p, g, Field2(u1, u2))
     r1, r2 = pde.fitness_fields(p, g)
-    from twopatch.grid import laplacian
     half_mu2 = 0.5 * p.mu * p.mu
     want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - 0.3 * u1 + 0.05 * u2
     want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + 0.2 * u1 - 0.7 * u2
+    np.testing.assert_allclose(out.u1, want1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out.u2, want2, rtol=0, atol=1e-13)
+
+
+def test_logistic_rhs_matches_hand_formula():
+    # the mass term -N_i u_i uses the trapezoid mass of each habitat;
+    # logistic growth takes Symmetric migration, so unequal random states
+    # keep the two habitats' masses and exchange terms apart
+    p = small_params(delta=0.3, growth=model.GROWTH_LOGISTIC)
+    g = build_grid(1, 2.0, 17)
+    rng = np.random.default_rng(10)
+    u1 = rng.random(g.shape)
+    u2 = 2.0 * rng.random(g.shape)
+    out = pde.rhs(p, g, Field2(u1, u2))
+    r1, r2 = pde.fitness_fields(p, g)
+    half_mu2 = 0.5 * p.mu * p.mu
+    want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - integrate(g, u1) * u1 - 0.3 * (u1 - u2)
+    want2 = half_mu2 * laplacian(g, u2) + r2 * u2 - integrate(g, u2) * u2 + 0.3 * (u1 - u2)
     np.testing.assert_allclose(out.u1, want1, rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.u2, want2, rtol=0, atol=1e-13)
 
@@ -91,6 +109,52 @@ def test_rhs_agrees_with_assembled_operator():
     my = (op.matrix @ y).reshape(2, *g.shape)
     np.testing.assert_allclose(my[0], -out.u1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(my[1], -out.u2, rtol=0, atol=1e-12)
+
+
+def test_integrate_to_matches_exact_propagator_with_general_migration():
+    # Malthusian growth is du/dt = -A u, so exp(-A t) u0 of the assembled
+    # operator is the exact propagator of the discrete system; d12 != d21
+    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                          migration=model.General(0.3, 0.05, 0.2, 0.7))
+    g = build_grid(1, 3.0, 41)
+    u1 = pde.gaussian_initial(g, -0.5, 0.1, 1.0)
+    u2 = pde.gaussian_initial(g, 0.5, 0.1, 2.0)
+    cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
+    traj, final = pde.integrate_to(p, g, Field2(u1, u2), cfg)
+    a = eigen.assemble_full(p, g).matrix
+    exact = expm_multiply(-a, np.concatenate([u1, u2]), start=0.0, stop=cfg.t_end,
+                          num=len(traj.t), endpoint=True)
+    n1 = [integrate(g, y[:g.m]) for y in exact]
+    n2 = [integrate(g, y[g.m:]) for y in exact]
+    assert traj.N2[-1] < 0.1 * traj.N2[0]  # the run moves far from its start
+    np.testing.assert_allclose(traj.N1, n1, rtol=cfg.rel_tol, atol=0)
+    np.testing.assert_allclose(traj.N2, n2, rtol=cfg.rel_tol, atol=0)
+
+
+def test_solver_counters_account_for_every_rhs_evaluation(monkeypatch):
+    # one evaluation at the start, six per attempted step (FSAL), and one
+    # more after each accepted step whose state was clipped at zero; a
+    # clipped state is the only input that is nonnegative with exact zeros
+    p = model.ModelParams(n=1, mu=0.2, rmax1=-0.5, rmax2=-0.5, beta=0.5,
+                          migration=model.General(0.1, 0.05, 0.2, 0.3))
+    g = build_grid(1, 3.0, 41)
+    u = pde.gaussian_initial(g, 0.0, 0.2, 1.0)
+    calls, clipped = [0], [0]
+    inner = pde._rhs
+
+    def counting(gen, weights, y):
+        calls[0] += 1
+        if calls[0] > 1 and y.min() == 0.0:
+            clipped[0] += 1
+        return inner(gen, weights, y)
+
+    monkeypatch.setattr(pde, "_rhs", counting)
+    cfg = pde.SolverConfig(t_end=40.0, dt_init=1.0, record_every=1.0)
+    traj, _ = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    assert traj.rejected > 0  # the large trial step is cut back
+    assert clipped[0] > 0
+    assert traj.rhs_evals == calls[0]
+    assert traj.rhs_evals == 1 + 6 * (traj.steps + traj.rejected) + clipped[0]
 
 
 def test_integrate_to_records_on_cadence():
