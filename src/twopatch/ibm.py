@@ -12,9 +12,19 @@ Non-overlapping generations. Each generation applies, in order:
 
 The diffusive scale of the density model is recovered as mu^2 = U * lambda_var.
 
-Populations are stored as (N_i, n) float arrays. All draws come from one
-numpy Generator in a fixed order (habitat 1 before habitat 2; counts before
-displacements), so a run is bit-reproducible given its seed.
+Each stage draws only what changes. Mutation thins the Poisson(U) count:
+an individual mutates with probability p = 1 - exp(-U), so the M ~
+Binomial(N, p) mutants are a uniform subset, each with a zero-truncated
+Poisson(U) number of mutations K, and only they draw a displacement.
+Migration moves its movers to the tail of their array in place and builds
+each new habitat with one concatenation.
+
+Populations are stored as (N_i, n) float arrays; row order carries no
+meaning. All draws come from one numpy Generator in a fixed order
+(offspring counts of habitat 1, then of habitat 2; then per habitat the
+mutant count, the mutant indices, their K and their displacements; then the
+mover count and the movers of habitat 1, then of habitat 2), so a run is
+bit-reproducible given its seed.
 """
 
 from __future__ import annotations
@@ -104,6 +114,10 @@ def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
     return params.rmax - 0.5 * sq
 
 
+def _fitnesses(params: IbmParams, state: IbmState) -> tuple[np.ndarray, np.ndarray]:
+    return _fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)
+
+
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
     """Both habitats founded by N0 identical individuals at the midpoint
     between the optima (the origin)."""
@@ -115,32 +129,97 @@ def init_clonal(params: IbmParams, seed=0) -> IbmState:
     )
 
 
-def reproduction_selection(state: IbmState, params: IbmParams) -> None:
-    """Replace each habitat by its offspring, Poisson(exp(r)) per parent."""
-    pops = []
-    for habitat, pop in ((1, state.pop1), (2, state.pop2)):
-        counts = state.rng.poisson(np.exp(_fitness(params, habitat, pop)))
-        pops.append(np.repeat(pop, counts, axis=0))
-    total = pops[0].shape[0] + pops[1].shape[0]
+def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) -> None:
+    """Replace each habitat by its offspring, Poisson(exp(r)) per parent.
+
+    ``fitness`` is the pair of per-individual fitness arrays of the current
+    populations; it is computed here when not given. Raises IbmOverflowError,
+    leaving the state untouched, when the offspring would exceed ``cap``.
+    """
+    if fitness is None:
+        fitness = _fitnesses(params, state)
+    counts = [state.rng.poisson(np.exp(f)) for f in fitness]
+    total = int(counts[0].sum()) + int(counts[1].sum())
     if total > params.cap:
         raise IbmOverflowError(
             f"population {total} exceeds cap {params.cap} at generation {state.generation}")
-    state.pop1, state.pop2 = pops
+    state.pop1 = np.repeat(state.pop1, counts[0], axis=0)
+    state.pop2 = np.repeat(state.pop2, counts[1], axis=0)
+
+
+def _truncated_poisson_cdf(U: float) -> np.ndarray:
+    """CDF of Poisson(U) conditioned on K >= 1, at K = 1, 2, ...
+
+    The table stops once the remaining upper tail is below 2**-53 (bounded
+    by the geometric series of the pmf ratio U / (k + 1) < 1), and is
+    normalised so that its last entry is exactly 1. The pmf runs in log
+    space, so any finite U > 0 works.
+    """
+    log_pk = math.log(U) - U - math.log(-math.expm1(-U))  # k = 1
+    pmf = []
+    k = 1
+    while True:
+        pk = math.exp(log_pk)
+        pmf.append(pk)
+        ratio = U / (k + 1)
+        if ratio < 1.0 and pk * ratio / (1.0 - ratio) < 2.0**-53:
+            break
+        k += 1
+        log_pk += math.log(U / k)
+    cdf = np.cumsum(pmf)
+    return cdf / cdf[-1]
 
 
 def mutation(state: IbmState, params: IbmParams) -> None:
     """Add the compound-Poisson mutation displacement to every individual.
 
     K ~ Poisson(U) mutations, each N(0, lambda_var I), sum to a
-    N(0, K lambda_var I) displacement; drawn as sqrt(K lambda_var) * N(0, I).
+    N(0, K lambda_var I) displacement, drawn as sqrt(K lambda_var) * N(0, I).
+    Only the individuals with K > 0 are drawn: M ~ Binomial(N, 1 - exp(-U))
+    uniform mutants, each with K from the zero-truncated Poisson(U) by the
+    inverse CDF of one uniform.
     """
+    if params.U == 0:
+        return
+    p_mutant = -math.expm1(-params.U)
+    cdf = _truncated_poisson_cdf(params.U)
+    rng = state.rng
     for pop in (state.pop1, state.pop2):
         n_ind = pop.shape[0]
         if n_ind == 0:
             continue
-        k = state.rng.poisson(params.U, size=n_ind)
-        disp = state.rng.standard_normal((n_ind, params.n))
-        pop += disp * np.sqrt(k * params.lambda_var)[:, None]
+        m = int(rng.binomial(n_ind, p_mutant))
+        if m == 0:
+            continue
+        idx = rng.choice(n_ind, m, replace=False, shuffle=False)
+        k = np.searchsorted(cdf, rng.random(m), side="right") + 1
+        disp = rng.standard_normal((m, params.n))
+        pop[idx] += disp * np.sqrt(k * params.lambda_var)[:, None]
+
+
+def _movers_to_tail(rng: np.random.Generator, pop: np.ndarray, rate: float) -> int:
+    """Draw Poisson(rate * N) movers (capped at N), uniform without
+    replacement, and swap them into the last rows of ``pop`` in place.
+
+    Returns the number of movers m. Movers already in the tail stay; each
+    mover in the head trades rows with a non-mover in the tail, so the work
+    is O(m).
+    """
+    n_ind = pop.shape[0]
+    if n_ind == 0:
+        return 0
+    m = min(int(rng.poisson(rate * n_ind)), n_ind)
+    if m == 0:
+        return 0
+    idx = rng.choice(n_ind, m, replace=False, shuffle=False)
+    head = n_ind - m
+    in_tail = idx >= head
+    stayers_in_tail = np.ones(m, dtype=bool)
+    stayers_in_tail[idx[in_tail] - head] = False
+    src = idx[~in_tail]
+    dst = np.flatnonzero(stayers_in_tail) + head
+    pop[src], pop[dst] = pop[dst], pop[src]
+    return m
 
 
 def migration(state: IbmState, params: IbmParams) -> None:
@@ -150,28 +229,23 @@ def migration(state: IbmState, params: IbmParams) -> None:
     exactly.
     """
     n1, n2 = state.pop1.shape[0], state.pop2.shape[0]
-    m1 = min(int(state.rng.poisson(params.delta * n1)), n1) if n1 else 0
-    m2 = min(int(state.rng.poisson(params.delta * n2)), n2) if n2 else 0
-    idx1 = state.rng.choice(n1, size=m1, replace=False) if m1 else np.empty(0, dtype=int)
-    idx2 = state.rng.choice(n2, size=m2, replace=False) if m2 else np.empty(0, dtype=int)
-    movers1 = state.pop1[idx1]
-    movers2 = state.pop2[idx2]
-    keep1 = np.delete(state.pop1, idx1, axis=0)
-    keep2 = np.delete(state.pop2, idx2, axis=0)
-    state.pop1 = np.concatenate([keep1, movers2], axis=0)
-    state.pop2 = np.concatenate([keep2, movers1], axis=0)
+    m1 = _movers_to_tail(state.rng, state.pop1, params.delta)
+    m2 = _movers_to_tail(state.rng, state.pop2, params.delta)
+    pop1, pop2 = state.pop1, state.pop2
+    state.pop1 = np.concatenate([pop1[:n1 - m1], pop2[n2 - m2:]], axis=0)
+    state.pop2 = np.concatenate([pop2[:n2 - m2], pop1[n1 - m1:]], axis=0)
 
 
-def _record(params: IbmParams, state: IbmState):
+def _record(state: IbmState, fitness):
     n1, n2 = state.pop1.shape[0], state.pop2.shape[0]
-    rb1 = float(np.mean(_fitness(params, 1, state.pop1))) if n1 else math.nan
-    rb2 = float(np.mean(_fitness(params, 2, state.pop2))) if n2 else math.nan
+    rb1 = float(np.mean(fitness[0])) if n1 else math.nan
+    rb2 = float(np.mean(fitness[1])) if n2 else math.nan
     return n1, n2, rb1, rb2
 
 
-def step(state: IbmState, params: IbmParams) -> None:
-    """Advance one generation in place."""
-    reproduction_selection(state, params)
+def step(state: IbmState, params: IbmParams, *, fitness=None) -> None:
+    """Advance one generation in place; ``fitness`` as in reproduction_selection."""
+    reproduction_selection(state, params, fitness=fitness)
     mutation(state, params)
     migration(state, params)
     state.generation += 1
@@ -182,13 +256,16 @@ def run(params: IbmParams, seed=0) -> Trajectory:
 
     Returns a Trajectory sampled once per generation (t = 0 ... T); rbar is
     the population mean fitness, nan once a habitat is empty. An extinct
-    population stays extinct and keeps recording zeros.
+    population stays extinct and keeps recording zeros. Fitness is
+    evaluated once per generation, for the record and the next reproduction.
     """
     state = init_clonal(params, seed)
-    rec = [_record(params, state)]
+    fitness = _fitnesses(params, state)
+    rec = [_record(state, fitness)]
     for _ in range(params.T):
-        step(state, params)
-        rec.append(_record(params, state))
+        step(state, params, fitness=fitness)
+        fitness = _fitnesses(params, state)
+        rec.append(_record(state, fitness))
     arr = np.asarray(rec, dtype=float)
     return Trajectory(
         t=np.arange(params.T + 1, dtype=float),

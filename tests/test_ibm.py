@@ -78,6 +78,23 @@ def test_mutation_displacement_variance():
     assert abs(disp.mean()) < 5.0 * math.sqrt(p.mu2 / (2 * n_ind))
 
 
+@pytest.mark.parametrize("U", [1.0 / 6.0, 20.0])
+def test_mutation_displaces_a_thinned_fraction(U):
+    # a fraction 1 - exp(-U) of individuals mutates; given K >= 1 the mean
+    # count is U / (1 - exp(-U)), which sets the displaced rows' variance.
+    # U = 20 reaches deep into the zero-truncated Poisson table.
+    n_ind = 100_000
+    p = params(U=U, N0=n_ind, T=0)
+    s = ibm.init_clonal(p, seed=8)
+    ibm.mutation(s, p)
+    moved = np.any(s.pop1 != 0.0, axis=1)
+    frac = -math.expm1(-U)
+    assert abs(moved.mean() - frac) <= 3.0 * math.sqrt(frac * (1.0 - frac) / n_ind)
+    np.testing.assert_allclose(s.pop1[moved].var(axis=0),
+                               U * p.lambda_var / frac, rtol=0.05)
+    np.testing.assert_allclose(s.pop1.var(axis=0), p.mu2, rtol=0.05)
+
+
 def test_zero_mutation_rate_leaves_phenotypes_alone():
     p = params(U=0.0)
     s = ibm.init_clonal(p, seed=1)
@@ -100,6 +117,27 @@ def test_migration_conserves_totals_exactly():
     assert s.pop1.sum() + s.pop2.sum() == pytest.approx(mass_before, rel=1e-12)
 
 
+def test_migration_picks_movers_uniformly_over_positions():
+    # label the rows of one habitat; movers must come from the first and the
+    # last half of the rows at the same rate (the in-place tail swap must not
+    # favour either end)
+    n_ind, calls = 1000, 400
+    p = params(delta=0.3)
+    rng = np.random.default_rng(21)
+    labels = np.repeat(np.arange(n_ind, dtype=float)[:, None], 2, axis=1)
+    diffs = np.empty(calls)
+    for c in range(calls):
+        s = ibm.IbmState(pop1=labels.copy(), pop2=np.zeros((0, 2)), generation=0, rng=rng)
+        ibm.migration(s, p)
+        moved = s.pop2[:, 0]
+        np.testing.assert_array_equal(np.sort(np.concatenate([s.pop1[:, 0], moved])),
+                                      labels[:, 0])
+        first = np.count_nonzero(moved < n_ind // 2)
+        diffs[c] = (first - (moved.size - first)) / (n_ind // 2)
+    se = diffs.std(ddof=1) / math.sqrt(calls)
+    assert abs(diffs.mean()) <= 4.0 * se
+
+
 def test_migration_moves_mass_between_habitats():
     p = params(delta=0.5)
     s = ibm.IbmState(pop1=np.ones((400, 2)), pop2=np.zeros((0, 2)),
@@ -113,6 +151,11 @@ def test_overflow_raises():
     p = params(rmax=2.0, N0=1000, T=50, cap=5000)
     with pytest.raises(ibm.IbmOverflowError, match="cap"):
         ibm.run(p, seed=0)
+    s = ibm.init_clonal(p, seed=0)
+    parents = (s.pop1, s.pop2)
+    with pytest.raises(ibm.IbmOverflowError, match="cap"):
+        ibm.reproduction_selection(s, p)
+    assert s.pop1 is parents[0] and s.pop2 is parents[1] and s.generation == 0
 
 
 def test_extinct_population_stays_extinct():
