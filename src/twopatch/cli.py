@@ -64,7 +64,8 @@ class ExperimentConfig:
     initial: str = "origin"  # "origin" or "spread"
     initial_variance: float | None = None  # None -> mu
     initial_mass: float = 1e4
-    # eigen
+    # box ladder of the eigen command (phase and threshold use the Hermite
+    # route, which has no settings)
     h_target: float | None = None
     tol_domain: float = 1e-6
     rungs: int = 4
@@ -299,10 +300,24 @@ def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
+# final_state.txt lists every node of the n-trait grid; above this many rows
+# (n = 4 at the default m = 129 needs 2.8e8) the write cannot finish.
+_FINAL_STATE_ROWS = 2 ** 22
+
+
 def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
-    """Run the density model; write trajectory.csv and final_state.txt."""
+    """Run the density model; write trajectory.csv and final_state.txt.
+
+    Raises ConfigError, before integrating, when final_state.txt would
+    exceed _FINAL_STATE_ROWS rows.
+    """
     params = to_model_params(config)
     grid = grid_for(config, params)
+    rows = grid.m ** grid.n
+    if rows > _FINAL_STATE_ROWS:
+        raise ConfigError(
+            f"final_state.txt would hold m^n = {grid.m}^{grid.n} = {rows} rows, more than "
+            f"{_FINAL_STATE_ROWS}; set a smaller m")
     state0 = initial_state(config, params, grid)
     traj, final = integrate_to(params, grid, state0, solver_config(config))
 
@@ -368,10 +383,7 @@ def cmd_threshold(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     if config.threshold_lo is not None and config.threshold_hi is not None:
         bracket = (config.threshold_lo, config.threshold_hi)
     result = find_threshold(params, config.threshold_param, bracket,
-                            tol_lambda=config.threshold_tol,
-                            h_target=config.h_target, rungs=config.rungs,
-                            tol_domain=config.tol_domain,
-                            richardson=config.richardson)
+                            tol_lambda=config.threshold_tol)
     path = os.path.join(out_dir, "threshold.csv")
     _write_csv(path, "parameter,lo,hi,value,lambda_at_value,iterations",
                [(result.parameter, result.lo, result.hi, result.value,
@@ -402,8 +414,7 @@ def _phase_cell(args) -> PhaseCell:
     try:
         delta_eff = delta if delta > 0 else _DELTA_PROXY
         params = to_model_params(config, delta=delta_eff, m_d=m_d)
-        lam = lambda_of(params, h_target=config.h_target, rungs=config.rungs,
-                        tol_domain=config.tol_domain, richardson=config.richardson)
+        lam = lambda_of(params)
         classification = classify(params, lam=lam)
 
         # Shared box across cells so PDE finals are comparable row to row.

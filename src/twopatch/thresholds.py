@@ -41,7 +41,9 @@ def classify(params: model.ModelParams, *, tol: float = 1e-6,
              lam: float | None = None, **eigen_opts) -> str:
     """Persist / extinct / critical by the sign of lambda with a dead band.
 
-    Pass lam to reuse an eigenvalue computed elsewhere.
+    Pass lam to reuse an eigenvalue computed elsewhere. eigen_opts are
+    forwarded to lambda_of, which accepts only the ladder-only keywords kept
+    for existing callers.
     """
     if lam is None:
         lam = lambda_of(params, **eigen_opts)
@@ -117,10 +119,11 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
                    **eigen_opts) -> ThresholdResult:
     """Find the parameter value where lambda crosses zero.
 
-    delta, m_D and mu are bisected. rmax needs no bracket: the box ladder
-    depends only on beta and mu, so lambda(rmax') = lambda(rmax) - (rmax' -
-    rmax) holds on it exactly and the crossing is rmax + lambda(params),
-    returned with iterations = 0, lo = hi = value and a fresh lambda there.
+    delta, m_D and mu are bisected. rmax needs no bracket: lambda_of adds
+    -rmax to the eigenvalue of a Hermite matrix that does not depend on it,
+    so lambda(rmax') = lambda(rmax) - (rmax' - rmax) holds to rounding and
+    the crossing is rmax + lambda(params), returned with iterations = 0,
+    lo = hi = value and a fresh lambda there.
 
     Args:
         params: baseline model; the searched parameter's entry is ignored
@@ -130,7 +133,8 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
             to the certified bracket from the existence inequalities.
         tol_lambda: stop once |lambda(mid)| <= tol_lambda.
         max_iter: bisection cap.
-        **eigen_opts: forwarded to lambda_of.
+        **eigen_opts: forwarded to lambda_of, which accepts only the
+            ladder-only keywords kept for existing callers.
 
     Raises:
         ThresholdError: existence inequality fails, or no sign change is

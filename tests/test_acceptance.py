@@ -10,6 +10,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from twopatch import cli, eigen, ibm, model, pde, thresholds
 from twopatch.grid import Field2, build_grid, reflect_field
@@ -52,8 +53,9 @@ def test_criterion_02_large_migration_limit():
 
 
 def test_criterion_03_peak_height_shift_identity():
-    # raising rmax by c shifts lambda by exactly -c; the ladder depends only
-    # on mu and the optimum gap, so both solves use identical grids
+    # raising rmax by c shifts lambda by exactly -c; lambda_of adds -rmax to
+    # the eigenvalue of a Hermite matrix that depends only on mu, the optimum
+    # gap and the migration rates, so the identity holds to rounding
     lam_a = eigen.lambda_of(ref_params(n=2, rmax=0.1))
     lam_b = eigen.lambda_of(ref_params(n=2, rmax=0.05))
     err = abs((lam_a - lam_b) - (-0.05))
@@ -225,6 +227,7 @@ def test_criterion_10_critical_parameter_bounds():
           f"(|lambda|={abs(res_m.lambda_at_value):.2g})")
 
 
+@pytest.mark.slow
 def test_criterion_11_desk_scale_phase_diagram():
     # 6x6 sweep over delta in [0, 0.1], m_D in [0, 1]: the persistence call
     # from the PDE final mass must agree with sign(lambda) in >= 34/36

@@ -140,6 +140,19 @@ def test_cmd_solve_three_traits_expands_final_state(tmp_path):
     np.testing.assert_allclose(rows[:, 3], np.repeat(profile, 81) * phi, rtol=1e-12, atol=0)
 
 
+def test_cmd_solve_rejects_final_state_above_row_budget(tmp_path, capsys):
+    # 9^8 = 43,046,721 rows is above the 2^22 budget: refused before the
+    # solve, with nothing written
+    with pytest.raises(cli.ConfigError, match=r"9\^8 = 43046721 rows.*smaller m"):
+        cli.cmd_solve(quick_solve_config(n=8, L=2.0, m=9), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    path = write_config(tmp_path, "n = 4\nL = 2.0\nm = 47\n")  # 47^4 = 4,879,681
+    out_dir = tmp_path / "results"
+    assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 1
+    assert "smaller m" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_cmd_solve_rewrite_is_bit_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

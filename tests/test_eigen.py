@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from twopatch import eigen, model
+from twopatch import eigen, model, thresholds
 from twopatch.grid import build_grid, reflect_field
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
@@ -74,8 +75,8 @@ def test_closed_form_when_habitats_coincide():
 
 
 def test_trait_dimension_adds_the_transverse_load():
-    # same box ladder for every n (it depends on beta and mu only), and the
-    # axis operator at n traits is the one-trait operator shifted by (n-1) mu/2
+    # the axis operator at n traits is the one-trait operator shifted by
+    # (n-1) mu/2, and lambda_of adds that shift to one Hermite matrix
     lam1 = eigen.lambda_of(ref_params(n=1))
     for n in (2, 3):
         lam = eigen.lambda_of(ref_params(n=n))
@@ -231,3 +232,76 @@ def test_shrinking_box_trips_the_ladder_guard():
                           migration=model.Symmetric(0.3))
     with pytest.raises(eigen.EigenError, match="increased"):
         eigen.lambda_limit(p, [4.0, 2.0], [81, 41])
+
+
+# ---------------------------------------------------------------- Hermite route
+
+ROUTE_TOL = 1e-5  # Hermite lambda vs the box ladder, whose bias is a few 1e-6
+
+
+def sampled_params(seed, count=12, m_d=None):
+    """Seeded draws over n, mu, rmax, m_D and the migration pattern:
+    Symmetric, General, and General one-way (d12 = 0 or d21 = 0)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        rmax = float(rng.uniform(0.0, 0.2))
+        if k % 2 == 0:
+            migration, rmax2 = model.Symmetric(float(10.0 ** rng.uniform(-3, 1))), rmax
+        else:
+            d11, d12, d21, d22 = (float(d) for d in rng.uniform(0.0, 0.2, size=4))
+            d12 = 0.0 if k % 6 == 3 else d12
+            d21 = 0.0 if k % 6 == 5 else d21
+            migration = model.General(d11, d12, d21, d22)
+            rmax2 = rmax * float(rng.uniform(0.5, 1.0))
+        md = float(rng.uniform(0.0, 2.0)) if m_d is None else m_d
+        out.append(model.ModelParams(n=int(rng.integers(1, 4)), mu=float(10.0 ** rng.uniform(-3, -1)),
+                                     rmax1=rmax, rmax2=rmax2, beta=model.beta_of(md),
+                                     migration=migration))
+    return out
+
+
+def test_hermite_closed_form_at_zero_habitat_difference():
+    # one quadratic well: lambda = -rmax + n mu / 2 exactly, for Symmetric
+    # and for conservative General rates (arrivals match departures)
+    for p in sampled_params(11, m_d=0.0):
+        if isinstance(p.migration, model.General):
+            d11, _, _, d22 = p.migration.rates
+            p = dataclasses.replace(p, rmax2=p.rmax1, migration=model.General(d11, d22, d11, d22))
+        assert eigen.lambda_of(p) == pytest.approx(-p.rmax1 + 0.5 * p.n * p.mu, abs=1e-12)
+
+
+def test_hermite_rmax_shift_and_trait_dimension_identities():
+    for p in sampled_params(12):
+        lam = eigen.lambda_of(p)
+        c = 0.03
+        raised = dataclasses.replace(p, rmax1=p.rmax1 + c, rmax2=p.rmax2 + c)
+        assert lam - eigen.lambda_of(raised) == pytest.approx(c, abs=1e-12)
+        lam1 = eigen.lambda_of(dataclasses.replace(p, n=1))
+        assert lam == pytest.approx(lam1 + 0.5 * (p.n - 1) * p.mu, abs=1e-12)
+
+
+def test_hermite_matches_box_ladder():
+    # two independent discretizations of one operator
+    for p in sampled_params(13):
+        ladder = eigen.lambda_limit(p, *eigen.default_schedules(p)).lam
+        assert eigen.lambda_of(p) == pytest.approx(ladder, abs=ROUTE_TOL)
+
+
+def test_hermite_basis_cap_raises():
+    # optima 10 apart at width sqrt(mu) = 0.03 need a basis far above the cap
+    p = model.ModelParams(n=1, mu=1e-3, rmax1=0.1, rmax2=0.1, beta=5.0,
+                          migration=model.Symmetric(0.05))
+    with pytest.raises(eigen.EigenError, match="not converged at K = 8192"):
+        eigen.lambda_of(p)
+
+
+def test_lambda_of_keywords():
+    # the ladder keywords are accepted and ignored; anything else is an error
+    p = ref_params()
+    lam = eigen.lambda_of(p)
+    assert eigen.lambda_of(p, h_target=0.25, rungs=2, tol_domain=1e-3, richardson=False) == lam
+    with pytest.raises(TypeError):
+        eigen.lambda_of(p, tol_value=1e-12)
+    with pytest.raises(TypeError):
+        thresholds.classify(p, tol_value=1e-12)
