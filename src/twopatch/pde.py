@@ -12,9 +12,9 @@ whose smallest eigenvalue eigen computes, minus N_i u_i per habitat under
 logistic growth (N_i a trapezoid-weight dot product).
 
 Time stepping uses an embedded Dormand-Prince 5(4) pair with PI step-size
-control. Steps land exactly on the record cadence, so no dense output is
-needed. Tiny negative undershoots (above -abs_tol) are clipped to zero;
-anything more negative aborts, as does a state that stops being finite.
+control; records come from its continuous extension (Hairer, Norsett and
+Wanner, Solving ODEs I, II.6). Tiny negative undershoots (above -abs_tol) are
+clipped to zero; anything more negative aborts, as does a non-finite state.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class SolverConfig:
         t_end: final time (>= 0; zero records initial diagnostics only).
         dt_init: initial trial step.
         rel_tol / abs_tol: embedded-error tolerances (mixed norm).
-        record_every: cadence of trajectory records.
+        record_every: cadence of trajectory records (interpolated; never limits the step).
         extinction_rel: relative total-mass threshold below which the run
             is flagged extinct and stopped early.
         max_steps: hard cap on accepted steps.
@@ -138,16 +138,21 @@ def gaussian_initial(grid: Grid, center: float, variance: float, mass: float) ->
 
 def diagnostics(params: model.ModelParams, grid: Grid, state: Field2):
     """(N1, N2, rbar1, rbar2) for a state; rbar of an empty habitat is nan."""
-    r1, r2 = fitness_fields(params, grid)
-    return _diagnostics(grid, state.u1, state.u2, r1, r2)
+    obs = _observation(grid, *fitness_fields(params, grid))
+    return tuple(map(float, _observe(obs, np.concatenate([state.u1, state.u2])[None])[0]))
 
 
-def _diagnostics(grid: Grid, u1: np.ndarray, u2: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    n1 = integrate(grid, u1)
-    n2 = integrate(grid, u2)
-    rbar1 = integrate(grid, r1 * u1) / n1 if n1 > 0 else math.nan
-    rbar2 = integrate(grid, r2 * u2) / n2 if n2 > 0 else math.nan
-    return n1, n2, rbar1, rbar2
+def _observation(grid: Grid, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """(4, 2m) map from stacked (u1, u2) to (N1, N2, int r1 u1, int r2 u2), trapezoid rule."""
+    w, z = np.r_[0.5, np.ones(grid.m - 2), 0.5] * grid.h, np.zeros(grid.m)
+    return np.array([np.r_[w, z], np.r_[z, w], np.r_[r1 * w, z], np.r_[z, r2 * w]])
+
+
+def _observe(obs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rows (N1, N2, rbar1, rbar2) of the stacked states ys (k, 2m)."""
+    q = ys @ obs.T
+    q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
+    return q
 
 
 def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
@@ -208,15 +213,26 @@ _DP_A = np.array([
 ])
 # b5 - b4: weights of the embedded error estimate.
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Continuous extension (RK45.P of scipy.integrate): y(t + theta dt) = y + dt (P theta^1..4) . ks
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
                  config: SolverConfig) -> tuple[Trajectory, Field2]:
     """Integrate from state0 to t_end, recording every record_every time units.
 
-    Returns the trajectory and the final state. The run stops early (with
-    trajectory.extinct set) once total mass falls below extinction_rel times
-    its initial value.
+    Returns the trajectory and the final state. Records inside a step are
+    interpolated at no extra right-hand side and clipped at zero; only t_end
+    cuts a step short. The run stops early, with trajectory.extinct set, at
+    the first record below extinction_rel times the initial mass, in its state.
 
     Raises:
         ValueError: empty initial habitat or mismatched shapes.
@@ -226,28 +242,22 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     """
     if state0.u1.shape != grid.shape:
         raise ValueError(f"state shape {state0.u1.shape} does not match grid shape {grid.shape}")
-    r1, r2 = fitness_fields(params, grid)
+    obs = _observation(grid, *fitness_fields(params, grid))
     gen = -two_habitat_operator(params, grid)
     weights = _mass_weights(params, grid)
-    m = grid.size
 
     y = np.concatenate([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
     if np.any(y < 0):
         raise ValueError("initial densities must be nonnegative")
-    n1_0, n2_0, rb1, rb2 = _diagnostics(grid, y[:m], y[m:], r1, r2)
+    rows = [_observe(obs, y[None])]  # (N1, N2, rbar1, rbar2) per record
+    n1_0, n2_0 = rows[0][0, :2]
     if n1_0 <= 0 or n2_0 <= 0:
         raise ValueError(f"initial mass must be positive in each habitat, got N1={n1_0}, N2={n2_0}")
-    mass0 = n1_0 + n2_0
 
-    # Record times: the cadence grid plus t_end itself.
-    n_rec = int(math.floor(config.t_end / config.record_every + 1e-9))
-    rec_times = [k * config.record_every for k in range(1, n_rec + 1)]
-    if not rec_times or rec_times[-1] < config.t_end - 1e-9 * config.t_end:
-        rec_times.append(config.t_end)
-    records = [(0.0, n1_0, n2_0, rb1, rb2)]  # (t, N1, N2, rbar1, rbar2)
+    # Record times: 0, the cadence grid and t_end itself.
+    rec = np.r_[np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end]
 
-    t = 0.0
-    dt = min(config.dt_init, rec_times[0])
+    t, dt = 0.0, config.dt_init
     # Stage derivatives, one row each; every stage input, y_new and the
     # error vector is a tableau row times this array.
     ks = np.empty((7, y.size))
@@ -258,14 +268,12 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
     # PI exponents for a 5th-order pair (Soderlind-style control).
     pi_alpha, pi_beta = 0.7 / 5.0, 0.4 / 5.0
-    i_rec = 0
-    steps = rejected = 0
+    i_rec, steps, rejected = 1, 0, 0  # i_rec: index in rec of the next record
 
-    while t < config.t_end - 1e-12 * config.t_end:
+    while t < config.t_end - 1e-12 * config.t_end and not extinct:
         if steps >= config.max_steps:
             raise SolverError(f"step budget {config.max_steps} exhausted at t={t:.6g}")
-        target = rec_times[i_rec]
-        dt = min(dt, target - t)
+        dt = min(dt, config.t_end - t)
         dt_min = 1e-14 * max(1.0, abs(t))
         if dt < dt_min:
             raise SolverError(f"step size underflow at t={t:.6g} (dt={dt:.3g})")
@@ -290,10 +298,25 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
 
         if err <= 1.0 and not undershot:
             t_new = t + dt
+            if t_new >= config.t_end - 1e-12 * max(1.0, config.t_end):
+                t_new = config.t_end
             neg = y_new < 0
             clipped = bool(neg.any())
             if clipped:
                 y_new[neg] = 0.0  # within (-abs_tol, 0) by the check above
+            # Records in (t, t_new], read off the stages before ks[0] moves on.
+            j = int(np.searchsorted(rec, t_new, side="right"))
+            if j > i_rec:
+                theta = (rec[i_rec:j, None] - t) / dt
+                ys = np.maximum(y + dt * (theta ** np.arange(1, 5) @ _DP_P.T) @ ks, 0.0)
+                ys[rec[i_rec:j] == t_new] = y_new
+                got = _observe(obs, ys)
+                low = np.flatnonzero(got[:, 0] + got[:, 1] < config.extinction_rel * (n1_0 + n2_0))
+                if low.size:  # stop on the first extinct record
+                    extinct, k = True, low[0]
+                    t_new, y_new, got = rec[i_rec + k], ys[k], got[:k + 1]
+                rows.append(got)
+                i_rec += len(got)
             y = y_new
             t = t_new
             steps += 1
@@ -302,14 +325,6 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
             rhs_evals += clipped
             factor = safety * max(err, 1e-10) ** -pi_alpha * err_prev**pi_beta
             err_prev = max(err, 1e-10)
-            if t >= target - 1e-12 * max(1.0, target):
-                t = target
-                n1, n2, rb1, rb2 = _diagnostics(grid, y[:m], y[m:], r1, r2)
-                records.append((t, n1, n2, rb1, rb2))
-                i_rec += 1
-                if n1 + n2 < config.extinction_rel * mass0:
-                    extinct = True
-                    break
             dt *= min(fac_max, max(fac_min, factor))
         else:
             rejected += 1
@@ -323,6 +338,6 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
                 factor = safety * err**-pi_alpha
             dt *= min(1.0, max(fac_min, factor))
 
-    traj = Trajectory(*np.array(records).T.copy(), extinct=extinct, steps=steps,
-                      rejected=rejected, rhs_evals=rhs_evals)
-    return traj, Field2(y[:m].copy(), y[m:].copy())
+    traj = Trajectory(rec[:i_rec].copy(), *np.concatenate(rows).T.copy(), extinct=extinct,
+                      steps=steps, rejected=rejected, rhs_evals=rhs_evals)
+    return traj, Field2(*y.reshape(2, -1).copy())

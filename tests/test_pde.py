@@ -228,10 +228,41 @@ def test_extinction_flag_on_decaying_run():
     g = build_grid(1, 4.0, 81)
     u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
     cfg = pde.SolverConfig(t_end=50.0, record_every=1.0, extinction_rel=1e-6)
-    traj, _ = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    traj, final = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
     assert traj.n_total()[-1] < 1e-6 * 2.0
+    # interpolated records are clipped, and the run stops on the extinct
+    # record itself: its state is the final state
+    assert traj.N1.min() >= 0.0 and traj.N2.min() >= 0.0
+    mass = integrate(g, final.u1) + integrate(g, final.u2)
+    assert mass == pytest.approx(traj.n_total()[-1], rel=1e-12)
+    # with unequal migration rates the continuous extension dips below zero
+    # at this record; the final state is the clipped record
+    p = model.ModelParams(n=1, mu=0.2, rmax1=-0.5, rmax2=-0.5, beta=0.5,
+                          migration=model.General(0.1, 0.05, 0.2, 0.3))
+    g = build_grid(1, 3.0, 41)
+    u = pde.gaussian_initial(g, 0.0, 0.2, 1.0)
+    cfg = pde.SolverConfig(t_end=50.0, record_every=0.1, extinction_rel=1e-6)
+    traj, final = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    assert traj.extinct
+    assert final.u1.min() >= 0.0 and final.u2.min() >= 0.0
+
+
+def test_step_sequence_does_not_depend_on_record_cadence():
+    # records are read off the continuous extension, so a fine cadence
+    # costs no steps and leaves the integration itself untouched
+    for growth in (model.GROWTH_MALTHUSIAN, model.GROWTH_LOGISTIC):
+        p, g, s0 = small_setup(delta=0.1, growth=growth)
+        runs = [pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=6.0, record_every=every))
+                for every in (0.05, 6.0)]
+        (fine, fine_end), (coarse, coarse_end) = runs
+        assert len(fine.t) == 121 and len(coarse.t) == 2
+        assert (fine.steps, fine.rejected, fine.rhs_evals) == \
+            (coarse.steps, coarse.rejected, coarse.rhs_evals)
+        np.testing.assert_array_equal(fine_end.u1, coarse_end.u1)
+        np.testing.assert_array_equal(fine_end.u2, coarse_end.u2)
+        assert fine.N1[-1] == pytest.approx(coarse.N1[-1], rel=1e-14)
 
 
 def test_fitness_fields_carry_the_transverse_load():
