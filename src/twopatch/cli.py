@@ -21,12 +21,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import model
-from .eigen import EigenError, default_schedules, lambda_limit
+from .eigen import EigenError, default_schedules, lambda_limit, lambda_of
 from .grid import Field2, Grid, build_grid
 from .ibm import IbmOverflowError, IbmParams, run_replicates
 from .pde import SolverConfig, SolverError, gaussian_initial, integrate_to
 from .thresholds import ThresholdError, classify, find_threshold
-from .eigen import lambda_of
 
 
 class ConfigError(ValueError):
@@ -296,6 +295,14 @@ def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
             fh.write(footer + "\n")
 
 
+def _write_float_csv(path: str, header: str, columns) -> None:
+    """_write_csv for float columns in one %-template pass ("%.15g" % x == _fmt(x))."""
+    rows = np.column_stack(columns)
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (",".join(["%.15g"] * rows.shape[1]) + "\n") * len(rows)
+                 % tuple(rows.ravel().tolist()))
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -322,23 +329,26 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     traj, final = integrate_to(params, grid, state0, solver_config(config))
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
-    _write_csv(traj_path, "t,N1,N2,rbar1,rbar2",
-               zip(traj.t, traj.N1, traj.N2, traj.rbar1, traj.rbar2))
+    _write_float_csv(traj_path, "t,N1,N2,rbar1,rbar2",
+                     [traj.t, traj.N1, traj.N2, traj.rbar1, traj.rbar2])
 
     # Rows run over the m^n nodes, x1 slowest: the x1 profile times the
-    # stationary Gaussian N(0, mu) in each of x2..xn.
+    # stationary Gaussian N(0, mu) in each of x2..xn. Each x1 slab is one
+    # %-template: its coordinate, then per transverse node ",x2,...,xn,u1,u2".
     state_path = os.path.join(out_dir, "final_state.txt")
     ax = grid.axis()
-    idx = np.indices((grid.m,) * grid.n).reshape(grid.n, -1).T
+    xs = ["%.15g" % v for v in ax]
+    idx = np.indices((grid.m,) * (grid.n - 1)).reshape(grid.n - 1, grid.m ** (grid.n - 1)).T
     phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
-    transverse = np.prod(phi[idx[:, 1:]], axis=1)
+    transverse = np.prod(phi[idx], axis=1)
+    tails = ["".join("," + xs[k] for k in node) + ",%.15g,%.15g\n" for node in idx.tolist()]
     with open(state_path, "w") as fh:
         fh.write(f"# n={grid.n} L={_fmt(grid.L)} m={grid.m} h={_fmt(grid.h)}\n")
         fh.write(f"# t={_fmt(traj.t[-1])} extinct={traj.extinct}\n")
         fh.write(",".join(f"x{k + 1}" for k in range(grid.n)) + ",u1,u2\n")
-        np.savetxt(fh, np.column_stack([ax[idx], final.u1[idx[:, 0]] * transverse,
-                                        final.u2[idx[:, 0]] * transverse]),
-                   fmt="%.15g", delimiter=",")
+        for x, a, b in zip(xs, final.u1, final.u2):
+            vals = np.column_stack([a * transverse, b * transverse])
+            fh.write((x + x.join(tails)) % tuple(vals.ravel().tolist()))
     return {"trajectory": traj_path, "final_state": state_path}
 
 

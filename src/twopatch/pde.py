@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import model
 # laplacian stays a module attribute for bench/tracing.py, which wraps it here.
@@ -185,7 +186,8 @@ def _mass_weights(params: model.ModelParams, grid: Grid) -> np.ndarray | None:
 
 def _rhs(gen: sp.csr_matrix, weights: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     """gen @ y, minus N_i u_i per habitat when weights are given; y is (u1, u2) stacked."""
-    dy = gen @ y
+    dy = np.zeros(y.size)  # csr_matvec adds into it: the kernel of gen @ y, minus the dispatch
+    csr_matvec(y.size, y.size, gen.indptr, gen.indices, gen.data, y, dy)
     if weights is not None:
         u = y.reshape(2, -1)
         du = dy.reshape(2, -1)

@@ -1,10 +1,11 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
-from twopatch import cli, thresholds
+from twopatch import cli, pde, thresholds
 from twopatch.cli import ExperimentConfig, emit_config, parse_config
 
 
@@ -162,6 +163,58 @@ def test_cmd_solve_rewrite_is_bit_identical(tmp_path):
     cli.cmd_solve(cfg, str(b))
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "final_state.txt").read_bytes() == (b / "final_state.txt").read_bytes()
+
+
+def savetxt_outputs(cfg):
+    """The solve's trajectory and final_state.txt as np.savetxt wrote it over the
+    np.indices of all m^n nodes: the reference for cmd_solve's writers."""
+    params = cli.to_model_params(cfg)
+    grid = cli.grid_for(cfg, params)
+    traj, final = pde.integrate_to(params, grid, cli.initial_state(cfg, params, grid),
+                                   cli.solver_config(cfg))
+    buf = io.StringIO()
+    buf.write(f"# n={grid.n} L={cli._fmt(grid.L)} m={grid.m} h={cli._fmt(grid.h)}\n")
+    buf.write(f"# t={cli._fmt(traj.t[-1])} extinct={traj.extinct}\n")
+    buf.write(",".join(f"x{k + 1}" for k in range(grid.n)) + ",u1,u2\n")
+    ax = grid.axis()
+    idx = np.indices((grid.m,) * grid.n).reshape(grid.n, -1).T
+    phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
+    transverse = np.prod(phi[idx[:, 1:]], axis=1)
+    np.savetxt(buf, np.column_stack([ax[idx], final.u1[idx[:, 0]] * transverse,
+                                     final.u2[idx[:, 0]] * transverse]),
+               fmt="%.15g", delimiter=",")
+    return traj, buf.getvalue()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(n=2, L=3.0, m=25),
+    dict(n=3, L=2.0, m=9, t_end=1.0),
+    # extinct, and N(0, mu) underflows at the box edge: those densities print as 0
+    dict(n=2, mu=0.005, L=4.0, m=33, rmax1=-1.0, rmax2=-1.0, t_end=60.0),
+], ids=["n1", "n2", "n3", "extinct"])
+def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, overrides):
+    cfg = quick_solve_config(**overrides)
+    traj, want = savetxt_outputs(cfg)
+    cli.cmd_solve(cfg, str(tmp_path))
+    assert (tmp_path / "final_state.txt").read_text() == want
+    cli._write_csv(str(tmp_path / "want.csv"), "t,N1,N2,rbar1,rbar2",
+                   zip(traj.t, traj.N1, traj.N2, traj.rbar1, traj.rbar2))
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    if overrides.get("rmax1") == -1.0:
+        assert traj.extinct
+        assert ",0,0\n" in want
+
+
+def test_float_csv_matches_write_csv(tmp_path):
+    cols = [np.array([0.0, -0.0, math.nan, 1.0 / 3.0]),
+            np.array([1e-300, -math.inf, 12345.0, 2.0 ** 60]),
+            np.array([math.nan, 1.0 / 1800.0, -1e16, 5e-324])]
+    cli._write_float_csv(str(tmp_path / "a.csv"), "p,q,r", cols)
+    cli._write_csv(str(tmp_path / "b.csv"), "p,q,r", zip(*cols))
+    text = (tmp_path / "a.csv").read_text()
+    assert text == (tmp_path / "b.csv").read_text()
+    assert text.splitlines()[2] == "-0,-inf,0.000555555555555556"
 
 
 def test_cmd_solve_zero_horizon_records_initial_row(tmp_path):

@@ -111,6 +111,27 @@ def test_rhs_agrees_with_assembled_operator():
     np.testing.assert_allclose(my[1], -out.u2, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("migration, growth", [
+    (model.Symmetric(0.3), model.GROWTH_MALTHUSIAN),
+    (model.General(0.3, 0.05, 0.2, 0.7), model.GROWTH_MALTHUSIAN),
+    (model.Symmetric(0.3), model.GROWTH_LOGISTIC),
+])
+def test_rhs_equals_sparse_product_bit_for_bit(migration, growth):
+    # _rhs calls scipy's private CSR kernel directly; it must give exactly
+    # what gen @ y gives (and fails here if a scipy release moves the kernel)
+    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.3, beta=0.5,
+                          migration=migration, growth=growth)
+    g = build_grid(1, 3.0, 65)
+    gen = -pde.two_habitat_operator(p, g)
+    weights = pde._mass_weights(p, g)
+    y = np.random.default_rng(13).random(2 * g.m)
+    want = gen @ y
+    if weights is not None:
+        u, du = y.reshape(2, -1), want.reshape(2, -1)
+        du -= (u @ weights)[:, None] * u
+    np.testing.assert_array_equal(pde._rhs(gen, weights, y), want)
+
+
 def test_integrate_to_matches_exact_propagator_with_general_migration():
     # Malthusian growth is du/dt = -A u, so exp(-A t) u0 of the assembled
     # operator is the exact propagator of the discrete system; d12 != d21
