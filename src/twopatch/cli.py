@@ -53,11 +53,8 @@ class ExperimentConfig:
     # grid (None -> derived from the model scales)
     L: float | None = None
     m: int | None = None
-    # time stepping
+    # time horizon and records
     t_end: float = 300.0
-    dt_init: float = 1e-3
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
     record_every: float = 0.5
     # initial data
     initial: str = "origin"  # "origin" or "spread"
@@ -98,8 +95,7 @@ _KINDS = {
     "delta": "float", "migration": "str", "d11": "float", "d12": "float",
     "d21": "float", "d22": "float", "growth": "str",
     "L": "opt_float", "m": "opt_int",
-    "t_end": "float", "dt_init": "float", "rel_tol": "float", "abs_tol": "float",
-    "record_every": "float",
+    "t_end": "float", "record_every": "float",
     "initial": "str", "initial_variance": "opt_float", "initial_mass": "float",
     "h_target": "opt_float", "tol_domain": "float", "rungs": "int", "richardson": "bool",
     "U": "float", "lambda_var": "float", "N0": "int", "T": "int",
@@ -242,9 +238,7 @@ def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
 
 
 def solver_config(config: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(t_end=config.t_end, dt_init=config.dt_init,
-                        rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                        record_every=config.record_every)
+    return SolverConfig(t_end=config.t_end, record_every=config.record_every)
 
 
 def initial_state(config: ExperimentConfig, params: model.ModelParams,

@@ -1,4 +1,4 @@
-"""Time integration of the two-habitat selection-mutation-migration system.
+"""The two-habitat selection-mutation-migration system, solved exactly in time.
 
 The state is a pair of phenotype densities (u1, u2) on the x1 axis of the
 truncated box. Each density diffuses with coefficient mu**2 / 2 (mutation),
@@ -11,10 +11,10 @@ The right-hand side is -A u with A = two_habitat_operator, the sparse matrix
 whose smallest eigenvalue eigen computes, minus N_i u_i per habitat under
 logistic growth (N_i a trapezoid-weight dot product).
 
-Time stepping uses an embedded Dormand-Prince 5(4) pair with PI step-size
-control; records come from its continuous extension (Hairer, Norsett and
-Wanner, Solving ODEs I, II.6). Tiny negative undershoots (above -abs_tol) are
-clipped to zero; anything more negative aborts, as does a non-finite state.
+integrate_to solves this system exactly in time, with no time step: the
+linear system by its matrix exponential (an eigendecomposition of the
+diagonally symmetrised A, or expm under one-way migration), logistic growth
+by the rescaling of the Malthusian solution that mirror-symmetric data allow.
 """
 
 from __future__ import annotations
@@ -25,49 +25,35 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.linalg import expm
 
 from . import model
-# laplacian stays a module attribute for bench/tracing.py, which wraps it here.
+# laplacian and integrate stay module attributes for bench/tracing.py, which wraps them here.
 from .grid import Field2, Grid, integrate, laplacian  # noqa: F401
 
 
 class SolverError(RuntimeError):
-    """Numerical failure during time integration."""
+    """Numerical failure of a solve: overflow or a state below roundoff of zero."""
 
 
 @dataclass
 class SolverConfig:
-    """Integrator settings.
+    """Solve settings; the solve is exact in time, so there is no step to set.
 
     Attributes:
         t_end: final time (>= 0; zero records initial diagnostics only).
-        dt_init: initial trial step.
-        rel_tol / abs_tol: embedded-error tolerances (mixed norm).
-        record_every: cadence of trajectory records (interpolated; never limits the step).
+        record_every: cadence of trajectory records.
         extinction_rel: relative total-mass threshold below which the run
             is flagged extinct and stopped early.
-        max_steps: hard cap on accepted steps.
     """
 
     t_end: float
-    dt_init: float = 1e-3
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
     record_every: float = 0.5
     extinction_rel: float = 1e-12
-    max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
-        eps = np.finfo(float).eps
         if not (self.t_end >= 0):
             raise ValueError(f"t_end must be >= 0, got {self.t_end!r}")
-        if not (self.dt_init > 0):
-            raise ValueError(f"dt_init must be > 0, got {self.dt_init!r}")
-        if self.rel_tol < 100 * eps:
-            raise ValueError(f"rel_tol must be >= {100 * eps:.3g}, got {self.rel_tol!r}")
-        if not (self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
         if not (self.record_every > 0):
             raise ValueError(f"record_every must be > 0, got {self.record_every!r}")
         if not (0 < self.extinction_rel < 1):
@@ -78,7 +64,8 @@ class SolverConfig:
 class Trajectory:
     """Time series of habitat masses and mean fitnesses (PDE or IBM runs).
 
-    Mean fitness of an empty habitat is recorded as nan: a deliberate
+    PDE records are exact in time, at 0, every record_every and t_end. Mean
+    fitness of an empty habitat is recorded as nan: a deliberate
     undefined-value marker, never the result of a 0/0 division.
     """
 
@@ -88,11 +75,6 @@ class Trajectory:
     rbar1: np.ndarray
     rbar2: np.ndarray
     extinct: bool = False
-    # PDE solver counters (0 for IBM runs): rhs_evals is 1 + 6 (steps +
-    # rejected) plus one per accepted step whose state was clipped.
-    steps: int = 0
-    rejected: int = 0
-    rhs_evals: int = 0
 
     def n_total(self) -> np.ndarray:
         return self.N1 + self.N2
@@ -140,7 +122,7 @@ def gaussian_initial(grid: Grid, center: float, variance: float, mass: float) ->
 def diagnostics(params: model.ModelParams, grid: Grid, state: Field2):
     """(N1, N2, rbar1, rbar2) for a state; rbar of an empty habitat is nan."""
     obs = _observation(grid, *fitness_fields(params, grid))
-    return tuple(map(float, _observe(obs, np.concatenate([state.u1, state.u2])[None])[0]))
+    return tuple(map(float, _observe((obs @ np.concatenate([state.u1, state.u2]))[None])[0]))
 
 
 def _observation(grid: Grid, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -149,9 +131,8 @@ def _observation(grid: Grid, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.array([np.r_[w, z], np.r_[z, w], np.r_[r1 * w, z], np.r_[z, r2 * w]])
 
 
-def _observe(obs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Rows (N1, N2, rbar1, rbar2) of the stacked states ys (k, 2m)."""
-    q = ys @ obs.T
+def _observe(q: np.ndarray) -> np.ndarray:
+    """Rows (N1, N2, rbar1, rbar2) from rows (N1, N2, int r1 u1, int r2 u2), in place."""
     q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
     return q
 
@@ -186,8 +167,7 @@ def _mass_weights(params: model.ModelParams, grid: Grid) -> np.ndarray | None:
 
 def _rhs(gen: sp.csr_matrix, weights: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     """gen @ y, minus N_i u_i per habitat when weights are given; y is (u1, u2) stacked."""
-    dy = np.zeros(y.size)  # csr_matvec adds into it: the kernel of gen @ y, minus the dispatch
-    csr_matvec(y.size, y.size, gen.indptr, gen.indices, gen.data, y, dy)
+    dy = gen @ y
     if weights is not None:
         u = y.reshape(2, -1)
         du = dy.reshape(2, -1)
@@ -202,144 +182,121 @@ def rhs(params: model.ModelParams, grid: Grid, state: Field2) -> Field2:
     return Field2(dy[:grid.size], dy[grid.size:])
 
 
-# Dormand-Prince 5(4) tableau; the last row is b5, so the last stage input is
-# y_new and stage 7 is the next step's stage 1 (FSAL). No nodes c: autonomous.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-# b5 - b4: weights of the embedded error estimate.
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Continuous extension (RK45.P of scipy.integrate): y(t + theta dt) = y + dt (P theta^1..4) . ks
-_DP_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):
+    """(records, state) of du/dt = -a u by expm, for one-way migration.
+
+    a is block triangular then, and defective for mirror habitats, so it has
+    no eigenbasis. One expm per distinct record interval (the cadence and the
+    remainder to t_end), then one mat-vec per record. records holds the raw
+    rows (N1, N2, int r1 u1, int r2 u2) at the record times; state(k) is the
+    state at record k.
+    """
+    ys = np.empty((rec.size, y0.size))
+    ys[0] = y0
+    dt_prop, prop = None, None
+    for k in range(1, rec.size):
+        dt = every if k < rec.size - 1 else rec[-1] - rec[-2]
+        if dt != dt_prop:
+            dt_prop, prop = dt, expm(-dt * a)
+        ys[k] = prop @ ys[k - 1]
+    return ys @ obs.T, ys.__getitem__
+
+
+def _symmetrised(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray,
+                 scale: np.ndarray, logistic: bool):
+    """(records, state) as _one_way returns them, from one eigh of D^-1 a D.
+
+    scale is the diagonal of D, which makes D^-1 a D symmetric. In its
+    eigenbasis (lam, Q) the Malthusian state is D Q (e^(-lam t) c), c =
+    Q^T D^-1 y0. The logistic state divides it by 1 + int_0^t N_v1, which is
+    sum_j b_j c_j (1 - e^(-lam_j t)) / lam_j with b the N1 row of obs D Q.
+    e^(-shift t) is factored out of both, shift = min(lam_0, 0), so no
+    logistic term overflows when the Malthusian solution does.
+    """
+    lam, basis = np.linalg.eigh(a * np.outer(1.0 / scale, scale))
+    c = basis.T @ (y0 / scale)
+    basis *= scale[:, None]  # back-transform: y = basis @ coefficients
+    obs_eig = obs @ basis
+    shift = min(float(lam[0]), 0.0)
+
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        """(len(t), 2m) eigen-coefficients of the states at times t."""
+        w = np.exp(-np.outer(t, lam - shift)) * c
+        if not logistic:
+            return w * np.exp(-shift * t)[:, None]
+        # e^(shift t) (1 - e^(-lam t)) / lam = e^((shift - min(lam, 0)) t) phi(|lam|),
+        # phi(k) = -expm1(-k t) / k (t at k = 0): the exponential lies in
+        # (0, 1] and phi in [0, t]
+        k = np.abs(lam)
+        phi = np.divide(-np.expm1(-np.outer(t, k)), k, where=k > 0,
+                        out=np.repeat(t[:, None], k.size, axis=1))
+        cum = (np.exp(np.outer(t, shift - np.minimum(lam, 0.0))) * phi) @ (obs_eig[0] * c)
+        return w / (np.exp(shift * t) + cum)[:, None]
+
+    return coefficients(rec) @ obs_eig.T, lambda k: basis @ coefficients(rec[k:k + 1])[0]
 
 
 def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
                  config: SolverConfig) -> tuple[Trajectory, Field2]:
-    """Integrate from state0 to t_end, recording every record_every time units.
+    """Solve from state0 to t_end exactly in time, recording every record_every.
 
-    Returns the trajectory and the final state. Records inside a step are
-    interpolated at no extra right-hand side and clipped at zero; only t_end
-    cuts a step short. The run stops early, with trajectory.extinct set, at
-    the first record below extinction_rel times the initial mass, in its state.
+    Malthusian growth is du/dt = -A u with A = two_habitat_operator, so the
+    solution is exp(-A t) u0 (Moler and Van Loan, Nineteen Dubious Ways to
+    Compute the Exponential of a Matrix, SIAM Review 45, 2003, sections 3
+    and 6). When d12 d21 > 0 or d12 = d21 = 0, D = diag(I, sqrt(d21/d12) I)
+    makes D^-1 A D symmetric: one eigh gives every record as exp(-lambda t)
+    times the initial coefficients, observed through the eigenbasis, and the
+    final state in one more back-transform. One-way migration takes expm.
+
+    Logistic growth (Symmetric migration, rmax1 = rmax2) needs mirror data
+    (u2 = u1 reversed), so N1 = N2 and u = v / (1 + int_0^t N_v1) with v the
+    Malthusian solution; the integral is closed form in the eigenbasis.
+
+    Returns the trajectory and the final state. The run stops early, with
+    trajectory.extinct set, at the first record below extinction_rel times
+    the initial mass, in that record's state. Record 0 and the t_end = 0
+    final state are the input itself.
 
     Raises:
-        ValueError: empty initial habitat or mismatched shapes.
-        SolverError: non-finite state, step-size underflow (including a
-            negative undershoot below -abs_tol that persists at the minimal
-            step), or step budget exhausted.
+        ValueError: negative or empty initial habitat, mismatched shapes, or
+            logistic growth from data that is not mirror-symmetric.
+        SolverError: a non-finite record or state (float64 overflow), or a
+            final state more negative than roundoff (-1e-12 of its maximum).
     """
     if state0.u1.shape != grid.shape:
         raise ValueError(f"state shape {state0.u1.shape} does not match grid shape {grid.shape}")
     obs = _observation(grid, *fitness_fields(params, grid))
-    gen = -two_habitat_operator(params, grid)
-    weights = _mass_weights(params, grid)
-
-    y = np.concatenate([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
-    if np.any(y < 0):
+    y0 = np.concatenate([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
+    if np.any(y0 < 0):
         raise ValueError("initial densities must be nonnegative")
-    rows = [_observe(obs, y[None])]  # (N1, N2, rbar1, rbar2) per record
-    n1_0, n2_0 = rows[0][0, :2]
-    if n1_0 <= 0 or n2_0 <= 0:
-        raise ValueError(f"initial mass must be positive in each habitat, got N1={n1_0}, N2={n2_0}")
+    q0 = obs @ y0  # raw record 0: (N1, N2, int r1 u1, int r2 u2)
+    if q0[0] <= 0 or q0[1] <= 0:
+        raise ValueError(f"initial mass must be positive in each habitat, got N1={q0[0]}, N2={q0[1]}")
+    logistic = params.growth == model.GROWTH_LOGISTIC
+    if logistic and np.max(np.abs(y0[grid.m:] - y0[:grid.m][::-1])) > 1e-12 * np.max(y0):
+        raise ValueError("logistic growth needs mirror-symmetric data (u2 = u1 reversed)")
 
     # Record times: 0, the cadence grid and t_end itself.
     rec = np.r_[np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end]
+    a = two_habitat_operator(params, grid).toarray()
+    _, d12, d21, _ = params.migration.rates
 
-    t, dt = 0.0, config.dt_init
-    # Stage derivatives, one row each; every stage input, y_new and the
-    # error vector is a tableau row times this array.
-    ks = np.empty((7, y.size))
-    ks[0] = _rhs(gen, weights, y)
-    rhs_evals = 1
-    err_prev = 1.0
-    extinct = False
-    safety, fac_min, fac_max = 0.9, 0.2, 5.0
-    # PI exponents for a 5th-order pair (Soderlind-style control).
-    pi_alpha, pi_beta = 0.7 / 5.0, 0.4 / 5.0
-    i_rec, steps, rejected = 1, 0, 0  # i_rec: index in rec of the next record
-
-    while t < config.t_end - 1e-12 * config.t_end and not extinct:
-        if steps >= config.max_steps:
-            raise SolverError(f"step budget {config.max_steps} exhausted at t={t:.6g}")
-        dt = min(dt, config.t_end - t)
-        dt_min = 1e-14 * max(1.0, abs(t))
-        if dt < dt_min:
-            raise SolverError(f"step size underflow at t={t:.6g} (dt={dt:.3g})")
-
-        for s in range(1, 7):
-            y_new = y + dt * (_DP_A[s, :s] @ ks[:s])
-            ks[s] = _rhs(gen, weights, y_new)
-        rhs_evals += 6
-        err_vec = dt * (_DP_E @ ks)
-
-        finite = bool(np.isfinite(y_new).all())
-        if finite:
-            # Weighted max norm: every node individually within tolerance,
-            # so an accepted step cannot undershoot past -abs_tol by more
-            # than the estimate-vs-truth slack.
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.max(np.abs(err_vec) / scale))
-            undershot = float(y_new.min()) < -config.abs_tol
+    # Overflow leaves inf or nan behind, and raises SolverError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (d12 == 0) != (d21 == 0):
+            q, state = _one_way(a, obs, y0, rec, config.record_every)
         else:
-            err = math.inf
-            undershot = False
-
-        if err <= 1.0 and not undershot:
-            t_new = t + dt
-            if t_new >= config.t_end - 1e-12 * max(1.0, config.t_end):
-                t_new = config.t_end
-            neg = y_new < 0
-            clipped = bool(neg.any())
-            if clipped:
-                y_new[neg] = 0.0  # within (-abs_tol, 0) by the check above
-            # Records in (t, t_new], read off the stages before ks[0] moves on.
-            j = int(np.searchsorted(rec, t_new, side="right"))
-            if j > i_rec:
-                theta = (rec[i_rec:j, None] - t) / dt
-                ys = np.maximum(y + dt * (theta ** np.arange(1, 5) @ _DP_P.T) @ ks, 0.0)
-                ys[rec[i_rec:j] == t_new] = y_new
-                got = _observe(obs, ys)
-                low = np.flatnonzero(got[:, 0] + got[:, 1] < config.extinction_rel * (n1_0 + n2_0))
-                if low.size:  # stop on the first extinct record
-                    extinct, k = True, low[0]
-                    t_new, y_new, got = rec[i_rec + k], ys[k], got[:k + 1]
-                rows.append(got)
-                i_rec += len(got)
-            y = y_new
-            t = t_new
-            steps += 1
-            # FSAL unless clipping dirtied the state
-            ks[0] = _rhs(gen, weights, y) if clipped else ks[6]
-            rhs_evals += clipped
-            factor = safety * max(err, 1e-10) ** -pi_alpha * err_prev**pi_beta
-            err_prev = max(err, 1e-10)
-            dt *= min(fac_max, max(fac_min, factor))
-        else:
-            rejected += 1
-            if not finite and dt < 1e-13 * max(1.0, abs(t)):
-                raise SolverError(f"state became non-finite at t={t:.6g} even at dt={dt:.3g}")
-            if not finite:
-                factor = 0.25
-            elif undershot and err <= 1.0:
-                factor = 0.5  # undershoot the error estimate missed
-            else:
-                factor = safety * err**-pi_alpha
-            dt *= min(1.0, max(fac_min, factor))
-
-    traj = Trajectory(rec[:i_rec].copy(), *np.concatenate(rows).T.copy(), extinct=extinct,
-                      steps=steps, rejected=rejected, rhs_evals=rhs_evals)
+            scale = np.repeat([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], grid.m)
+            q, state = _symmetrised(a, obs, y0, rec, scale, logistic)
+        q[0] = q0
+        low = np.flatnonzero(q[:, 0] + q[:, 1] < config.extinction_rel * (q0[0] + q0[1]))
+        end = int(low[0]) if low.size else rec.size - 1
+        q = q[:end + 1]
+        y = y0.copy() if end == 0 else state(end)
+    if not (np.isfinite(q).all() and np.isfinite(y).all()):
+        raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
+    if y.min() < -1e-12 * y.max():
+        raise SolverError(f"final state dips to {y.min():.3g} (max {y.max():.3g}), beyond roundoff")
+    np.maximum(y, 0.0, out=y)
+    traj = Trajectory(rec[:end + 1].copy(), *_observe(q).T.copy(), extinct=low.size > 0)
     return traj, Field2(*y.reshape(2, -1).copy())

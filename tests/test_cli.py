@@ -56,13 +56,13 @@ t_end = 5.0
 
 
 def test_parse_collects_all_errors_with_line_numbers():
-    bad = "n = 2\nbogus = 1\nmu = 0.1\nmu = 0.2\nrel_tol = fast\nt_end\n"
+    bad = "n = 2\nbogus = 1\nmu = 0.1\nmu = 0.2\ndelta = fast\nt_end\n"
     with pytest.raises(cli.ConfigError) as exc:
         parse_config(bad)
     msg = str(exc.value)
     assert "line 2: unknown key 'bogus'" in msg
     assert "line 4: duplicate key 'mu'" in msg
-    assert "line 5: bad value for 'rel_tol'" in msg
+    assert "line 5: bad value for 'delta'" in msg
     assert "line 6: expected 'key = value'" in msg
 
 
@@ -443,6 +443,19 @@ def test_main_numerical_failure_exits_2(tmp_path, capsys):
         "n = 1\nrmax1 = 2.0\nrmax2 = 2.0\nN0 = 1000\nT = 50\ncap = 5000\nreplicates = 1\n")
     assert cli.main(["ibm", "--config", path, "--out", str(tmp_path)]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_main_solve_overflow_exits_2(tmp_path, capsys):
+    # exp(-lambda t_end) with lambda near -50 is far beyond float64
+    path = write_config(tmp_path, "n = 1\nrmax1 = 50.0\nrmax2 = 50.0\nt_end = 300.0\n")
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_main_removed_solver_keys_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, "rel_tol = 1e-6\n")
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "unknown key 'rel_tol'" in capsys.readouterr().err
 
 
 def test_main_missing_config_file_exits_1(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_two_trait_malthusian_masses_factor_through_the_axis(kind):
     w0 = pde.gaussian_initial(g, 0.2, 0.3, 1.0)
     psi0 = np.exp(-0.5 * x * x / p.mu)
     psi0 /= integrate(g, psi0)
-    cfg = pde.SolverConfig(t_end=4.0, record_every=1.0, rel_tol=1e-10, abs_tol=1e-14)
+    cfg = pde.SolverConfig(t_end=4.0, record_every=1.0)
     traj, _ = pde.integrate_to(p, g, Field2(w0, 0.5 * w0), cfg)
 
     u0 = np.concatenate([np.kron(w0, psi0), np.kron(0.5 * w0, psi0)])
