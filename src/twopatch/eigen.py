@@ -43,7 +43,7 @@ from scipy.sparse.linalg import splu
 
 from . import model
 from .grid import Field2, Grid, build_grid, reflect_field
-from .pde import fitness_fields, neg_laplacian_matrix, two_habitat_operator
+from .pde import reduced_operator, two_habitat_operator
 
 
 # Hermite-Galerkin basis sizes tried by lambda_of, doubling up to the cap.
@@ -111,27 +111,10 @@ def spectral_lower_bound(params: model.ModelParams) -> float:
     return min(-params.rmax1 + d11 - d12, -params.rmax2 + d22 - d21)
 
 
-def reflection_permutation(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix P with (P v)[k] = v at the x1-mirrored node of k."""
-    m = grid.m
-    return sp.csr_matrix((np.ones(m), (np.arange(m), np.arange(m)[::-1])), shape=(m, m))
-
-
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:
     """Scalar reflection-coupled operator for the mirror-symmetric case."""
-    if not isinstance(params.migration, model.Symmetric):
-        raise ValueError("reduced assembly requires Symmetric migration")
-    if params.rmax1 != params.rmax2:
-        raise ValueError("reduced assembly requires rmax1 == rmax2 (mirror habitats)")
-    r1, _ = fitness_fields(params, grid)
-    delta = params.migration.delta
-    half_mu2 = 0.5 * params.mu * params.mu
-    eye = sp.identity(grid.size)
-    mat = (half_mu2 * neg_laplacian_matrix(grid)
-           - sp.diags(r1)
-           + delta * (eye - reflection_permutation(grid)))
-    return Operator(matrix=mat.tocsr(), grid=grid, components=1, symmetric=True,
-                    lower_bound=spectral_lower_bound(params))
+    return Operator(matrix=reduced_operator(params, grid), grid=grid, components=1,
+                    symmetric=True, lower_bound=spectral_lower_bound(params))
 
 
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:

@@ -15,6 +15,10 @@ integrate_to solves this system exactly in time, with no time step: the
 linear system by its matrix exponential (an eigendecomposition of the
 diagonally symmetrised A, or expm under one-way migration), logistic growth
 by the rescaling of the Malthusian solution that mirror-symmetric data allow.
+Mirror runs (Symmetric migration, rmax1 = rmax2, u2 = u1 reversed to 1e-12
+of the state's max) stay in the even subspace of the habitat swap
+J(u1, u2) = (rev u2, rev u1), so they decompose the m x m reduced_operator
+that eigen's ladder also assembles, not the 2m x 2m A.
 """
 
 from __future__ import annotations
@@ -158,6 +162,34 @@ def two_habitat_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix
     return sp.bmat([[a11, -d12 * eye], [-d21 * eye, a22]], format="csr")
 
 
+def reflection_permutation(grid: Grid) -> sp.csr_matrix:
+    """Sparse matrix P with (P v)[k] = v at the x1-mirrored node of k."""
+    m = grid.m
+    return sp.csr_matrix((np.ones(m), (np.arange(m), np.arange(m)[::-1])), shape=(m, m))
+
+
+def reduced_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix:
+    """A on the habitat-swap-even half: (mu^2/2)(-v'') - (r1 - delta) v - delta P v.
+
+    With Symmetric migration and rmax1 = rmax2 the habitats are mirror
+    images: A commutes with the swap J(v1, v2) = (rev v2, rev v1), and on
+    its even pairs (v, rev v) A acts as this m x m matrix (A11 + A12 J) on
+    v. Its smallest eigenvalue is A's (the Perron vector is J-even).
+    """
+    if not isinstance(params.migration, model.Symmetric):
+        raise ValueError("reduced assembly requires Symmetric migration")
+    if params.rmax1 != params.rmax2:
+        raise ValueError("reduced assembly requires rmax1 == rmax2 (mirror habitats)")
+    r1, _ = fitness_fields(params, grid)
+    delta = params.migration.delta
+    half_mu2 = 0.5 * params.mu * params.mu
+    eye = sp.identity(grid.size)
+    mat = (half_mu2 * neg_laplacian_matrix(grid)
+           - sp.diags(r1)
+           + delta * (eye - reflection_permutation(grid)))
+    return mat.tocsr()
+
+
 def _mass_weights(params: model.ModelParams, grid: Grid) -> np.ndarray | None:
     """Trapezoid weights of the logistic mass term; None under Malthusian growth."""
     if params.growth != model.GROWTH_LOGISTIC:
@@ -186,8 +218,9 @@ def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, ev
     """(records, state) of du/dt = -a u by expm, for one-way migration.
 
     a is block triangular then, and defective for mirror habitats, so it has
-    no eigenbasis. One expm per distinct record interval (the cadence and the
-    remainder to t_end), then one mat-vec per record. records holds the raw
+    no eigenbasis. One expm for the cadence, one more for a remainder to
+    t_end that differs from it beyond rec's 1e-9 roundoff, then one mat-vec
+    per record. records holds the raw
     rows (N1, N2, int r1 u1, int r2 u2) at the record times; state(k) is the
     state at record k.
     """
@@ -196,7 +229,8 @@ def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, ev
     dt_prop, prop = None, None
     for k in range(1, rec.size):
         dt = every if k < rec.size - 1 else rec[-1] - rec[-2]
-        if dt != dt_prop:
+        # a remainder within rec's 1e-9 roundoff of the cadence reuses its propagator
+        if dt_prop is None or abs(dt - dt_prop) > 1e-9 * dt_prop:
             dt_prop, prop = dt, expm(-dt * a)
         ys[k] = prop @ ys[k - 1]
     return ys @ obs.T, ys.__getitem__
@@ -248,9 +282,15 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     times the initial coefficients, observed through the eigenbasis, and the
     final state in one more back-transform. One-way migration takes expm.
 
-    Logistic growth (Symmetric migration, rmax1 = rmax2) needs mirror data
-    (u2 = u1 reversed), so N1 = N2 and u = v / (1 + int_0^t N_v1) with v the
-    Malthusian solution; the integral is closed form in the eigenbasis.
+    Mirror data under Symmetric migration with rmax1 = rmax2 (u2 = u1
+    reversed, to 1e-12 of the state's max) take the m x m reduced_operator
+    on the habitat-swap-even half (u1 + rev u2) / 2 instead, and return
+    the final state (u, rev u): N1 == N2, rbar1 == rbar2 and u2 == rev u1
+    bitwise from record 1 on.
+
+    Logistic growth (Symmetric migration, rmax1 = rmax2) needs mirror data,
+    so N1 = N2 and u = v / (1 + int_0^t N_v1) with v the Malthusian
+    solution; the integral is closed form in the eigenbasis.
 
     Returns the trajectory and the final state. The run stops early, with
     trajectory.extinct set, at the first record below extinction_rel times
@@ -272,27 +312,38 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
     q0 = obs @ y0  # raw record 0: (N1, N2, int r1 u1, int r2 u2)
     if q0[0] <= 0 or q0[1] <= 0:
         raise ValueError(f"initial mass must be positive in each habitat, got N1={q0[0]}, N2={q0[1]}")
+    m = grid.m
+    mirror = (isinstance(params.migration, model.Symmetric) and params.rmax1 == params.rmax2
+              and np.max(np.abs(y0[m:] - y0[:m][::-1])) <= 1e-12 * np.max(y0))
     logistic = params.growth == model.GROWTH_LOGISTIC
-    if logistic and np.max(np.abs(y0[grid.m:] - y0[:grid.m][::-1])) > 1e-12 * np.max(y0):
+    if logistic and not mirror:
         raise ValueError("logistic growth needs mirror-symmetric data (u2 = u1 reversed)")
 
     # Record times: 0, the cadence grid and t_end itself.
     rec = np.r_[np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end]
-    a = two_habitat_operator(params, grid).toarray()
     _, d12, d21, _ = params.migration.rates
 
     # Overflow leaves inf or nan behind, and raises SolverError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if (d12 == 0) != (d21 == 0):
-            q, state = _one_way(a, obs, y0, rec, config.record_every)
+        if mirror:
+            # the J-even half v: data (u1 + rev u2) / 2, state (v, rev v)
+            q, state = _symmetrised(reduced_operator(params, grid).toarray(),
+                                    obs[:, :m] + obs[:, m:][:, ::-1],
+                                    0.5 * (y0[:m] + y0[m:][::-1]), rec, np.ones(m), logistic)
         else:
-            scale = np.repeat([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], grid.m)
-            q, state = _symmetrised(a, obs, y0, rec, scale, logistic)
+            a = two_habitat_operator(params, grid).toarray()
+            if (d12 == 0) != (d21 == 0):
+                q, state = _one_way(a, obs, y0, rec, config.record_every)
+            else:
+                scale = np.repeat([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], m)
+                q, state = _symmetrised(a, obs, y0, rec, scale, logistic)
         q[0] = q0
         low = np.flatnonzero(q[:, 0] + q[:, 1] < config.extinction_rel * (q0[0] + q0[1]))
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
         y = y0.copy() if end == 0 else state(end)
+        if mirror and end > 0:
+            y = np.r_[y, y[::-1]]
     if not (np.isfinite(q).all() and np.isfinite(y).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
     if y.min() < -1e-12 * y.max():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def savetxt_outputs(cfg):
     np.indices of all m^n nodes: the reference for cmd_solve's writers."""
     params = cli.to_model_params(cfg)
     grid = cli.grid_for(cfg, params)
-    traj, final = pde.integrate_to(params, grid, cli.initial_state(cfg, params, grid),
+    traj, final = cli.integrate_to(params, grid, cli.initial_state(cfg, params, grid),
                                    cli.solver_config(cfg))
     buf = io.StringIO()
     buf.write(f"# n={grid.n} L={cli._fmt(grid.L)} m={grid.m} h={cli._fmt(grid.h)}\n")
@@ -186,14 +187,31 @@ def savetxt_outputs(cfg):
     return traj, buf.getvalue()
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(),
-    dict(n=2, L=3.0, m=25),
-    dict(n=3, L=2.0, m=9, t_end=1.0),
+def signed_zero_solve(*args):
+    """pde.integrate_to with 0.0 in u1 and -0.0 at its mirrored node in u2,
+    and one value of u1 repeated at another node of u2: a writer that caches
+    formatted values by float equality prints one zero for both."""
+    traj, final = pde.integrate_to(*args)
+    u1, u2 = final.u1.copy(), final.u2.copy()
+    k = u1.size // 4
+    u1[k], u2[-1 - k] = 0.0, -0.0
+    u2[k] = u1[u1.size // 2]
+    return traj, pde.Field2(u1, u2)
+
+
+@pytest.mark.parametrize("overrides, solve", [
+    (dict(), None),
+    (dict(n=2, L=3.0, m=25), None),
+    (dict(n=3, L=2.0, m=9, t_end=1.0), None),
     # extinct, and N(0, mu) underflows at the box edge: those densities print as 0
-    dict(n=2, mu=0.005, L=4.0, m=33, rmax1=-1.0, rmax2=-1.0, t_end=60.0),
-], ids=["n1", "n2", "n3", "extinct"])
-def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, overrides):
+    (dict(n=2, mu=0.005, L=4.0, m=33, rmax1=-1.0, rmax2=-1.0, t_end=60.0), None),
+    # u2 is not u1 reversed
+    (dict(n=2, L=3.0, m=25, migration="general", d11=0.05, d12=0.05, d21=0.02, d22=0.02), None),
+    (dict(n=2, L=3.0, m=25), signed_zero_solve),
+], ids=["n1", "n2", "n3", "extinct", "general_n2", "signed_zero"])
+def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, overrides, solve):
+    if solve is not None:
+        monkeypatch.setattr(cli, "integrate_to", solve)
     cfg = quick_solve_config(**overrides)
     traj, want = savetxt_outputs(cfg)
     cli.cmd_solve(cfg, str(tmp_path))
@@ -204,6 +222,8 @@ def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, overrides):
     if overrides.get("rmax1") == -1.0:
         assert traj.extinct
         assert ",0,0\n" in want
+    if solve is not None:  # u1 prints a 0 and u2 a -0
+        assert re.search(r",0,[^,\n]+\n", want) and ",-0\n" in want
 
 
 def test_float_csv_matches_write_csv(tmp_path):

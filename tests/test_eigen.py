@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from twopatch import eigen, model, thresholds
+from twopatch import eigen, model, pde, thresholds
 from twopatch.grid import build_grid, reflect_field
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
@@ -87,7 +87,7 @@ def test_reflection_permutation_is_reflect_field():
     rng = np.random.default_rng(6)
     for n in (1, 2):
         g = build_grid(n, 1.0, 7)
-        P = eigen.reflection_permutation(g)
+        P = pde.reflection_permutation(g)
         f = rng.normal(size=g.shape)
         np.testing.assert_array_equal((P @ f.ravel()).reshape(g.shape),
                                       reflect_field(g, f))

@@ -117,8 +117,8 @@ def test_rhs_agrees_with_assembled_operator():
     (model.Symmetric(0.3), model.GROWTH_LOGISTIC),
 ])
 def test_rhs_equals_sparse_product_bit_for_bit(migration, growth):
-    # _rhs calls scipy's private CSR kernel directly; it must give exactly
-    # what gen @ y gives (and fails here if a scipy release moves the kernel)
+    # _rhs is gen @ y, minus the logistic mass term in place; it must give
+    # exactly what the sparse product and that term give
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.3, beta=0.5,
                           migration=migration, growth=growth)
     g = build_grid(1, 3.0, 65)
@@ -132,6 +132,23 @@ def test_rhs_equals_sparse_product_bit_for_bit(migration, growth):
     np.testing.assert_array_equal(pde._rhs(gen, weights, y), want)
 
 
+def assert_matches_exact_propagator(p, g, s0, cfg):
+    """integrate_to against exp(-A t) u0 of the assembled operator, the exact
+    propagator of the discrete Malthusian system; returns the run and the
+    exact states at the record times."""
+    traj, final = pde.integrate_to(p, g, s0, cfg)
+    a = eigen.assemble_full(p, g).matrix
+    exact = expm_multiply(-a, np.concatenate([s0.u1, s0.u2]), start=0.0, stop=cfg.t_end,
+                          num=len(traj.t), endpoint=True)
+    n1 = [integrate(g, y[:g.m]) for y in exact]
+    n2 = [integrate(g, y[g.m:]) for y in exact]
+    np.testing.assert_allclose(traj.N1, n1, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(traj.N2, n2, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), exact[-1],
+                               rtol=0, atol=1e-9 * exact[-1].max())
+    return traj, final, exact
+
+
 @pytest.mark.parametrize("migration", [
     model.Symmetric(0.3),                  # eigh on the symmetric operator
     model.General(0.3, 0.05, 0.2, 0.7),    # d12 != d21: eigh after diagonal scaling
@@ -140,24 +157,75 @@ def test_rhs_equals_sparse_product_bit_for_bit(migration, growth):
     model.General(0.0, 0.0, 0.0, 0.0),     # uncoupled habitats
 ], ids=["symmetric", "general", "one_way_d12_0", "one_way_d21_0", "uncoupled"])
 def test_integrate_to_matches_exact_propagator_with_general_migration(migration):
-    # Malthusian growth is du/dt = -A u, so exp(-A t) u0 of the assembled
-    # operator is the exact propagator of the discrete system
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5, migration=migration)
     g = build_grid(1, 3.0, 41)
     u1 = pde.gaussian_initial(g, -0.5, 0.1, 1.0)
     u2 = pde.gaussian_initial(g, 0.5, 0.1, 2.0)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
-    traj, final = pde.integrate_to(p, g, Field2(u1, u2), cfg)
-    a = eigen.assemble_full(p, g).matrix
-    exact = expm_multiply(-a, np.concatenate([u1, u2]), start=0.0, stop=cfg.t_end,
-                          num=len(traj.t), endpoint=True)
-    n1 = [integrate(g, y[:g.m]) for y in exact]
-    n2 = [integrate(g, y[g.m:]) for y in exact]
+    _, _, exact = assert_matches_exact_propagator(p, g, Field2(u1, u2), cfg)
     assert np.abs(exact[-1] - exact[0]).max() > 0.5 * exact[0].max()  # far from its start
-    np.testing.assert_allclose(traj.N1, n1, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(traj.N2, n2, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), exact[-1],
-                               rtol=0, atol=1e-9 * exact[-1].max())
+
+
+def spy_on_symmetrised(monkeypatch):
+    """The sizes of the matrices integrate_to hands to _symmetrised."""
+    sizes = []
+    inner = pde._symmetrised
+
+    def spy(a, *args):
+        sizes.append(a.shape[0])
+        return inner(a, *args)
+
+    monkeypatch.setattr(pde, "_symmetrised", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("initial", ["origin", "spread"])
+def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
+    # Symmetric migration, rmax1 = rmax2 and mirror data: the solve runs on
+    # the m-node habitat-swap-even half and returns (u, rev u)
+    p = small_params(delta=0.3, rmax=0.6, n=n)
+    g = build_grid(n, 3.0, 41)
+    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
+    if initial == "spread":  # three bumps: u2 = u1 is u1 reversed only up to roundoff
+        u = u + pde.gaussian_initial(g, -p.beta, 0.1, 1.0) + pde.gaussian_initial(g, p.beta, 0.1, 1.0)
+        assert not np.array_equal(u, u[::-1])
+    sizes = spy_on_symmetrised(monkeypatch)
+    cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
+    traj, final, _ = assert_matches_exact_propagator(p, g, Field2(u, u.copy()), cfg)
+    assert sizes == [g.m]
+    assert abs(traj.N1[-1] / traj.N1[0] - 1) > 0.1  # far from its start
+    np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
+    np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
+    np.testing.assert_array_equal(final.u2, final.u1[::-1])
+
+
+def test_equal_peaks_with_unmirrored_data_take_the_full_route(monkeypatch):
+    p = small_params(delta=0.3)
+    g = build_grid(1, 3.0, 41)
+    u1 = pde.gaussian_initial(g, -0.5, 0.1, 1.0)
+    u2 = pde.gaussian_initial(g, 0.5, 0.1, 2.0)
+    sizes = spy_on_symmetrised(monkeypatch)
+    traj, _, _ = assert_matches_exact_propagator(
+        p, g, Field2(u1, u2), pde.SolverConfig(t_end=10.0, record_every=0.5))
+    assert sizes == [2 * g.m]
+    assert abs(traj.N2[-1] - traj.N1[-1]) > 1e-3 * traj.N1[-1]
+
+
+def test_one_way_remainder_within_roundoff_reuses_the_cadence_propagator(monkeypatch):
+    # t_end = 1 over a 0.1 cadence leaves a last interval of 0.09999999999999998:
+    # the cadence's expm serves it
+    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                          migration=model.General(0.3, 0.0, 0.2, 0.7))
+    g = build_grid(1, 3.0, 41)
+    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
+    calls = []
+    inner = pde.expm
+    monkeypatch.setattr(pde, "expm", lambda a: calls.append(a) or inner(a))
+    cfg = pde.SolverConfig(t_end=1.0, record_every=0.1)
+    traj, _, _ = assert_matches_exact_propagator(p, g, Field2(u, u.copy()), cfg)
+    assert len(traj.t) == 11 and traj.t[-1] - traj.t[-2] != 0.1
+    assert len(calls) == 1
 
 
 def test_logistic_run_matches_high_order_integration():
