@@ -27,7 +27,6 @@ from .pde import (
     fitness_fields,
     gaussian_initial,
     integrate_to,
-    rhs,
 )
 from .eigen import (
     EigenError,
@@ -82,7 +81,6 @@ __all__ = [
     "fitness_fields",
     "gaussian_initial",
     "integrate_to",
-    "rhs",
     "EigenError",
     "EigenResult",
     "assemble_full",

@@ -74,7 +74,6 @@ class ExperimentConfig:
     replicates: int = 50
     cap: int = 10_000_000
     # phase sweep (axis 1 = delta, axis 2 = m_D)
-    sweep_params: tuple[str, ...] = ("delta", "m_D")
     sweep_min: tuple[float, ...] = (0.0, 0.0)
     sweep_max: tuple[float, ...] = (0.1, 1.0)
     sweep_steps: tuple[int, ...] = (6, 6)
@@ -100,8 +99,7 @@ _KINDS = {
     "h_target": "opt_float", "tol_domain": "float", "rungs": "int", "richardson": "bool",
     "U": "float", "lambda_var": "float", "N0": "int", "T": "int",
     "replicates": "int", "cap": "int",
-    "sweep_params": "strs", "sweep_min": "floats", "sweep_max": "floats",
-    "sweep_steps": "ints",
+    "sweep_min": "floats", "sweep_max": "floats", "sweep_steps": "ints",
     "phase_ibm": "bool",
     "threshold_param": "str", "threshold_lo": "opt_float", "threshold_hi": "opt_float",
     "threshold_tol": "float",
@@ -124,8 +122,6 @@ def _parse_one(kind: str, raw: str):
         raise ValueError(f"expected a boolean, got {raw!r}")
     if kind == "str":
         return raw
-    if kind == "strs":
-        return tuple(part.strip() for part in raw.split(","))
     if kind == "floats":
         return tuple(float(part) for part in raw.split(","))
     if kind == "ints":
@@ -138,7 +134,7 @@ def _emit_one(kind: str, value) -> str:
         return "auto"
     if kind == "bool":
         return "true" if value else "false"
-    if kind in ("strs", "floats", "ints"):
+    if kind in ("floats", "ints"):
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
@@ -194,8 +190,6 @@ def validate_config(config: ExperimentConfig) -> None:
         errors.append(f"replicates must be >= 1, got {config.replicates}")
     if config.m_D < 0:
         errors.append(f"m_D must be >= 0, got {config.m_D}")
-    if tuple(config.sweep_params) != ("delta", "m_D"):
-        errors.append(f"sweep_params must be 'delta,m_D', got {config.sweep_params!r}")
     for name in ("sweep_min", "sweep_max", "sweep_steps"):
         if len(getattr(config, name)) != 2:
             errors.append(f"{name} must have two entries, got {getattr(config, name)!r}")
@@ -419,16 +413,10 @@ class PhaseCell:
     error: str
 
 
-# Proxy used for requested delta = 0 cells (the model requires delta > 0;
-# the shift is orders of magnitude below every tolerance in play).
-_DELTA_PROXY = 1e-9
-
-
 def _phase_cell(args) -> PhaseCell:
     config, i, j, delta, m_d = args
     try:
-        delta_eff = delta if delta > 0 else _DELTA_PROXY
-        params = to_model_params(config, delta=delta_eff, m_d=m_d)
+        params = to_model_params(config, delta=delta, m_d=m_d)
         lam = lambda_of(params)
         classification = classify(params, lam=lam)
 

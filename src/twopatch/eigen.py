@@ -28,7 +28,9 @@ eigenvalue lambda_L decreases toward the free-space value as L grows
 (zero-extension of an eigenvector is admissible on any larger box with the
 same spacing), so a ladder of boxes with fixed h plus Richardson
 extrapolation in h gives its lambda, about 2e-6 above the Hermite value
-at the default spacing, and the eigenfunction on the finest grid.
+at the default spacing, and the eigenfunction on the finest grid. Each
+rung is one ARPACK shift-invert solve (principal_eigenpair) at the
+certified lower bound of spectral_lower_bound.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, eigvals_banded
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from . import model
 from .grid import Field2, Grid, build_grid, reflect_field
@@ -96,10 +98,6 @@ class EigenResult:
     iterations: int
     converged: bool
 
-    @property
-    def lambdas(self) -> list[tuple[float, float]]:
-        return [(row.L, row.lambda_L) for row in self.rows]
-
 
 def spectral_lower_bound(params: model.ModelParams) -> float:
     """A certified lower bound for the principal eigenvalue.
@@ -132,109 +130,53 @@ def _assemble(params: model.ModelParams, grid: Grid) -> Operator:
     return assemble_full(params, grid)
 
 
-def principal_eigenpair(operator, lower_bound: float | None = None, *,
-                        tol_value: float = 1e-10, tol_residual: float = 1e-8,
-                        max_iter: int = 2000,
-                        shift_hint: float | None = None) -> EigenPair:
+def principal_eigenpair(operator: Operator) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of an assembled operator.
 
-    Shift-invert iteration started at the certified shift
-    sigma = lower_bound - 1, with Rayleigh-quotient refinement; converged
-    when the eigenvalue moves < tol_value and the sup-norm residual is
-    < tol_residual (both relative). A shift_hint (an eigenvalue estimate
-    from a related discretization) starts the iteration just below it
-    instead, which saves most of the warm-up sweeps; a failed hint falls
-    back to the certified shift.
+    One ARPACK shift-invert call (Lehoucq, Sorensen and Yang, ARPACK Users'
+    Guide, SIAM 1998) at the certified shift sigma = operator.lower_bound,
+    with the inverse from one sparse LU of A - sigma I and the fixed start
+    vector ones, so repeated calls return bitwise-equal pairs.
 
     One route serves every migration pattern, symmetric or not: each
-    assembled operator has nonpositive off-diagonal entries (a Z-matrix)
-    and row sums >= lower_bound, so at the certified shift A - sigma I is
-    a strictly diagonally dominant Z-matrix, i.e. a nonsingular M-matrix,
-    and its inverse is entrywise nonnegative (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, 1994). Iterating
-    that inverse from a positive start therefore finds the Perron pair
-    whether or not d12 == d21.
+    assembled operator has nonpositive off-diagonal entries (a Z-matrix),
+    row sums >= lower_bound, strictly so on the Dirichlet boundary rows, and
+    irreducible habitat blocks, so A - sigma I is a nonsingular M-matrix
+    and its inverse is entrywise nonnegative (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, 1994). Every eigenvalue lambda_j
+    of A has Re lambda_j >= lambda_0 > sigma, so the Perron root 1 /
+    (lambda_0 - sigma) of the inverse has the largest modulus, which is what
+    ARPACK finds, whether or not d12 == d21.
 
-    Accepts an Operator or a raw sparse matrix (then lower_bound is
-    required).
+    iterations counts applications of the factorised inverse. Raises
+    EigenError when ARPACK does not converge or the eigenvector changes sign.
     """
-    if isinstance(operator, Operator):
-        mat = operator.matrix
-        lb = operator.lower_bound if lower_bound is None else lower_bound
-    else:
-        mat = sp.csr_matrix(operator)
-        if lower_bound is None:
-            raise ValueError("lower_bound is required for a raw matrix")
-        lb = lower_bound
-    # A hint sits much closer to the target than the certified shift, so
-    # the warm-up contracts fast; the hinted shift must stay strictly below
-    # the eigenvalue it chases, hence the margin. Wrong basin (caught by the
-    # positivity check) falls back to the certified cold start.
-    starts = []
-    if shift_hint is not None:
-        starts.append(shift_hint - max(1e-2, 1e-3 * abs(shift_hint)))
-    starts.append(lb - 1.0)
-    last: EigenError | None = None
-    for sigma0 in starts:
-        try:
-            return _shift_invert_from(mat, sigma0, tol_value, tol_residual, max_iter)
-        except EigenError as err:
-            last = err
-    assert last is not None
-    raise last
+    mat = operator.matrix
+    size = mat.shape[0]
+    lu = splu((mat - operator.lower_bound * sp.identity(size)).tocsc())
+    applied = 0
 
+    def inverse(x: np.ndarray) -> np.ndarray:
+        nonlocal applied
+        applied += 1
+        return lu.solve(x)
 
-def _shift_invert_from(mat: sp.csr_matrix, sigma0: float,
-                       tol_value: float, tol_residual: float,
-                       max_iter: int) -> EigenPair:
-    n = mat.shape[0]
-    eye = sp.identity(n, format="csc")
-    csc = mat.tocsc()
-    lu0 = splu(csc - sigma0 * eye)
-    iterations = 0
-
-    # At the certified shift the iteration matrix (M - sigma0 I)^{-1} is
-    # entrywise nonnegative, so sweeps from a positive start stay positive
-    # and single out the Perron pair even when the low end of the spectrum
-    # is clustered; at a hinted shift the target is simply the nearest
-    # eigenvalue. Warm-up sweeps are escalated (from a fresh start) if the
-    # refinement below locks onto a wrong (sign-changing) eigenvector.
-    for warmup in (30, 120, 480):
-        v = np.full(n, 1.0 / math.sqrt(n))
-        for _ in range(warmup):
-            v = lu0.solve(v)
-            v /= np.linalg.norm(v)
-            iterations += 1
-        rho = float(v @ (mat @ v))
-        rho_prev = math.inf
-        for _ in range(30):
-            if iterations > max_iter:
-                raise EigenError(f"shift-invert did not converge within {max_iter} iterations")
-            av = mat @ v
-            res = float(np.linalg.norm(av - rho * v, np.inf))
-            scale = max(1.0, abs(rho))
-            if res < tol_residual * scale and abs(rho - rho_prev) < tol_value * scale:
-                break
-            # Refine with a Rayleigh-quotient shift, backed off by the
-            # residual so the factorization never hits the exact eigenvalue.
-            shift = rho - max(res, 1e-13)
-            lu = splu(csc - shift * eye)
-            v = lu.solve(v)
-            v /= np.linalg.norm(v)
-            rho_prev = rho
-            rho = float(v @ (mat @ v))
-            iterations += 1
-        if v.sum() < 0:
-            v = -v
-        if v.min() >= -1e-8 * v.max():
-            break
-    else:
+    try:
+        values, vectors = eigs(mat, k=1, sigma=operator.lower_bound, v0=np.ones(size),
+                               ncv=min(10, size),
+                               OPinv=LinearOperator((size, size), matvec=inverse, dtype=float))
+    except ArpackNoConvergence as err:
+        raise EigenError(f"ARPACK did not converge: {err}") from err
+    value = float(values[0].real)
+    v = vectors[:, 0].real
+    if v.sum() < 0:
+        v = -v
+    if v.min() < -1e-8 * v.max():
         raise EigenError("shift-invert converged to a sign-changing eigenvector")
-
     v = np.maximum(v, 0.0)
     v /= v.max()
-    residual = float(np.linalg.norm(mat @ v - rho * v, np.inf))
-    return EigenPair(value=rho, vector=v, residual=residual, iterations=iterations)
+    residual = float(np.linalg.norm(mat @ v - value * v, np.inf))
+    return EigenPair(value=value, vector=v, residual=residual, iterations=applied)
 
 
 def default_schedules(params: model.ModelParams, *, h_target: float | None = None,
@@ -256,14 +198,16 @@ def default_schedules(params: model.ModelParams, *, h_target: float | None = Non
 
 
 def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
-                 tol_domain: float = 1e-6, richardson: bool = True,
-                 tol_value: float = 1e-10, tol_residual: float = 1e-8) -> EigenResult:
+                 tol_domain: float = 1e-6, richardson: bool = True) -> EigenResult:
     """Climb the box ladder until lambda_L stabilizes, then refine in h.
 
-    lambda_L must be nonincreasing along the ladder (it is, exactly, when
-    the spacing is constant); an increase beyond tol_domain aborts. After
-    the ladder settles, one solve at half the spacing gives the h^2
-    Richardson extrapolation reported as .lam.
+    Each rung (L, m) is one principal_eigenpair solve, converged to
+    machine precision, of the reduced operator for mirror habitats and of
+    the full one otherwise. lambda_L must be nonincreasing along the
+    ladder (it is, exactly, when the spacing is constant); an increase
+    beyond tol_domain aborts, and two rungs within tol_domain stop the
+    climb. Unless richardson is False, one solve at half the spacing then
+    gives the h^2 Richardson extrapolation reported as .lam.
     """
     ls = list(L_schedule)
     ms = [int(m) for m in m_schedule]
@@ -272,21 +216,18 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
     if not ls:
         raise ValueError("empty schedule")
 
-    solver_opts = dict(tol_value=tol_value, tol_residual=tol_residual)
     rows: list[EigenRow] = []
     iterations = 0
     converged = False
     final: tuple[Grid, Operator, EigenPair] | None = None
     prev = math.inf
-    hint: float | None = None  # previous rung's value warm-starts the next
     for L, m in zip(ls, ms):
         g = build_grid(params.n, L, m)
         op = _assemble(params, g)
-        pair = principal_eigenpair(op, shift_hint=hint, **solver_opts)
+        pair = principal_eigenpair(op)
         rows.append(EigenRow(L=L, m=m, lambda_L=pair.value, residual=pair.residual))
         iterations += pair.iterations
         final = (g, op, pair)
-        hint = pair.value
         if pair.value > prev + tol_domain:
             raise EigenError(
                 f"lambda_L increased from {prev:.12g} to {pair.value:.12g} at L={L}: "
@@ -302,7 +243,7 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
     if richardson:
         g2 = build_grid(params.n, g.L, 2 * g.m - 1)
         op2 = _assemble(params, g2)
-        pair2 = principal_eigenpair(op2, shift_hint=hint, **solver_opts)
+        pair2 = principal_eigenpair(op2)
         rows.append(EigenRow(L=g.L, m=g2.m, lambda_L=pair2.value, residual=pair2.residual))
         iterations += pair2.iterations
         lam = (4.0 * pair2.value - pair.value) / 3.0

@@ -26,7 +26,7 @@ Phenotype = np.ndarray
 
 @dataclass(frozen=True)
 class Symmetric:
-    """Two-way migration at a single rate delta (> 0) in both directions."""
+    """Two-way migration at a single rate delta (>= 0) in both directions."""
 
     delta: float
 
@@ -93,8 +93,8 @@ class ModelParams:
         if not (self.beta >= 0) or not math.isfinite(self.beta):
             errors.append(f"beta must be a finite real >= 0, got {self.beta!r}")
         if isinstance(self.migration, Symmetric):
-            if not (self.migration.delta > 0) or not math.isfinite(self.migration.delta):
-                errors.append(f"Symmetric.delta must be > 0, got {self.migration.delta!r}")
+            if not (self.migration.delta >= 0) or not math.isfinite(self.migration.delta):
+                errors.append(f"Symmetric.delta must be >= 0, got {self.migration.delta!r}")
         elif isinstance(self.migration, General):
             for name in ("d11", "d12", "d21", "d22"):
                 v = getattr(self.migration, name)

@@ -7,9 +7,9 @@ under logistic growth), and exchanges mass with the other habitat through
 migration. Masses and mean fitnesses of the profile are those of the
 n-trait density, which is the profile times N(0, mu I_{n-1}).
 
-The right-hand side is -A u with A = two_habitat_operator, the sparse matrix
-whose smallest eigenvalue eigen computes, minus N_i u_i per habitat under
-logistic growth (N_i a trapezoid-weight dot product).
+The system is du/dt = -A u with A = two_habitat_operator, the sparse matrix
+whose smallest eigenvalue eigen computes; logistic growth subtracts N_i u_i
+in each habitat (N_i the trapezoid-rule mass).
 
 integrate_to solves this system exactly in time, with no time step: the
 linear system by its matrix exponential (an eigendecomposition of the
@@ -188,30 +188,6 @@ def reduced_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix:
            - sp.diags(r1)
            + delta * (eye - reflection_permutation(grid)))
     return mat.tocsr()
-
-
-def _mass_weights(params: model.ModelParams, grid: Grid) -> np.ndarray | None:
-    """Trapezoid weights of the logistic mass term; None under Malthusian growth."""
-    if params.growth != model.GROWTH_LOGISTIC:
-        return None
-    return np.r_[0.5, np.ones(grid.m - 2), 0.5] * grid.h
-
-
-def _rhs(gen: sp.csr_matrix, weights: np.ndarray | None, y: np.ndarray) -> np.ndarray:
-    """gen @ y, minus N_i u_i per habitat when weights are given; y is (u1, u2) stacked."""
-    dy = gen @ y
-    if weights is not None:
-        u = y.reshape(2, -1)
-        du = dy.reshape(2, -1)
-        du -= (u @ weights)[:, None] * u
-    return dy
-
-
-def rhs(params: model.ModelParams, grid: Grid, state: Field2) -> Field2:
-    """Right-hand side of the coupled system at the given state."""
-    y = np.concatenate([state.u1, state.u2])
-    dy = _rhs(-two_habitat_operator(params, grid), _mass_weights(params, grid), y)
-    return Field2(dy[:grid.size], dy[grid.size:])
 
 
 def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):

@@ -1,0 +1,30 @@
+"""The names bench/tracing.py wraps, and the eigen counters it derives from them.
+
+The benchmark traces twopatch from outside the package by module attribute,
+so renaming or removing a traced function breaks it without failing any
+other test. This runs `twopatch eigen` under the benchmark's own tracer.
+"""
+
+import importlib
+import os
+import sys
+
+from twopatch import cli
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import tracing  # noqa: E402  (bench/ is not a package)
+
+
+def test_traced_sites_resolve_and_eigen_counts_one_factorisation_per_solve(tmp_path):
+    for name, sites, _ in tracing.TRACED:
+        for site in sites:
+            module_name, attr = site.split(":")
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+                f"{site} ({name}) does not resolve"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cli.cmd_eigen(cli.ExperimentConfig(n=1, h_target=0.25), str(tmp_path))
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["eigen.principal_eigenpair.calls"] > 0
+    assert metrics["eigen.splu_per_solve"] == 1.0
+    assert metrics["eigen.iterations"] > 0

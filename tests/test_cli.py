@@ -354,7 +354,7 @@ def test_cmd_phase_sweep(tmp_path):
         if float(r[1]) == 0.0:  # m_D = 0 cells, any delta
             assert lam == pytest.approx(closed, abs=1e-3)
     # decoupled-patch limit: the delta = 0 row matches the closed form too
-    assert float(rows[1][2]) == pytest.approx(closed, abs=1e-3)
+    assert float(rows[1][2]) == pytest.approx(closed, abs=1e-12)
 
 
 def test_cmd_phase_parallel_matches_serial(tmp_path):
@@ -473,9 +473,11 @@ def test_main_solve_overflow_exits_2(tmp_path, capsys):
 
 
 def test_main_removed_solver_keys_exit_1(tmp_path, capsys):
-    path = write_config(tmp_path, "rel_tol = 1e-6\n")
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
-    assert "unknown key 'rel_tol'" in capsys.readouterr().err
+    for line in ("rel_tol = 1e-6", "sweep_params = delta,m_D"):
+        path = write_config(tmp_path, line + "\n")
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+        key = line.split(" =")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_main_missing_config_file_exits_1(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from twopatch import eigen, model, pde, thresholds
+from twopatch import cli, eigen, model, pde, thresholds
 from twopatch.grid import build_grid, reflect_field
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
@@ -25,17 +25,13 @@ def test_raw_tridiagonal_matches_textbook_value():
     h = 2.0 * L / (m - 1)
     e = np.ones(m)
     mat = sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]).tocsr() / (h * h)
-    pair = eigen.principal_eigenpair(mat, lower_bound=0.0)
+    op = eigen.Operator(matrix=mat, grid=build_grid(1, L, m), components=1, symmetric=True,
+                        lower_bound=0.0)
+    pair = eigen.principal_eigenpair(op)
     want = 2.0 / (h * h) * (1.0 - math.cos(math.pi / (m + 1)))
     assert pair.value == pytest.approx(want, rel=1e-10)
     assert pair.vector.min() >= 0.0
     assert pair.residual < 1e-8 * max(1.0, abs(pair.value))
-
-
-def test_raw_matrix_requires_lower_bound():
-    mat = sp.identity(5, format="csr")
-    with pytest.raises(ValueError, match="lower_bound"):
-        eigen.principal_eigenpair(mat)
 
 
 def test_rayleigh_quotient_never_beats_principal_value():
@@ -157,6 +153,38 @@ def test_nonsymmetric_operator_matches_dense_spectrum(d12, d21):
     assert v.min() >= 0.0
 
 
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("migration, rmax2", [
+    (model.Symmetric(0.05), FIG_RMAX),                  # reduced form
+    (model.General(0.05, 0.03, 0.03, 0.05), FIG_RMAX),  # full, symmetric
+    (model.General(0.05, 0.02, 0.05, 0.03), 0.8 * FIG_RMAX),  # full, biased
+], ids=["reduced", "full_symmetric", "full_biased"])
+def test_smallest_grids_match_dense_spectrum(m, migration, rmax2):
+    # on three and five nodes ARPACK's Krylov space (ncv = min(10, n)) is the whole space
+    p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=rmax2, beta=0.5,
+                          migration=migration)
+    op = eigen._assemble(p, build_grid(1, 2.0, m))
+    pair = eigen.principal_eigenpair(op)
+    dense = scipy.linalg.eigvals(op.matrix.toarray()).real.min()
+    assert pair.value == pytest.approx(dense, abs=1e-12)
+    assert pair.vector.min() >= 0.0
+
+
+def test_eigenpair_and_eigen_csv_are_reproducible(tmp_path):
+    # ARPACK starts from a fixed vector, so repeated solves agree bit for bit
+    p = ref_params()
+    op = eigen.assemble_symmetric_reduced(p, build_grid(1, 4.0, 97))
+    first, second = eigen.principal_eigenpair(op), eigen.principal_eigenpair(op)
+    assert first.value == second.value
+    np.testing.assert_array_equal(first.vector, second.vector)
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main(["eigen", "--out", str(out)]) == 0
+        texts.append((out / "eigen.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_ladder_is_monotone_and_converges():
     p = ref_params()
     ls, ms = eigen.default_schedules(p)
@@ -183,21 +211,6 @@ def test_eigenfield_positive_decaying_and_mirror_linked():
     assert u1.max() == pytest.approx(1.0)
     assert max(abs(u1[0]), abs(u1[-1])) <= 1e-12  # super-exponential tails
     np.testing.assert_array_equal(res.eigenfield.u2, reflect_field(res.grid, u1))
-
-
-def test_shift_hint_matches_cold_start_and_survives_bad_hints():
-    p = ref_params()
-    g = build_grid(1, 4.0, 97)
-    op = eigen.assemble_symmetric_reduced(p, g)
-    cold = eigen.principal_eigenpair(op)
-    warm = eigen.principal_eigenpair(op, shift_hint=cold.value)
-    assert warm.value == pytest.approx(cold.value, abs=1e-10)
-    assert warm.iterations < cold.iterations
-    # a hint deep inside the spectrum lands in the wrong basin; the solver
-    # must fall back to the certified start rather than return that mode
-    wrong = eigen.principal_eigenpair(op, shift_hint=cold.value + 0.5)
-    assert wrong.value == pytest.approx(cold.value, abs=1e-10)
-    assert wrong.vector.min() >= 0.0
 
 
 def test_growth_rate_increases_with_delta():
@@ -269,6 +282,15 @@ def test_hermite_closed_form_at_zero_habitat_difference():
             d11, _, _, d22 = p.migration.rates
             p = dataclasses.replace(p, rmax2=p.rmax1, migration=model.General(d11, d22, d11, d22))
         assert eigen.lambda_of(p) == pytest.approx(-p.rmax1 + 0.5 * p.n * p.mu, abs=1e-12)
+
+
+def test_hermite_closed_form_without_migration():
+    # delta = 0 decouples the wells, each a shifted oscillator, so lambda is
+    # -rmax + n mu / 2 at every habitat difference
+    for m_d in (0.0, 0.5, 1.0, 2.0):
+        for n in (1, 2, 3):
+            p = ref_params(n=n, delta=0.0, beta=model.beta_of(m_d))
+            assert eigen.lambda_of(p) == pytest.approx(-FIG_RMAX + 0.5 * n * FIG_MU, abs=1e-12)
 
 
 def test_hermite_rmax_shift_and_trait_dimension_identities():

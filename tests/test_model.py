@@ -90,7 +90,7 @@ def test_from_optima_canonicalizes():
 def test_validation_collects_every_failure_at_once():
     with pytest.raises(ValueError) as exc:
         model.ModelParams(n=0, mu=-1.0, rmax1=math.nan, rmax2=0.0, beta=-2.0,
-                          migration=model.Symmetric(0.0), growth="exponential")
+                          migration=model.Symmetric(-1.0), growth="exponential")
     msg = str(exc.value)
     for fragment in ("n must be", "mu must be", "rmax1 must be", "beta must be",
                      "delta must be", "growth must be"):
@@ -114,8 +114,10 @@ def test_general_migration_accepts_zero_rates():
 
 
 def test_symmetric_delta_must_be_positive():
-    with pytest.raises(ValueError, match="delta must be > 0"):
-        ref_params(delta=0.0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            ref_params(delta=bad)
+    assert ref_params(delta=0.0).migration.rates == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_as_phenotype_shapes():

@@ -49,87 +49,23 @@ def test_diagnostics_empty_habitat_is_nan_not_zero_division():
 
 
 def test_rhs_matches_hand_formula_with_general_migration():
-    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
-                          migration=model.General(0.3, 0.05, 0.2, 0.7))
+    # the growth operator -A against the hand-written right-hand side; with
+    # every rate 0 the habitats decouple
     g = build_grid(1, 2.0, 17)
     rng = np.random.default_rng(8)
-    u1 = rng.random(g.shape)
-    u2 = rng.random(g.shape)
-    out = pde.rhs(p, g, Field2(u1, u2))
-    r1, r2 = pde.fitness_fields(p, g)
-    half_mu2 = 0.5 * p.mu * p.mu
-    want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - 0.3 * u1 + 0.05 * u2
-    want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + 0.2 * u1 - 0.7 * u2
-    np.testing.assert_allclose(out.u1, want1, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(out.u2, want2, rtol=0, atol=1e-13)
-
-
-def test_logistic_rhs_matches_hand_formula():
-    # the mass term -N_i u_i uses the trapezoid mass of each habitat;
-    # logistic growth takes Symmetric migration, so unequal random states
-    # keep the two habitats' masses and exchange terms apart
-    p = small_params(delta=0.3, growth=model.GROWTH_LOGISTIC)
-    g = build_grid(1, 2.0, 17)
-    rng = np.random.default_rng(10)
-    u1 = rng.random(g.shape)
-    u2 = 2.0 * rng.random(g.shape)
-    out = pde.rhs(p, g, Field2(u1, u2))
-    r1, r2 = pde.fitness_fields(p, g)
-    half_mu2 = 0.5 * p.mu * p.mu
-    want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - integrate(g, u1) * u1 - 0.3 * (u1 - u2)
-    want2 = half_mu2 * laplacian(g, u2) + r2 * u2 - integrate(g, u2) * u2 + 0.3 * (u1 - u2)
-    np.testing.assert_allclose(out.u1, want1, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(out.u2, want2, rtol=0, atol=1e-13)
-
-
-def test_rhs_habitats_decouple_without_migration():
-    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
-                          migration=model.General(0.0, 0.0, 0.0, 0.0))
-    g = build_grid(1, 2.0, 17)
-    rng = np.random.default_rng(9)
-    u1 = rng.random(g.shape)
-    a = pde.rhs(p, g, Field2(u1, rng.random(g.shape)))
-    b = pde.rhs(p, g, Field2(u1, rng.random(g.shape)))
-    np.testing.assert_array_equal(a.u1, b.u1)
-
-
-def test_rhs_agrees_with_assembled_operator():
-    # the eigenvalue operator is minus the linearized growth operator, so
-    # (matrix @ y) must equal -rhs(y) up to quadrature-free rounding
-    p = model.ModelParams(n=2, mu=0.15, rmax1=0.2, rmax2=0.05, beta=0.6,
-                          migration=model.General(0.1, 0.3, 0.2, 0.4))
-    g = build_grid(2, 2.0, 15)
-    assert g.shape == (15,)
-    rng = np.random.default_rng(12)
-    u1 = rng.random(g.shape)
-    u2 = rng.random(g.shape)
-    out = pde.rhs(p, g, Field2(u1, u2))
-    op = eigen.assemble_full(p, g)
-    y = np.concatenate([u1.ravel(), u2.ravel()])
-    my = (op.matrix @ y).reshape(2, *g.shape)
-    np.testing.assert_allclose(my[0], -out.u1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(my[1], -out.u2, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("migration, growth", [
-    (model.Symmetric(0.3), model.GROWTH_MALTHUSIAN),
-    (model.General(0.3, 0.05, 0.2, 0.7), model.GROWTH_MALTHUSIAN),
-    (model.Symmetric(0.3), model.GROWTH_LOGISTIC),
-])
-def test_rhs_equals_sparse_product_bit_for_bit(migration, growth):
-    # _rhs is gen @ y, minus the logistic mass term in place; it must give
-    # exactly what the sparse product and that term give
-    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.3, beta=0.5,
-                          migration=migration, growth=growth)
-    g = build_grid(1, 3.0, 65)
-    gen = -pde.two_habitat_operator(p, g)
-    weights = pde._mass_weights(p, g)
-    y = np.random.default_rng(13).random(2 * g.m)
-    want = gen @ y
-    if weights is not None:
-        u, du = y.reshape(2, -1), want.reshape(2, -1)
-        du -= (u @ weights)[:, None] * u
-    np.testing.assert_array_equal(pde._rhs(gen, weights, y), want)
+    for rates in ((0.3, 0.05, 0.2, 0.7), (0.0, 0.0, 0.0, 0.0)):
+        d11, d12, d21, d22 = rates
+        p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                              migration=model.General(*rates))
+        u1 = rng.random(g.shape)
+        u2 = rng.random(g.shape)
+        out = -(pde.two_habitat_operator(p, g) @ np.concatenate([u1, u2]))
+        r1, r2 = pde.fitness_fields(p, g)
+        half_mu2 = 0.5 * p.mu * p.mu
+        want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - d11 * u1 + d12 * u2
+        want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + d21 * u1 - d22 * u2
+        np.testing.assert_allclose(out[:g.m], want1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out[g.m:], want2, rtol=0, atol=1e-13)
 
 
 def assert_matches_exact_propagator(p, g, s0, cfg):
@@ -236,8 +172,13 @@ def test_logistic_run_matches_high_order_integration():
     cfg = pde.SolverConfig(t_end=20.0, record_every=1.0)
     traj, final = pde.integrate_to(p, g, s0, cfg)
     gen = -pde.two_habitat_operator(p, g)
-    weights = pde._mass_weights(p, g)
-    sol = solve_ivp(lambda t, y: pde._rhs(gen, weights, y), (0.0, cfg.t_end),
+    w = np.r_[0.5, np.ones(g.m - 2), 0.5] * g.h  # trapezoid weights of N_i
+
+    def rhs(t, y):
+        u = y.reshape(2, -1)
+        return ((gen @ y).reshape(2, -1) - (u @ w)[:, None] * u).ravel()
+
+    sol = solve_ivp(rhs, (0.0, cfg.t_end),
                     np.concatenate([s0.u1, s0.u2]), method="DOP853", t_eval=traj.t,
                     rtol=1e-11, atol=1e-14)
     assert sol.success

@@ -63,10 +63,11 @@ def oscillator(params):
 def test_two_trait_eigenvalue_is_axis_value_plus_oscillator_gap(kind):
     # lambda_2D = lambda_1D + tau0(h) and lambda_axis(n=2) = lambda_1D + mu/2
     p = params_2d(kind)
-    tight = dict(tol_value=1e-13, tol_residual=1e-12)
-    lam_2d = eigen.principal_eigenpair(operator_2d(p), eigen.spectral_lower_bound(p),
-                                       **tight).value
-    lam_axis = eigen.lambda_limit(p, [L], [M], richardson=False, **tight).lam
+    op_2d = eigen.Operator(matrix=operator_2d(p), grid=build_grid(2, L, M), components=2,
+                           symmetric=kind == "symmetric",
+                           lower_bound=eigen.spectral_lower_bound(p))
+    lam_2d = eigen.principal_eigenpair(op_2d).value
+    lam_axis = eigen.lambda_limit(p, [L], [M], richardson=False).lam
     tau0 = scipy.linalg.eigvalsh(oscillator(p).toarray(), subset_by_index=[0, 0])[0]
     assert lam_2d - lam_axis == pytest.approx(tau0 - 0.5 * p.mu, abs=1e-10)
 
