@@ -49,23 +49,33 @@ def test_diagnostics_empty_habitat_is_nan_not_zero_division():
 
 
 def test_rhs_matches_hand_formula_with_general_migration():
-    # the growth operator -A against the hand-written right-hand side; with
-    # every rate 0 the habitats decouple
+    # the growth operator -A against the hand-written right-hand side
+    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                          migration=model.General(0.3, 0.05, 0.2, 0.7))
     g = build_grid(1, 2.0, 17)
     rng = np.random.default_rng(8)
-    for rates in ((0.3, 0.05, 0.2, 0.7), (0.0, 0.0, 0.0, 0.0)):
-        d11, d12, d21, d22 = rates
-        p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
-                              migration=model.General(*rates))
-        u1 = rng.random(g.shape)
-        u2 = rng.random(g.shape)
-        out = -(pde.two_habitat_operator(p, g) @ np.concatenate([u1, u2]))
-        r1, r2 = pde.fitness_fields(p, g)
-        half_mu2 = 0.5 * p.mu * p.mu
-        want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - d11 * u1 + d12 * u2
-        want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + d21 * u1 - d22 * u2
-        np.testing.assert_allclose(out[:g.m], want1, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(out[g.m:], want2, rtol=0, atol=1e-13)
+    u1 = rng.random(g.shape)
+    u2 = rng.random(g.shape)
+    out = -(pde.two_habitat_operator(p, g) @ np.concatenate([u1, u2]))
+    r1, r2 = pde.fitness_fields(p, g)
+    half_mu2 = 0.5 * p.mu * p.mu
+    want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - 0.3 * u1 + 0.05 * u2
+    want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + 0.2 * u1 - 0.7 * u2
+    np.testing.assert_allclose(out[:g.m], want1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out[g.m:], want2, rtol=0, atol=1e-13)
+
+
+def test_rhs_habitats_decouple_without_migration():
+    # with every migration rate 0, habitat 1's growth does not see habitat 2
+    p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                          migration=model.General(0.0, 0.0, 0.0, 0.0))
+    g = build_grid(1, 2.0, 17)
+    rng = np.random.default_rng(9)
+    u1 = rng.random(g.shape)
+    a = pde.two_habitat_operator(p, g)
+    out_a = a @ np.concatenate([u1, rng.random(g.shape)])
+    out_b = a @ np.concatenate([u1, rng.random(g.shape)])
+    np.testing.assert_array_equal(out_a[:g.m], out_b[:g.m])
 
 
 def assert_matches_exact_propagator(p, g, s0, cfg):
