@@ -20,12 +20,13 @@ from .model import (
 )
 from .grid import Field2, Grid, build_grid, integrate, laplacian, reflect_field
 from .pde import (
+    Bump,
+    InitialData,
     SolverConfig,
     SolverError,
     Trajectory,
     diagnostics,
     fitness_fields,
-    gaussian_initial,
     integrate_to,
 )
 from .eigen import (
@@ -74,12 +75,13 @@ __all__ = [
     "integrate",
     "laplacian",
     "reflect_field",
+    "Bump",
+    "InitialData",
     "SolverConfig",
     "SolverError",
     "Trajectory",
     "diagnostics",
     "fitness_fields",
-    "gaussian_initial",
     "integrate_to",
     "EigenError",
     "EigenResult",

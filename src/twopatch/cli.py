@@ -22,9 +22,9 @@ import numpy as np
 
 from . import model
 from .eigen import EigenError, default_schedules, lambda_limit, lambda_of
-from .grid import Field2, Grid, build_grid
+from .grid import Grid, build_grid
 from .ibm import IbmOverflowError, IbmParams, run_replicates
-from .pde import SolverConfig, SolverError, gaussian_initial, integrate_to
+from .pde import Bump, InitialData, SolverConfig, SolverError, integrate_to
 from .thresholds import ThresholdError, classify, find_threshold
 
 
@@ -50,7 +50,8 @@ class ExperimentConfig:
     d21: float = 0.0
     d22: float = 0.0
     growth: str = model.GROWTH_MALTHUSIAN
-    # grid (None -> derived from the model scales)
+    # x1 axis where solve samples final_state.txt (None -> derived from the
+    # model scales); with both set, the one box of the eigen command
     L: float | None = None
     m: int | None = None
     # time horizon and records
@@ -220,7 +221,7 @@ def to_model_params(config: ExperimentConfig, *, delta: float | None = None,
 
 def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
     """The config's L and m, else the default box max(4 beta, 6 sqrt(mu)) + 2
-    at spacing ~1/16: the one default grid of solve and phase."""
+    at spacing ~1/16: the nodes where solve and phase sample the final state."""
     length = config.L
     if length is None:
         length = max(4.0 * params.beta, 6.0 * math.sqrt(params.mu)) + 2.0
@@ -235,8 +236,7 @@ def solver_config(config: ExperimentConfig) -> SolverConfig:
     return SolverConfig(t_end=config.t_end, record_every=config.record_every)
 
 
-def initial_state(config: ExperimentConfig, params: model.ModelParams,
-                  grid: Grid) -> Field2:
+def initial_state(config: ExperimentConfig, params: model.ModelParams) -> InitialData:
     """Initial x1 profiles: identical in both habitats (mirror-symmetric data).
 
     "origin": one Gaussian bump at the midpoint between the optima.
@@ -247,13 +247,11 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams,
     """
     variance = config.initial_variance if config.initial_variance is not None else params.mu
     if config.initial == "origin":
-        u = gaussian_initial(grid, 0.0, variance, config.initial_mass)
+        bumps = (Bump(0.0, variance, config.initial_mass),)
     else:
         third = config.initial_mass / 3.0
-        u = (gaussian_initial(grid, 0.0, variance, third)
-             + gaussian_initial(grid, -params.beta, variance, third)
-             + gaussian_initial(grid, params.beta, variance, third))
-    return Field2(u, u.copy())
+        bumps = tuple(Bump(c, variance, third) for c in (0.0, -params.beta, params.beta))
+    return InitialData(bumps, bumps)
 
 
 def ibm_params(config: ExperimentConfig, *, delta: float | None = None,
@@ -313,8 +311,8 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
         raise ConfigError(
             f"final_state.txt would hold m^n = {grid.m}^{grid.n} = {rows} rows, more than "
             f"{_FINAL_STATE_ROWS}; set a smaller m")
-    state0 = initial_state(config, params, grid)
-    traj, final = integrate_to(params, grid, state0, solver_config(config))
+    traj, final = integrate_to(params, grid, initial_state(config, params),
+                               solver_config(config))
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     _write_float_csv(traj_path, "t,N1,N2,rbar1,rbar2",
@@ -420,10 +418,8 @@ def _phase_cell(args) -> PhaseCell:
         lam = lambda_of(params)
         classification = classify(params, lam=lam)
 
-        # Shared box across cells so PDE finals are comparable row to row.
-        grid = grid_for(config, params.with_m_D(max(config.sweep_max[1], config.m_D)))
-        state0 = initial_state(config, params, grid)
-        traj, _ = integrate_to(params, grid, state0, solver_config(config))
+        traj, _ = integrate_to(params, grid_for(config, params), initial_state(config, params),
+                               solver_config(config))
         n_pde = float(traj.N1[-1] + traj.N2[-1])
 
         n_ibm = math.nan

@@ -40,20 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, eigvals_banded
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
-from . import model
+from . import hermite, model
 from .grid import Field2, Grid, build_grid, reflect_field
+from .hermite import EigenError
 from .pde import reduced_operator, two_habitat_operator
-
-
-# Hermite-Galerkin basis sizes tried by lambda_of, doubling up to the cap.
-_HERMITE_SIZES = tuple(32 * 2 ** j for j in range(9))  # 32 ... 8192
-
-
-class EigenError(RuntimeError):
-    """Eigensolve failure (non-convergence, non-monotone box ladder, ...)."""
 
 
 @dataclass(frozen=True)
@@ -262,50 +254,15 @@ def lambda_of(params: model.ModelParams, *, h_target: float | None = None,
               rungs: int = 4, tol_domain: float = 1e-6, richardson: bool = True) -> float:
     """Principal eigenvalue of the free-space operator by Hermite-Galerkin.
 
-    The basis is the Hermite functions psi_k(x / sqrt(mu)), the eigenfunctions
-    of -(mu^2 / 2) d^2/dx^2 + x^2 / 2 with eigenvalues mu (k + 1/2). The
-    quadratic fitness adds beta x, which couples k to k +- 1 with weight
-    beta sqrt(mu / 2) sqrt(k), and the reflection acts as (-1)^k. Mirror
-    habitats give the symmetric tridiagonal matrix of the reduced form,
-
-        mu (k + 1/2) + beta^2 / 2 + delta (1 - (-1)^k),  off-diagonal beta sqrt(mu k / 2);
-
-    otherwise the two habitats' modes are interleaved (habitat 2 takes
-    -beta) and coupled by -sqrt(d12 d21), the diagonal scaling that makes
-    the full operator symmetric (with d12 d21 = 0 it is block triangular and
-    the zero coupling keeps its spectrum). The constant -max(rmax_i) +
-    (n - 1) mu / 2 is added after the solve, so the rmax and trait-dimension
-    identities hold to rounding. Galerkin values decrease with the basis
+    The smallest eigenvalue of hermite.galerkin's banded matrix in the
+    Hermite functions of width sqrt(mu): tridiagonal for mirror habitats,
+    pentadiagonal with the habitats' modes interleaved otherwise (the same
+    matrix pde.integrate_to decomposes), plus the constant -max(rmax_i) +
+    (n - 1) mu / 2 (hermite.with_constant). Galerkin values decrease with the basis
     size K; K doubles from 32 until two values agree to 1e-13 times the
     largest diagonal entry, and EigenError is raised past K = 8192.
 
     h_target, rungs, tol_domain and richardson set the box ladder only; they
     are accepted for existing callers and do not change the value.
     """
-    mu, beta = params.mu, params.beta
-    d11, d12, d21, d22 = params.migration.rates
-    top = max(params.rmax1, params.rmax2)
-    mirror = isinstance(params.migration, model.Symmetric) and params.rmax1 == params.rmax2
-    prev = math.inf
-    for size in _HERMITE_SIZES:
-        k = np.arange(size)
-        diag = mu * (k + 0.5) + 0.5 * beta * beta
-        off = beta * math.sqrt(0.5 * mu) * np.sqrt(k[1:])
-        if mirror:
-            diag[1::2] += 2.0 * d11
-            lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                   select_range=(0, 0))[0]
-        else:
-            band = np.zeros((3, 2 * size))
-            band[0, 0::2] = diag + (top - params.rmax1) + d11
-            band[0, 1::2] = diag + (top - params.rmax2) + d22
-            band[1, 0::2] = -math.sqrt(d12 * d21)
-            band[2, 0:-2:2] = off
-            band[2, 1:-2:2] = -off
-            diag = band[0]
-            lam = eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
-        if abs(lam - prev) <= 1e-13 * np.abs(diag).max():
-            return float(lam) - top + 0.5 * (params.n - 1) * mu
-        prev = lam
-    raise EigenError(f"Hermite-Galerkin lambda not converged at K = {_HERMITE_SIZES[-1]} "
-                     f"(beta^2 / mu = {beta * beta / mu:.3g} needs a larger basis)")
+    return hermite.with_constant(params, hermite.smallest(params)[0])

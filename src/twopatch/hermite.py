@@ -1,0 +1,192 @@
+"""The Hermite-function basis of width sqrt(mu), in which the growth operator is banded.
+
+phi_k(x) = mu^(-1/4) psi_k(x / sqrt(mu)), with psi_k the orthonormal Hermite
+functions, are the eigenfunctions of -(mu^2 / 2) d^2/dx^2 + x^2 / 2 with
+eigenvalues mu (k + 1/2). Quadratic selection about -beta (habitat 1) and
++beta (habitat 2) adds +-beta x + beta^2 / 2 to that oscillator, and x acts on
+the basis as the tridiagonal position operator
+
+    x phi_k = sqrt(mu) (sqrt((k + 1) / 2) phi_{k+1} + sqrt(k / 2) phi_{k-1}),
+
+so the growth operator that eigen and pde solve is a banded matrix here
+(J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 17;
+J. Shen, T. Tang and L.-L. Wang, Spectral Methods, 2011, ch. 7). The same
+three-term structure gives the integrals of phi_k against 1, x and x^2, the
+coefficients of Gaussian data and the values at points, with no quadrature.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.linalg import eigh_tridiagonal, eigvals_banded
+
+from . import model
+
+# Basis sizes K tried by smallest, doubling up to the cap.
+SIZES = tuple(32 * 2 ** j for j in range(9))  # 32 ... 8192
+
+
+class EigenError(RuntimeError):
+    """Eigensolve failure (non-convergence, non-monotone box ladder, ...)."""
+
+
+def is_mirror(params: model.ModelParams) -> bool:
+    """Symmetric migration and rmax1 == rmax2: the habitats are mirror images."""
+    return isinstance(params.migration, model.Symmetric) and params.rmax1 == params.rmax2
+
+
+def with_constant(params: model.ModelParams, values):
+    """Eigenvalues of galerkin(params, K) shifted to the growth operator's.
+
+    The operator is the band plus (-max(rmax_i) + (n - 1) mu / 2) I; adding
+    the two terms after the solve, in that order, keeps the rmax and
+    trait-dimension identities exact to rounding.
+    """
+    return values - max(params.rmax1, params.rmax2) + 0.5 * (params.n - 1) * params.mu
+
+
+def galerkin(params: model.ModelParams, size: int, even_half: bool = True) -> np.ndarray:
+    """Lower band of the Galerkin matrix of the growth operator, less its
+    constant (see with_constant).
+
+    Mirror habitats (and even_half) give the (2, K) tridiagonal of the
+    operator on the habitat-swap-even half, on which the reflection acts as
+    (-1)^k:
+
+        mu (k + 1/2) + beta^2 / 2 + delta (1 - (-1)^k),  off-diagonal beta sqrt(mu k / 2).
+
+    Otherwise the band is (3, 2K): habitat 1's modes at even indices, habitat
+    2's (which see -beta) at odd ones, each shifted by max(rmax) - rmax_i +
+    d_ii, and coupled by -sqrt(d12 d21). That is D^-1 A D with D = 1 on
+    habitat 1 and sqrt(d21 / d12) on habitat 2, the diagonal scaling that
+    makes A symmetric. With d12 d21 = 0 the coupling is 0: A is block
+    triangular and has the same spectrum.
+    """
+    mu, beta = params.mu, params.beta
+    d11, d12, d21, d22 = params.migration.rates
+    k = np.arange(size)
+    diag = mu * (k + 0.5) + 0.5 * beta * beta
+    off = beta * math.sqrt(0.5 * mu) * np.sqrt(k[1:])
+    if even_half and is_mirror(params):
+        diag[1::2] += 2.0 * d11
+        return np.array([diag, np.append(off, 0.0)])
+    top = max(params.rmax1, params.rmax2)
+    band = np.zeros((3, 2 * size))
+    band[0, 0::2] = diag + (top - params.rmax1) + d11
+    band[0, 1::2] = diag + (top - params.rmax2) + d22
+    band[1, 0::2] = -math.sqrt(d12 * d21)
+    band[2, 0:-2:2] = off
+    band[2, 1:-2:2] = -off
+    return band
+
+
+def smallest(params: model.ModelParams) -> tuple[float, int]:
+    """(smallest eigenvalue of galerkin(params, K), K), at the first K of SIZES
+    whose value agrees with the previous size's to 1e-13 times the largest
+    diagonal entry. Galerkin values decrease with K. Raises EigenError past
+    the last size."""
+    prev = math.inf
+    for size in SIZES:
+        band = galerkin(params, size)
+        if band.shape[0] == 2:
+            lam = eigh_tridiagonal(band[0], band[1, :-1], eigvals_only=True, select="i",
+                                   select_range=(0, 0), check_finite=False)[0]
+        else:
+            lam = eigvals_banded(band, lower=True, select="i", select_range=(0, 0),
+                                 check_finite=False)[0]
+        if abs(lam - prev) <= 1e-13 * np.abs(band[0]).max():
+            return float(lam), size
+        prev = lam
+    raise EigenError(f"Hermite-Galerkin lambda not converged at K = {SIZES[-1]} "
+                     f"(beta^2 / mu = {params.beta ** 2 / params.mu:.3g} needs a larger basis)")
+
+
+def _position(v: np.ndarray, mu: float) -> np.ndarray:
+    """(x v)_k for k < len(v) - 1: x as the symmetric tridiagonal position operator."""
+    k = np.arange(v.size - 1)
+    out = np.sqrt(0.5 * (k + 1)) * v[1:]
+    out[1:] += np.sqrt(0.5 * k[1:]) * v[:-2]
+    return math.sqrt(mu) * out
+
+
+def moments(mu: float, size: int) -> np.ndarray:
+    """(3, K) integrals of phi_k against 1, x and x^2, k < K.
+
+    int phi_0 = sqrt(2) (pi mu)^(1/4), int phi_k = 0 at odd k and
+    int phi_{k+1} = sqrt(k / (k + 1)) int phi_{k-1}; the x and x^2 rows apply
+    the position operator once and twice, so no quadrature enters.
+    """
+    m = np.zeros(size + 2)
+    m[0] = math.sqrt(2.0) * (math.pi * mu) ** 0.25
+    k = np.arange(2, size + 2, 2)
+    m[2::2] = m[0] * np.cumprod(np.sqrt((k - 1) / k))
+    xm = _position(m, mu)
+    return np.array([m[:size], xm[:size], _position(xm, mu)])
+
+
+def basis(size: int, y: np.ndarray) -> np.ndarray:
+    """(len(y), K) values psi_k(y_j), k < K.
+
+    Three-term recurrence psi_{k+1} = sqrt(2 / (k + 1)) y psi_k -
+    sqrt(k / (k + 1)) psi_{k-1}, carried relative to a running scale that
+    starts at e^(-y^2 / 2) and is renormalised every 32 steps, so psi_0 does
+    not underflow to 0 where a higher mode is still large.
+    """
+    y = np.asarray(y, dtype=float)
+    k = np.arange(1, size)
+    up = np.sqrt(2.0 / k)[:, None] * y  # row k - 1: sqrt(2 / k) y
+    down = np.sqrt((k - 1) / k)
+    out = np.empty((size, y.size))
+    out[0] = math.pi ** -0.25
+    log_scale = -0.5 * y * y
+    start = 0  # rows from start on are relative to exp(log_scale)
+    for j in range(1, size):
+        cur = np.multiply(up[j - 1], out[j - 1], out=out[j])
+        if j > 1:
+            cur -= down[j - 1] * out[j - 2]
+        if j % 32 == 0:
+            out[start:j - 1] *= np.exp(log_scale)
+            norm = np.abs(cur) + np.abs(out[j - 1])
+            out[j - 1:j + 1] /= norm
+            log_scale += np.log(norm)
+            start = j - 1
+    out[start:] *= np.exp(log_scale)
+    return out.T
+
+
+def gaussian_coefficients(mu: float, center: float, variance: float, mass: float,
+                          size: int) -> np.ndarray:
+    """Coefficients c_k = int g phi_k, k < K, of g = mass N(center, variance).
+
+    In basis units y = x / sqrt(mu), g is proportional to G(y) =
+    e^(-(y - b)^2 / (2 s2)), b = center / sqrt(mu), s2 = variance / mu. G'
+    = -(y - b) G / s2 with y = (a + a+) / sqrt 2 and d/dy = (a - a+) / sqrt 2
+    (a, a+ the ladder operators, a psi_k = sqrt(k) psi_{k-1}) gives the exact
+    three-term recurrence
+
+        (s2 + 1) sqrt(k + 1) c_{k+1} = sqrt(2) b c_k + (s2 - 1) sqrt(k) c_{k-1},
+
+    from c_0 = pi^(-1/4) sqrt(2 pi s2 / (1 + s2)) e^(-b^2 / (2 (1 + s2))). At
+    variance mu (s2 = 1) it is the closed-form coherent state
+    pi^(1/4) e^(-b^2 / 4) (b / sqrt 2)^k / sqrt(k!), evaluated in logs.
+    """
+    b, s2 = center / math.sqrt(mu), variance / mu
+    scale = mass * mu ** 0.25 / math.sqrt(2.0 * math.pi * variance)
+    if s2 == 1.0:
+        k = np.arange(size)
+        log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+        log_c = 0.25 * math.log(math.pi) - 0.25 * b * b - 0.5 * log_factorial
+        if b == 0.0:
+            return np.where(k == 0, scale * np.exp(log_c), 0.0)
+        return scale * np.sign(b) ** k * np.exp(log_c + k * math.log(abs(b) / math.sqrt(2.0)))
+    c = np.empty(size)
+    c[0] = (math.pi ** -0.25 * math.sqrt(2.0 * math.pi * s2 / (1.0 + s2))
+            * math.exp(-0.5 * b * b / (1.0 + s2)))
+    prev, cur = 0.0, c[0]
+    for k in range(size - 1):
+        prev, cur = cur, ((math.sqrt(2.0) * b * cur + (s2 - 1.0) * math.sqrt(k) * prev)
+                          / ((s2 + 1.0) * math.sqrt(k + 1)))
+        c[k + 1] = cur
+    return scale * c

@@ -1,37 +1,38 @@
 """The two-habitat selection-mutation-migration system, solved exactly in time.
 
-The state is a pair of phenotype densities (u1, u2) on the x1 axis of the
-truncated box. Each density diffuses with coefficient mu**2 / 2 (mutation),
-grows at the axis fitness of fitness_fields (minus the habitat's total mass
-under logistic growth), and exchanges mass with the other habitat through
-migration. Masses and mean fitnesses of the profile are those of the
-n-trait density, which is the profile times N(0, mu I_{n-1}).
+The state is a pair of phenotype densities (u1, u2) on the x1 axis. Each
+density diffuses with coefficient mu**2 / 2 (mutation), grows at the axis
+fitness of fitness_fields (minus the habitat's total mass under logistic
+growth), and exchanges mass with the other habitat through migration.
+Masses and mean fitnesses of the profile are those of the n-trait density,
+which is the profile times N(0, mu I_{n-1}).
 
-The system is du/dt = -A u with A = two_habitat_operator, the sparse matrix
-whose smallest eigenvalue eigen computes; logistic growth subtracts N_i u_i
-in each habitat (N_i the trapezoid-rule mass).
+The system is du/dt = -A u with A the growth operator whose smallest
+eigenvalue eigen computes. integrate_to solves it in free space, in the
+Hermite-function basis of width sqrt(mu) where eigen.lambda_of finds that
+eigenvalue (hermite.galerkin): quadratic selection makes A a K x K
+tridiagonal for mirror-symmetric runs and a 2K-wide pentadiagonal otherwise.
+The solve is exact in time, with no step: the matrix exponential from one
+eigendecomposition of the (diagonally symmetrised) Galerkin matrix, or expm
+under one-way migration. Masses and mean fitnesses are exact integrals of the
+basis, and the initial data are Gaussian bumps (Bump, InitialData), whose
+coefficients follow from an exact recurrence. The grid only says where the
+final state is sampled.
 
-integrate_to solves this system exactly in time, with no time step: the
-linear system by its matrix exponential (an eigendecomposition of the
-diagonally symmetrised A, or expm under one-way migration), logistic growth
-by the rescaling of the Malthusian solution that mirror-symmetric data allow.
-Mirror runs (Symmetric migration, rmax1 = rmax2, u2 = u1 reversed to 1e-12
-of the state's max) stay in the even subspace of the habitat swap
-J(u1, u2) = (rev u2, rev u1), so they decompose the m x m reduced_operator
-that eigen's ladder also assembles, not the 2m x 2m A.
+The box grid's finite-difference operators two_habitat_operator and
+reduced_operator serve the box ladder of eigen.lambda_limit (twopatch eigen).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
-from . import model
+from . import hermite, model
 # laplacian and integrate stay module attributes for bench/tracing.py, which wraps them here.
 from .grid import Field2, Grid, integrate, laplacian  # noqa: F401
 
@@ -103,36 +104,39 @@ def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, n
     return model.fitness(params, 1, x) - load, model.fitness(params, 2, x) - load
 
 
-def gaussian_initial(grid: Grid, center: float, variance: float, mass: float) -> np.ndarray:
-    """Gaussian x1 profile at center, scaled so its trapezoid integral equals mass.
+@dataclass(frozen=True)
+class Bump:
+    """A Gaussian x1 profile: mass times the normal density N(center, variance)."""
 
-    Warns if the center lies outside the box.
-    """
-    if not (variance > 0):
-        raise ValueError(f"variance must be > 0, got {variance!r}")
-    if not (mass > 0):
-        raise ValueError(f"mass must be > 0, got {mass!r}")
-    c = float(center)
-    if abs(c) > grid.L:
-        warnings.warn(f"gaussian_initial center {c} lies outside the box [-{grid.L}, {grid.L}]",
-                      stacklevel=2)
-    g = np.exp(-0.5 * np.square(grid.axis() - c) / variance)
-    z = integrate(grid, g)
-    if z <= 0:
-        raise ValueError("initial bump has zero mass on this grid (variance too small for h?)")
-    return g * (mass / z)
+    center: float
+    variance: float
+    mass: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.center):
+            raise ValueError(f"bump center must be finite, got {self.center!r}")
+        if not (0 < self.variance < math.inf):
+            raise ValueError(f"bump variance must be > 0, got {self.variance!r}")
+        if not (0 < self.mass < math.inf):
+            raise ValueError(f"bump mass must be > 0 (densities are nonnegative), "
+                             f"got {self.mass!r}")
+
+
+@dataclass(frozen=True)
+class InitialData:
+    """Initial densities of integrate_to: each habitat's profile is a sum of bumps."""
+
+    u1: tuple[Bump, ...]
+    u2: tuple[Bump, ...]
 
 
 def diagnostics(params: model.ModelParams, grid: Grid, state: Field2):
-    """(N1, N2, rbar1, rbar2) for a state; rbar of an empty habitat is nan."""
-    obs = _observation(grid, *fitness_fields(params, grid))
-    return tuple(map(float, _observe((obs @ np.concatenate([state.u1, state.u2]))[None])[0]))
-
-
-def _observation(grid: Grid, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """(4, 2m) map from stacked (u1, u2) to (N1, N2, int r1 u1, int r2 u2), trapezoid rule."""
-    w, z = np.r_[0.5, np.ones(grid.m - 2), 0.5] * grid.h, np.zeros(grid.m)
-    return np.array([np.r_[w, z], np.r_[z, w], np.r_[r1 * w, z], np.r_[z, r2 * w]])
+    """(N1, N2, rbar1, rbar2) of a sampled state, by the trapezoid rule; rbar
+    of an empty habitat is nan."""
+    r1, r2 = fitness_fields(params, grid)
+    q = np.array([[integrate(grid, state.u1), integrate(grid, state.u2),
+                   integrate(grid, r1 * state.u1), integrate(grid, r2 * state.u2)]])
+    return tuple(map(float, _observe(q)[0]))
 
 
 def _observe(q: np.ndarray) -> np.ndarray:
@@ -212,26 +216,26 @@ def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, ev
     return ys @ obs.T, ys.__getitem__
 
 
-def _symmetrised(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray,
-                 scale: np.ndarray, logistic: bool):
-    """(records, state) as _one_way returns them, from one eigh of D^-1 a D.
+def _symmetrised(lam: np.ndarray, basis: np.ndarray, scale: np.ndarray, obs: np.ndarray,
+                 y0: np.ndarray, rec: np.ndarray, logistic: bool):
+    """(records, state) as _one_way returns them, from the eigenpairs of D^-1 a D.
 
-    scale is the diagonal of D, which makes D^-1 a D symmetric. In its
-    eigenbasis (lam, Q) the Malthusian state is D Q (e^(-lam t) c), c =
-    Q^T D^-1 y0. The logistic state divides it by 1 + int_0^t N_v1, which is
-    sum_j b_j c_j (1 - e^(-lam_j t)) / lam_j with b the N1 row of obs D Q.
-    e^(-shift t) is factored out of both, shift = min(lam_0, 0), so no
-    logistic term overflows when the Malthusian solution does.
+    scale is the diagonal of D, which makes D^-1 a D symmetric, and (lam,
+    basis) are its eigenvalues and orthonormal eigenvectors Q. The Malthusian
+    state is D Q (e^(-lam t) c), c = Q^T D^-1 y0. The logistic state divides
+    it by 1 + int_0^t N_v1, which is sum_j b_j c_j (1 - e^(-lam_j t)) / lam_j
+    with b the N1 row of obs D Q. e^(-shift t) is factored out of both, shift
+    = min(lam_0, 0), so no logistic term overflows when the Malthusian
+    solution does.
     """
-    lam, basis = np.linalg.eigh(a * np.outer(1.0 / scale, scale))
     c = basis.T @ (y0 / scale)
-    basis *= scale[:, None]  # back-transform: y = basis @ coefficients
+    basis = basis * scale[:, None]  # back-transform: y = basis @ coefficients
     obs_eig = obs @ basis
     shift = min(float(lam[0]), 0.0)
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
-        """(len(t), 2m) eigen-coefficients of the states at times t."""
-        w = np.exp(-np.outer(t, lam - shift)) * c
+    def observe(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """rows (r, size) applied to the states at times t: (len(t), r)."""
+        w = np.exp(-np.outer(t, lam - shift)) @ (rows * c).T
         if not logistic:
             return w * np.exp(-shift * t)[:, None]
         # e^(shift t) (1 - e^(-lam t)) / lam = e^((shift - min(lam, 0)) t) phi(|lam|),
@@ -243,87 +247,176 @@ def _symmetrised(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray
         cum = (np.exp(np.outer(t, shift - np.minimum(lam, 0.0))) * phi) @ (obs_eig[0] * c)
         return w / (np.exp(shift * t) + cum)[:, None]
 
-    return coefficients(rec) @ obs_eig.T, lambda k: basis @ coefficients(rec[k:k + 1])[0]
+    return observe(rec, obs_eig), lambda k: observe(rec[k:k + 1], basis)[0]
 
 
-def integrate_to(params: model.ModelParams, grid: Grid, state0: Field2,
+# Largest Hermite basis integrate_to decomposes: the non-mirror route holds a
+# dense 2K x 2K eigenvector matrix (32 MB at this cap).
+_MAX_SIZE = 1024
+# Relative roundoff of a final state: values below -_ROUNDOFF times its height
+# raise, values below +_ROUNDOFF times it are set to exactly 0.
+_ROUNDOFF = 1e-12
+
+
+def _bump_norm2(bumps: tuple[Bump, ...]) -> float:
+    """Squared L2 norm of a sum of bumps: sum_ij M_i M_j N(c_i - c_j; 0, v_i + v_j)."""
+    return sum(p.mass * q.mass / math.sqrt(2.0 * math.pi * (p.variance + q.variance))
+               * math.exp(-0.5 * (p.center - q.center) ** 2 / (p.variance + q.variance))
+               for p in bumps for q in bumps)
+
+
+def _data_coefficients(mu: float, state0: InitialData, size: int):
+    """(K, c1, c2): K >= size from hermite.SIZES and the habitats' coefficients.
+
+    Each habitat's coefficients are computed to 2K; K is the first size at
+    which the part beyond K is below 1e-13 of the whole (the data have
+    decayed within the basis) and the whole holds the bumps' L2 norm to 1e-12
+    (Parseval, which catches coefficients that underflowed).
+    """
+    def decayed(bumps):
+        c = sum(hermite.gaussian_coefficients(mu, b.center, b.variance, b.mass, 2 * size)
+                for b in bumps)
+        if (np.linalg.norm(c[size:]) <= 1e-13 * np.linalg.norm(c)
+                and abs(c @ c / _bump_norm2(bumps) - 1.0) <= 1e-12):
+            return c[:size]
+        return None
+
+    for size in hermite.SIZES[hermite.SIZES.index(size):]:
+        if size > _MAX_SIZE:
+            break
+        c1 = decayed(state0.u1)
+        c2 = c1 if state0.u2 == state0.u1 else decayed(state0.u2)
+        if c1 is not None and c2 is not None:
+            return size, c1, c2
+    raise ValueError(f"the initial data need more than {_MAX_SIZE} Hermite modes of width "
+                     f"sqrt(mu) = {math.sqrt(mu):.3g} (a bump much narrower than that?)")
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of a lower band."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for j, row in enumerate(band):
+        idx = np.arange(n - j)
+        a[idx + j, idx] = a[idx, idx + j] = row[:n - j]
+    return a
+
+
+def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
                  config: SolverConfig) -> tuple[Trajectory, Field2]:
     """Solve from state0 to t_end exactly in time, recording every record_every.
 
-    Malthusian growth is du/dt = -A u with A = two_habitat_operator, so the
-    solution is exp(-A t) u0 (Moler and Van Loan, Nineteen Dubious Ways to
-    Compute the Exponential of a Matrix, SIAM Review 45, 2003, sections 3
-    and 6). When d12 d21 > 0 or d12 = d21 = 0, D = diag(I, sqrt(d21/d12) I)
-    makes D^-1 A D symmetric: one eigh gives every record as exp(-lambda t)
-    times the initial coefficients, observed through the eigenbasis, and the
-    final state in one more back-transform. One-way migration takes expm.
+    The solve runs in free space, in the basis phi_k(x) = mu^(-1/4)
+    psi_k(x / sqrt(mu)) of hermite: K is the size at which eigen.lambda_of's
+    value converges, doubled further until the data's coefficients have
+    decayed within it. Malthusian growth is du/dt = -A u, so the solution is
+    exp(-A t) u0 (Moler and Van Loan, Nineteen Dubious Ways to Compute the
+    Exponential of a Matrix, SIAM Review 45, 2003, sections 3 and 6), with A
+    the Galerkin matrix of hermite.galerkin:
 
-    Mirror data under Symmetric migration with rmax1 = rmax2 (u2 = u1
-    reversed, to 1e-12 of the state's max) take the m x m reduced_operator
-    on the habitat-swap-even half (u1 + rev u2) / 2 instead, and return
-    the final state (u, rev u): N1 == N2, rbar1 == rbar2 and u2 == rev u1
-    bitwise from record 1 on.
+    - mirror runs (Symmetric migration, rmax1 = rmax2, u2's coefficients
+      those of u1 reversed to 1e-12) stay on the habitat-swap-even half: one
+      eigh_tridiagonal of the K x K matrix, and the final state is (u, rev u),
+      so N1 == N2, rbar1 == rbar2 and u2 == rev u1 bitwise from record 1 on;
+    - other runs with d12 d21 > 0 or d12 = d21 = 0 decompose the 2K
+      pentadiagonal, symmetrised by D = diag(1, sqrt(d21 / d12)) per mode;
+    - one-way migration, whose matrix is block triangular and, for mirror
+      habitats, defective, takes expm of the 2K matrix.
 
-    Logistic growth (Symmetric migration, rmax1 = rmax2) needs mirror data,
-    so N1 = N2 and u = v / (1 + int_0^t N_v1) with v the Malthusian
-    solution; the integral is closed form in the eigenbasis.
+    Every record is exp(-lambda t) times the initial coefficients, observed
+    through exact integrals of the basis (hermite.moments). Logistic growth
+    (Symmetric migration, rmax1 = rmax2) needs mirror data, so N1 = N2 and u
+    = v / (1 + int_0^t N_v1) with v the Malthusian solution; the integral is
+    closed form in the eigenbasis.
 
-    Returns the trajectory and the final state. The run stops early, with
-    trajectory.extinct set, at the first record below extinction_rel times
-    the initial mass, in that record's state. Record 0 and the t_end = 0
-    final state are the input itself.
+    The final state is the sum of the basis at the grid's nodes. Its height is
+    the larger of its maximum at the nodes and its L2 norm times mu^(-1/4),
+    the height of a bump of that norm and width sqrt(mu), which nodes outside
+    the state's bulk do not underestimate. Values below -1e-12 times the
+    height raise SolverError; values below +1e-12 times it carry no digit of
+    the density, which is positive, and are set to exactly 0. The grid only
+    samples the state; the run does not depend on it. The run stops early,
+    with trajectory.extinct set, at the first record below extinction_rel
+    times the initial mass, in that record's state. Record 0 holds the input's
+    masses, and the t_end = 0 final state is the input at the nodes.
 
     Raises:
-        ValueError: negative or empty initial habitat, mismatched shapes, or
-            logistic growth from data that is not mirror-symmetric.
-        SolverError: a non-finite record or state (float64 overflow), or a
-            final state more negative than roundoff (-1e-12 of its maximum).
+        TypeError: state0 is not InitialData.
+        ValueError: a habitat without bumps, logistic growth from data that is
+            not mirror-symmetric, or data that need more than 1024 modes.
+        SolverError: a non-finite record or state (float64 overflow), a basis
+            above 1024 modes, or a final state more negative than roundoff.
+        EigenError: K not converged (as in eigen.lambda_of).
     """
-    if state0.u1.shape != grid.shape:
-        raise ValueError(f"state shape {state0.u1.shape} does not match grid shape {grid.shape}")
-    obs = _observation(grid, *fitness_fields(params, grid))
-    y0 = np.concatenate([np.asarray(state0.u1, dtype=float), np.asarray(state0.u2, dtype=float)])
-    if np.any(y0 < 0):
-        raise ValueError("initial densities must be nonnegative")
-    q0 = obs @ y0  # raw record 0: (N1, N2, int r1 u1, int r2 u2)
-    if q0[0] <= 0 or q0[1] <= 0:
-        raise ValueError(f"initial mass must be positive in each habitat, got N1={q0[0]}, N2={q0[1]}")
-    m = grid.m
-    mirror = (isinstance(params.migration, model.Symmetric) and params.rmax1 == params.rmax2
-              and np.max(np.abs(y0[m:] - y0[:m][::-1])) <= 1e-12 * np.max(y0))
+    if not isinstance(state0, InitialData):
+        raise TypeError(f"state0 must be InitialData (Gaussian bumps), "
+                        f"got {type(state0).__name__}")
+    if not state0.u1 or not state0.u2:
+        raise ValueError("initial mass must be positive in each habitat: "
+                         "give each at least one bump")
+    mu = params.mu
+    _, size = hermite.smallest(params)
+    if size > _MAX_SIZE:
+        raise SolverError(f"the solve needs {size} Hermite modes, more than {_MAX_SIZE} "
+                          f"(beta^2 / mu = {params.beta ** 2 / mu:.3g})")
+    size, c1, c2 = _data_coefficients(mu, state0, size)
+    sign = (-1.0) ** np.arange(size)
+    mirror = hermite.is_mirror(params) and (np.abs(c2 - sign * c1).max()
+                                            <= 1e-12 * max(np.abs(c1).max(), np.abs(c2).max()))
     logistic = params.growth == model.GROWTH_LOGISTIC
     if logistic and not mirror:
         raise ValueError("logistic growth needs mirror-symmetric data (u2 = u1 reversed)")
 
+    # Rows (N1, N2, int r1 u1, int r2 u2) of the stacked coefficients (c1, c2).
+    m0, m1, m2 = hermite.moments(mu, size)
+    load, beta = 0.5 * (params.n - 1) * mu, params.beta
+    w1 = (params.rmax1 - load - 0.5 * beta * beta) * m0 - beta * m1 - 0.5 * m2
+    w2 = (params.rmax2 - load - 0.5 * beta * beta) * m0 + beta * m1 - 0.5 * m2
+    obs = np.zeros((4, 2 * size))
+    obs[0, :size], obs[1, size:], obs[2, :size], obs[3, size:] = m0, m0, w1, w2
+    q0 = obs @ np.concatenate([c1, c2])  # raw record 0
+
     # Record times: 0, the cadence grid and t_end itself.
-    rec = np.r_[np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end]
+    rec = np.append(np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end)
     _, d12, d21, _ = params.migration.rates
+    band = hermite.galerkin(params, size, even_half=mirror)
 
     # Overflow leaves inf or nan behind, and raises SolverError below.
     with np.errstate(over="ignore", invalid="ignore"):
         if mirror:
-            # the J-even half v: data (u1 + rev u2) / 2, state (v, rev v)
-            q, state = _symmetrised(reduced_operator(params, grid).toarray(),
-                                    obs[:, :m] + obs[:, m:][:, ::-1],
-                                    0.5 * (y0[:m] + y0[m:][::-1]), rec, np.ones(m), logistic)
+            # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
+            # with the reflection P = diag((-1)^k)
+            lam, vecs = eigh_tridiagonal(band[0], band[1, :-1], check_finite=False)
+            q, state = _symmetrised(hermite.with_constant(params, lam), vecs, np.ones(size),
+                                    obs[:, :size] + obs[:, size:] * sign,
+                                    0.5 * (c1 + sign * c2), rec, logistic)
         else:
-            a = two_habitat_operator(params, grid).toarray()
+            # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones
+            obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
+            y0 = np.ravel([c1, c2], order="F")
             if (d12 == 0) != (d21 == 0):
+                a = _dense(band) + hermite.with_constant(params, 0.0) * np.eye(2 * size)
+                k = np.arange(size)
+                a[2 * k, 2 * k + 1], a[2 * k + 1, 2 * k] = -d12, -d21
                 q, state = _one_way(a, obs, y0, rec, config.record_every)
             else:
-                scale = np.repeat([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], m)
-                q, state = _symmetrised(a, obs, y0, rec, scale, logistic)
+                lam, vecs = eig_banded(band, lower=True, check_finite=False)
+                scale = np.tile([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], size)
+                q, state = _symmetrised(hermite.with_constant(params, lam), vecs, scale, obs, y0,
+                                        rec, logistic)
         q[0] = q0
         low = np.flatnonzero(q[:, 0] + q[:, 1] < config.extinction_rel * (q0[0] + q0[1]))
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
-        y = y0.copy() if end == 0 else state(end)
+        coef = np.column_stack([c1, c2]) if end == 0 else state(end).reshape(size, -1)
+        u = hermite.basis(size, grid.axis() / math.sqrt(mu)) @ coef * mu ** -0.25
         if mirror and end > 0:
-            y = np.r_[y, y[::-1]]
-    if not (np.isfinite(q).all() and np.isfinite(y).all()):
+            u = np.column_stack([u[:, 0], u[::-1, 0]])
+    if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
-    if y.min() < -1e-12 * y.max():
-        raise SolverError(f"final state dips to {y.min():.3g} (max {y.max():.3g}), beyond roundoff")
-    np.maximum(y, 0.0, out=y)
+    top = max(u.max(), np.linalg.norm(coef) * mu ** -0.25)
+    if u.min() < -_ROUNDOFF * top:
+        raise SolverError(f"final state dips to {u.min():.3g} (height {top:.3g}), beyond roundoff")
+    u[u < _ROUNDOFF * top] = 0.0
     traj = Trajectory(rec[:end + 1].copy(), *_observe(q).T.copy(), extinct=low.size > 0)
-    return traj, Field2(*y.reshape(2, -1).copy())
+    return traj, Field2(u[:, 0].copy(), u[:, 1].copy())

@@ -1,8 +1,9 @@
-"""The names bench/tracing.py wraps, and the eigen counters it derives from them.
+"""The names bench/tracing.py wraps, and the counters it derives from them.
 
 The benchmark traces twopatch from outside the package by module attribute,
 so renaming or removing a traced function breaks it without failing any
-other test. This runs `twopatch eigen` under the benchmark's own tracer.
+other test. These run `twopatch eigen` and `twopatch solve` under the
+benchmark's own tracer.
 """
 
 import importlib
@@ -28,3 +29,16 @@ def test_traced_sites_resolve_and_eigen_counts_one_factorisation_per_solve(tmp_p
     assert metrics["eigen.principal_eigenpair.calls"] > 0
     assert metrics["eigen.splu_per_solve"] == 1.0
     assert metrics["eigen.iterations"] > 0
+
+
+def test_cmd_solve_records_one_integrate_to_span(tmp_path):
+    # the dynamics workload reads its PDE spans off pde.integrate_to: a
+    # rename of that function, or a solve that bypasses the traced name,
+    # would leave those metrics at 0 without any error
+    tracer = tracing.Tracer()
+    config = cli.ExperimentConfig(n=1, t_end=10.0, L=3.0, m=49)
+    with tracer.installed():
+        cli.cmd_solve(config, str(tmp_path))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("pde.integrate_to") == 1
+    assert names.count("cli.cmd_solve") == 1

@@ -171,7 +171,7 @@ def savetxt_outputs(cfg):
     np.indices of all m^n nodes: the reference for cmd_solve's writers."""
     params = cli.to_model_params(cfg)
     grid = cli.grid_for(cfg, params)
-    traj, final = cli.integrate_to(params, grid, cli.initial_state(cfg, params, grid),
+    traj, final = cli.integrate_to(params, grid, cli.initial_state(cfg, params),
                                    cli.solver_config(cfg))
     buf = io.StringIO()
     buf.write(f"# n={grid.n} L={cli._fmt(grid.L)} m={grid.m} h={cli._fmt(grid.h)}\n")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import expm_multiply
+import scipy.linalg
 
-from twopatch import eigen, model, pde
+import oracle
+from twopatch import cli, eigen, hermite, model, pde
 from twopatch.grid import Field2, build_grid, integrate, laplacian
+from twopatch.pde import Bump, InitialData
 
 
 def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
@@ -16,31 +18,39 @@ def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
 def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN, n=1):
     p = small_params(delta=delta, growth=growth, n=n)
     g = build_grid(n, 4.0, 81)
-    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
-    return p, g, Field2(u, u.copy())
+    bump = (Bump(0.0, 0.1, 1.0),)
+    return p, g, InitialData(bump, bump)
 
 
-def test_gaussian_initial_mass_and_validation():
-    g = build_grid(2, 3.0, 41)
-    u = pde.gaussian_initial(g, 0.5, 0.2, 7.0)
-    assert u.shape == (41,)
-    assert integrate(g, u) == pytest.approx(7.0, rel=1e-12)
-    assert abs(g.axis()[np.argmax(u)] - 0.5) <= 0.5 * g.h  # profile along x1
+def test_bump_coefficients_carry_the_mass_and_bumps_validate():
+    # a bump's Hermite coefficients carry its mass exactly, at the basis
+    # variance (closed form) and at any other (Gauss-Hermite quadrature)
+    mu = 0.2
+    m0 = hermite.moments(mu, 128)[0]
+    for variance in (mu, 0.05, 0.2 + 1e-9, 0.5):
+        c = hermite.gaussian_coefficients(mu, 0.5, variance, 7.0, 128)
+        assert c @ m0 == pytest.approx(7.0, rel=1e-12)
     with pytest.raises(ValueError, match="variance"):
-        pde.gaussian_initial(g, 0.0, 0.0, 1.0)
+        Bump(0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="mass"):
-        pde.gaussian_initial(g, 0.0, 0.2, -1.0)
+        Bump(0.0, 0.2, -1.0)
+    with pytest.raises(ValueError, match="center"):
+        Bump(math.nan, 0.2, 1.0)
 
 
-def test_gaussian_initial_warns_outside_box():
+def test_bump_outside_the_sampling_box_keeps_its_mass():
+    # the solve is in free space: the grid only samples the final state
+    p = small_params()
     g = build_grid(1, 2.0, 21)
-    with pytest.warns(UserWarning, match="outside the box"):
-        pde.gaussian_initial(g, 5.0, 0.5, 1.0)
+    far = (Bump(5.0, p.mu, 1.0),)
+    traj, final = pde.integrate_to(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
+    assert traj.N1[0] == pytest.approx(1.0, rel=1e-12)
+    assert final.u1.max() < 1e-9
 
 
 def test_diagnostics_empty_habitat_is_nan_not_zero_division():
     p, g, _ = small_setup()
-    u = pde.gaussian_initial(g, 0.0, 0.1, 2.0)
+    u = oracle.gaussian(g.axis(), (Bump(0.0, 0.1, 2.0),))
     n1, n2, rb1, rb2 = pde.diagnostics(p, g, Field2(np.zeros(g.shape), u))
     assert n1 == 0.0
     assert n2 == pytest.approx(2.0, rel=1e-12)
@@ -79,20 +89,19 @@ def test_rhs_habitats_decouple_without_migration():
 
 
 def assert_matches_exact_propagator(p, g, s0, cfg):
-    """integrate_to against exp(-A t) u0 of the assembled operator, the exact
-    propagator of the discrete Malthusian system; returns the run and the
-    exact states at the record times."""
+    """integrate_to against the oracle's dense expm of the Galerkin matrix,
+    the exact propagator of the Malthusian system in the Hermite basis;
+    returns the run and the oracle's coefficients at the record times."""
     traj, final = pde.integrate_to(p, g, s0, cfg)
-    a = eigen.assemble_full(p, g).matrix
-    exact = expm_multiply(-a, np.concatenate([s0.u1, s0.u2]), start=0.0, stop=cfg.t_end,
-                          num=len(traj.t), endpoint=True)
-    n1 = [integrate(g, y[:g.m]) for y in exact]
-    n2 = [integrate(g, y[g.m:]) for y in exact]
-    np.testing.assert_allclose(traj.N1, n1, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(traj.N2, n2, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), exact[-1],
-                               rtol=0, atol=1e-9 * exact[-1].max())
-    return traj, final, exact
+    exact = oracle.Solve(p, s0)
+    coef = exact.trajectory(traj.t)
+    want = np.array([exact.observe(c) for c in coef])
+    np.testing.assert_allclose(traj.N1, want[:, 0], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(traj.N2, want[:, 1], rtol=1e-9, atol=0)
+    u = np.concatenate(exact.state(coef[-1], g.axis()))
+    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), u,
+                               rtol=0, atol=1e-9 * u.max())
+    return traj, final, coef
 
 
 @pytest.mark.parametrize("migration", [
@@ -105,41 +114,45 @@ def assert_matches_exact_propagator(p, g, s0, cfg):
 def test_integrate_to_matches_exact_propagator_with_general_migration(migration):
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5, migration=migration)
     g = build_grid(1, 3.0, 41)
-    u1 = pde.gaussian_initial(g, -0.5, 0.1, 1.0)
-    u2 = pde.gaussian_initial(g, 0.5, 0.1, 2.0)
+    s0 = InitialData((Bump(-0.5, 0.1, 1.0),), (Bump(0.5, 0.1, 2.0),))
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
-    _, _, exact = assert_matches_exact_propagator(p, g, Field2(u1, u2), cfg)
-    assert np.abs(exact[-1] - exact[0]).max() > 0.5 * exact[0].max()  # far from its start
+    _, _, coef = assert_matches_exact_propagator(p, g, s0, cfg)
+    assert np.abs(coef[-1] - coef[0]).max() > 0.5 * np.abs(coef[0]).max()  # far from its start
 
 
 def spy_on_symmetrised(monkeypatch):
-    """The sizes of the matrices integrate_to hands to _symmetrised."""
+    """The sizes of the eigenbases integrate_to hands to _symmetrised."""
     sizes = []
     inner = pde._symmetrised
 
-    def spy(a, *args):
-        sizes.append(a.shape[0])
-        return inner(a, *args)
+    def spy(lam, basis, *args):
+        sizes.append(basis.shape[0])
+        return inner(lam, basis, *args)
 
     monkeypatch.setattr(pde, "_symmetrised", spy)
     return sizes
+
+
+def basis_size(p, s0):
+    """The K integrate_to chooses: lambda_of's, doubled until the data decay in it."""
+    return pde._data_coefficients(p.mu, s0, hermite.smallest(p)[1])[0]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("initial", ["origin", "spread"])
 def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
     # Symmetric migration, rmax1 = rmax2 and mirror data: the solve runs on
-    # the m-node habitat-swap-even half and returns (u, rev u)
+    # the habitat-swap-even half, K x K, and returns (u, rev u)
     p = small_params(delta=0.3, rmax=0.6, n=n)
     g = build_grid(n, 3.0, 41)
-    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
-    if initial == "spread":  # three bumps: u2 = u1 is u1 reversed only up to roundoff
-        u = u + pde.gaussian_initial(g, -p.beta, 0.1, 1.0) + pde.gaussian_initial(g, p.beta, 0.1, 1.0)
-        assert not np.array_equal(u, u[::-1])
+    bumps = (Bump(0.0, 0.1, 1.0),)
+    if initial == "spread":  # three bumps: u2's coefficients are u1's reversed up to roundoff
+        bumps += (Bump(-p.beta, 0.1, 1.0), Bump(p.beta, 0.1, 1.0))
+    s0 = InitialData(bumps, bumps)
     sizes = spy_on_symmetrised(monkeypatch)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
-    traj, final, _ = assert_matches_exact_propagator(p, g, Field2(u, u.copy()), cfg)
-    assert sizes == [g.m]
+    traj, final, _ = assert_matches_exact_propagator(p, g, s0, cfg)
+    assert sizes == [basis_size(p, s0)]
     assert abs(traj.N1[-1] / traj.N1[0] - 1) > 0.1  # far from its start
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
@@ -149,12 +162,11 @@ def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
 def test_equal_peaks_with_unmirrored_data_take_the_full_route(monkeypatch):
     p = small_params(delta=0.3)
     g = build_grid(1, 3.0, 41)
-    u1 = pde.gaussian_initial(g, -0.5, 0.1, 1.0)
-    u2 = pde.gaussian_initial(g, 0.5, 0.1, 2.0)
+    s0 = InitialData((Bump(-0.5, 0.1, 1.0),), (Bump(0.5, 0.1, 2.0),))
     sizes = spy_on_symmetrised(monkeypatch)
     traj, _, _ = assert_matches_exact_propagator(
-        p, g, Field2(u1, u2), pde.SolverConfig(t_end=10.0, record_every=0.5))
-    assert sizes == [2 * g.m]
+        p, g, s0, pde.SolverConfig(t_end=10.0, record_every=0.5))
+    assert sizes == [2 * basis_size(p, s0)]
     assert abs(traj.N2[-1] - traj.N1[-1]) > 1e-3 * traj.N1[-1]
 
 
@@ -164,47 +176,49 @@ def test_one_way_remainder_within_roundoff_reuses_the_cadence_propagator(monkeyp
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
                           migration=model.General(0.3, 0.0, 0.2, 0.7))
     g = build_grid(1, 3.0, 41)
-    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
+    bump = (Bump(0.0, 0.1, 1.0),)
     calls = []
     inner = pde.expm
     monkeypatch.setattr(pde, "expm", lambda a: calls.append(a) or inner(a))
     cfg = pde.SolverConfig(t_end=1.0, record_every=0.1)
-    traj, _, _ = assert_matches_exact_propagator(p, g, Field2(u, u.copy()), cfg)
+    traj, _, _ = assert_matches_exact_propagator(p, g, InitialData(bump, bump), cfg)
     assert len(traj.t) == 11 and traj.t[-1] - traj.t[-2] != 0.1
     assert len(calls) == 1
 
 
 def test_logistic_run_matches_high_order_integration():
     # the eigenbasis rescaling against a tight general-purpose integration
-    # of the logistic right-hand side
+    # of the logistic right-hand side, in the oracle's coefficients (stiff:
+    # the top modes decay at mu K, so an implicit method)
     from scipy.integrate import solve_ivp
     p, g, s0 = small_setup(delta=0.3, growth=model.GROWTH_LOGISTIC)
     cfg = pde.SolverConfig(t_end=20.0, record_every=1.0)
     traj, final = pde.integrate_to(p, g, s0, cfg)
-    gen = -pde.two_habitat_operator(p, g)
-    w = np.r_[0.5, np.ones(g.m - 2), 0.5] * g.h  # trapezoid weights of N_i
+    exact = oracle.Solve(p, s0)
+    size = exact.size
 
-    def rhs(t, y):
-        u = y.reshape(2, -1)
-        return ((gen @ y).reshape(2, -1) - (u @ w)[:, None] * u).ravel()
+    def rhs(t, c):
+        n = np.repeat([exact.mass @ c[:size], exact.mass @ c[size:]], size)
+        return -(exact.a @ c) - n * c
 
-    sol = solve_ivp(rhs, (0.0, cfg.t_end),
-                    np.concatenate([s0.u1, s0.u2]), method="DOP853", t_eval=traj.t,
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), exact.c0, method="Radau", t_eval=traj.t,
                     rtol=1e-11, atol=1e-14)
     assert sol.success
-    want = np.array([pde.diagnostics(p, g, Field2(*y.reshape(2, -1))) for y in sol.y.T])
+    want = np.array([exact.observe(c) for c in sol.y.T])
     assert traj.N1[-1] < 0.2 * traj.N1[0]  # the mass term pulls N to its plateau
     for k, col in enumerate((traj.N1, traj.N2, traj.rbar1, traj.rbar2)):
         np.testing.assert_allclose(col, want[:, k], rtol=1e-8, atol=0)
-    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), sol.y[:, -1],
-                               rtol=0, atol=1e-8 * sol.y[:, -1].max())
+    u = np.concatenate(exact.state(sol.y[:, -1], g.axis()))
+    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), u,
+                               rtol=0, atol=1e-8 * u.max())
 
 
 def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow():
     # the Malthusian solution overflows float64 long before t_end, but the
-    # logistic one is its rescaling and settles at N1 = N2 = -lambda of A
+    # logistic one is its rescaling and settles at N1 = N2 = -lambda, the
+    # principal eigenvalue of the basis lambda_of solves in
     p, g, s0 = small_setup(delta=0.3, growth=model.GROWTH_LOGISTIC)
-    lam0 = float(np.linalg.eigvalsh(pde.two_habitat_operator(p, g).toarray())[0])
+    lam0 = eigen.lambda_of(p)
     assert -lam0 * 10000.0 > 710.0  # exp(-lambda t_end) is beyond float64
     traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=500.0))
     assert traj.N1[-1] == pytest.approx(-lam0, rel=1e-9)
@@ -214,16 +228,17 @@ def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow():
 
 def test_logistic_needs_mirror_symmetric_data():
     p, g, s0 = small_setup(growth=model.GROWTH_LOGISTIC)
+    half = (Bump(0.0, 0.1, 0.5),)
     with pytest.raises(ValueError, match="mirror"):
-        pde.integrate_to(p, g, Field2(s0.u1, 0.5 * s0.u2), pde.SolverConfig(t_end=1.0))
+        pde.integrate_to(p, g, InitialData(s0.u1, half), pde.SolverConfig(t_end=1.0))
 
 
 def test_float64_overflow_raises_solver_error():
     p = small_params(rmax=50.0)
     g = build_grid(1, 4.0, 81)
-    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
+    bump = (Bump(0.0, 0.1, 1.0),)
     with pytest.raises(pde.SolverError, match="overflow"):
-        pde.integrate_to(p, g, Field2(u, u.copy()), pde.SolverConfig(t_end=300.0))
+        pde.integrate_to(p, g, InitialData(bump, bump), pde.SolverConfig(t_end=300.0))
 
 
 def test_integrate_to_records_on_cadence():
@@ -236,15 +251,17 @@ def test_integrate_to_records_on_cadence():
 
 
 def test_integrate_to_t_end_zero_records_initial_row_only():
+    # the final state is the input's bumps at the nodes, to the roundoff floor
     p, g, s0 = small_setup()
     traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=0.0))
     assert list(traj.t) == [0.0]
-    np.testing.assert_array_equal(final.u1, s0.u1)
+    u = oracle.gaussian(g.axis(), s0.u1)
+    np.testing.assert_allclose(final.u1, u, rtol=0, atol=1e-12 * u.max())
 
 
 def test_mass_balance_matches_mean_fitness():
     # with symmetric migration the exchange cancels in the total, so
-    # d(N1+N2)/dt = rbar1*N1 + rbar2*N2 up to boundary leakage
+    # d(N1+N2)/dt = rbar1*N1 + rbar2*N2 (free space: nothing leaks)
     p, g, s0 = small_setup(delta=0.4)
     cfg = pde.SolverConfig(t_end=3.0, record_every=0.25)
     traj, _ = pde.integrate_to(p, g, s0, cfg)
@@ -295,9 +312,9 @@ def test_logistic_rescaling_of_malthusian_run():
 def test_extinction_flag_on_decaying_run():
     p = small_params(delta=0.05, rmax=-2.0)
     g = build_grid(1, 4.0, 81)
-    u = pde.gaussian_initial(g, 0.0, 0.1, 1.0)
+    bump = (Bump(0.0, 0.1, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=1.0, extinction_rel=1e-6)
-    traj, final = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
     assert traj.n_total()[-1] < 1e-6 * 2.0
@@ -309,9 +326,9 @@ def test_extinction_flag_on_decaying_run():
     p = model.ModelParams(n=1, mu=0.2, rmax1=-0.5, rmax2=-0.5, beta=0.5,
                           migration=model.General(0.1, 0.05, 0.2, 0.3))
     g = build_grid(1, 3.0, 41)
-    u = pde.gaussian_initial(g, 0.0, 0.2, 1.0)
+    bump = (Bump(0.0, 0.2, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=0.1, extinction_rel=1e-6)
-    traj, final = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert final.u1.min() >= 0.0 and final.u2.min() >= 0.0
 
@@ -345,13 +362,23 @@ def test_fitness_fields_carry_the_transverse_load():
 def test_initial_state_validation():
     p, g, s0 = small_setup()
     cfg = pde.SolverConfig(t_end=1.0)
-    bad = Field2(-s0.u1, s0.u2)
     with pytest.raises(ValueError, match="nonnegative"):
-        pde.integrate_to(p, g, bad, cfg)
+        InitialData((Bump(0.0, 0.1, -1.0),), s0.u2)
     with pytest.raises(ValueError, match="positive in each habitat"):
-        pde.integrate_to(p, g, Field2(np.zeros(g.shape), s0.u2), cfg)
-    with pytest.raises(ValueError, match="does not match"):
-        pde.integrate_to(p, build_grid(1, 4.0, 41), s0, cfg)
+        pde.integrate_to(p, g, InitialData((), s0.u2), cfg)
+    # a bump far narrower than the basis width sqrt(mu) needs too many modes
+    needle = (Bump(0.0, 1e-6, 1.0),)
+    with pytest.raises(ValueError, match="Hermite modes"):
+        pde.integrate_to(p, g, InitialData(needle, needle), cfg)
+    # grid samples are not initial data: the solve takes only analytic bumps
+    u = oracle.gaussian(g.axis(), s0.u1)
+    with pytest.raises(TypeError, match="InitialData"):
+        pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    # optima 57 basis widths apart need 2048 modes, above the solve's cap
+    far = model.ModelParams(n=1, mu=0.01, rmax1=0.1, rmax2=0.1, beta=math.sqrt(8.0),
+                            migration=model.Symmetric(0.05))
+    with pytest.raises(pde.SolverError, match="2048 Hermite modes"):
+        pde.integrate_to(far, g, s0, cfg)
 
 
 def test_solver_config_validation():
@@ -368,9 +395,95 @@ def test_growth_rate_approaches_principal_eigenvalue():
     p = small_params(delta=0.3)
     lam = eigen.lambda_of(p)
     g = build_grid(1, 5.0, 161)
-    u = pde.gaussian_initial(g, 0.0, p.mu, 1.0)
+    bump = (Bump(0.0, p.mu, 1.0),)
     cfg = pde.SolverConfig(t_end=30.0, record_every=1.0)
-    traj, _ = pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+    traj, _ = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
     tail = traj.t >= 15.0
     slope = np.polyfit(traj.t[tail], np.log(traj.n_total()[tail]), 1)[0]
     assert slope == pytest.approx(-lam, rel=2e-3)
+
+
+def test_late_log_mass_slope_matches_lambda_to_1e6():
+    # the late slope of ln N is -lambda up to the next mode's share, which
+    # decays as exp(-gap t); from t = 30 / gap that share is below e^-30
+    # (1e-13), so the fitted slope must match lambda_of to 1e-6
+    p = small_params(delta=0.3)
+    lam = eigen.lambda_of(p)
+    band = hermite.galerkin(p, hermite.smallest(p)[1])
+    even = scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1])
+    gap = even[1] - even[0]  # mirror data stay in the habitat-swap-even modes
+    t_from = 30.0 / gap
+    bump = (Bump(0.3, 0.1, 1.0),)  # off-centre: every even mode starts excited
+    cfg = pde.SolverConfig(t_end=2.0 * t_from, record_every=t_from / 20.0)
+    traj, _ = pde.integrate_to(p, build_grid(1, 4.0, 81), InitialData(bump, bump[::-1]), cfg)
+    tail = traj.t >= t_from
+    slope = np.polyfit(traj.t[tail], np.log(traj.n_total()[tail]), 1)[0]
+    assert slope == pytest.approx(-lam, rel=1e-6)
+
+
+def default_solve(monkeypatch=None, factor=1):
+    """The CLI's default solve, with the basis enlarged by factor."""
+    config = cli.ExperimentConfig()
+    params = cli.to_model_params(config)
+    if monkeypatch is not None:
+        inner = hermite.smallest
+        monkeypatch.setattr(hermite, "smallest",
+                            lambda p: (inner(p)[0], factor * inner(p)[1]))
+    return pde.integrate_to(params, cli.grid_for(config, params),
+                            cli.initial_state(config, params), cli.solver_config(config))
+
+
+def test_default_solve_agrees_across_two_basis_doublings(monkeypatch):
+    traj, final = default_solve()
+    assert traj.n_total()[-1] == pytest.approx(49.4602, abs=5e-5)
+    for factor in (2, 4):
+        wide, wide_final = default_solve(monkeypatch, factor)
+        np.testing.assert_allclose(wide.n_total(), traj.n_total(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(wide_final.u1, final.u1, rtol=0, atol=1e-12 * final.u1.max())
+
+
+def test_final_state_below_the_roundoff_floor_is_exactly_zero():
+    # the truncated Hermite sum dips to roundoff (-1e-31 and below) at the
+    # box edge; integrate_to prints those nodes as exact zeros
+    _, final = default_solve()
+    u = final.u1
+    assert (u == 0.0).any()
+    assert not ((u > 0.0) & (u < 1e-12 * u.max())).any()
+    assert u.min() == 0.0
+    np.testing.assert_array_equal(final.u2, final.u1[::-1])
+
+
+def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
+    # the grid only samples the final state: a 4097-node axis costs no m x m matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_to assembled a finite-difference operator")
+
+    for name in ("two_habitat_operator", "reduced_operator", "neg_laplacian_matrix"):
+        monkeypatch.setattr(pde, name, refuse)
+    config = cli.ExperimentConfig(m=4097)
+    params = cli.to_model_params(config)
+    traj, final = pde.integrate_to(params, cli.grid_for(config, params),
+                                   cli.initial_state(config, params), cli.solver_config(config))
+    assert final.u1.shape == (4097,)
+    assert traj.n_total()[-1] == pytest.approx(default_solve()[0].n_total()[-1], rel=1e-14)
+
+
+def fd_total_mass(p, bumps, t, h, L=4.0):
+    """N1 + N2 at t of the mirror finite-difference solve on [-L, L] at spacing h:
+    dense expm of pde.reduced_operator, data sampled at the nodes, trapezoid mass."""
+    g = build_grid(p.n, L, int(round(2 * L / h)) + 1)
+    propagator = scipy.linalg.expm(-t * pde.reduced_operator(p, g).toarray())
+    return 2.0 * integrate(g, propagator @ oracle.gaussian(g.axis(), bumps))
+
+
+def test_finite_difference_solve_converges_to_the_hermite_solve_at_second_order():
+    # an independent route to the dynamics: the box's second-order finite
+    # differences approach the Hermite solve as h^2, about 4x per halving
+    config = cli.ExperimentConfig(t_end=20.0, record_every=20.0)
+    p = cli.to_model_params(config)
+    data = cli.initial_state(config, p)
+    traj, _ = pde.integrate_to(p, cli.grid_for(config, p), data, cli.solver_config(config))
+    errors = [abs(fd_total_mass(p, data.u1, 20.0, h) - traj.n_total()[-1])
+              for h in (1 / 16, 1 / 32, 1 / 64)]
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(3.6 < r < 4.4 for r in ratios), (errors, ratios)

@@ -1,0 +1,72 @@
+"""Seeded property checks over sampled parameter sets.
+
+Each check holds for every model, so it runs on parameter sets drawn by
+numpy's default_rng from a fixed seed: the sets are the same on every run,
+and a failure names the set. The identities are exact up to rounding:
+
+- at m_D = 0, lambda = -rmax + n mu / 2;
+- raising rmax by c lowers lambda by c;
+- n traits add (n - 1) mu / 2 to the one-trait lambda;
+- at m_D = 0 the PDE mass from the basis-width bump grows at -lambda exactly;
+- mirror runs give N1 == N2 bitwise.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from twopatch import eigen, model, pde
+from twopatch.grid import build_grid
+from twopatch.pde import Bump, InitialData
+
+SETS = 20
+
+
+def sampled_params():
+    """SETS mirror-habitat parameter sets with beta^2 / mu <= 20 (bases of at most 256 modes)."""
+    rng = np.random.default_rng(20240712)
+    out = []
+    for _ in range(SETS):
+        mu = float(np.exp(rng.uniform(np.log(0.01), np.log(0.3))))
+        rmax = float(rng.uniform(-0.1, 0.3))
+        out.append(model.ModelParams(
+            n=int(rng.integers(1, 4)), mu=mu, rmax1=rmax, rmax2=rmax,
+            beta=float(rng.uniform(0.0, math.sqrt(20.0 * mu))),
+            migration=model.Symmetric(float(rng.uniform(0.0, 0.5)))))
+    return out
+
+
+PARAMS = sampled_params()
+IDS = [f"set{k}" for k in range(SETS)]
+
+
+@pytest.mark.parametrize("p", PARAMS, ids=IDS)
+def test_lambda_identities(p):
+    lam = eigen.lambda_of(p)
+    assert eigen.lambda_of(p.with_m_D(0.0)) == pytest.approx(
+        -p.rmax1 + 0.5 * p.n * p.mu, abs=1e-12)
+    c = 0.125
+    raised = dataclasses.replace(p, rmax1=p.rmax1 + c, rmax2=p.rmax2 + c)
+    assert eigen.lambda_of(raised) == pytest.approx(lam - c, abs=1e-12)
+    one = dataclasses.replace(p, n=1)
+    assert lam == pytest.approx(eigen.lambda_of(one) + 0.5 * (p.n - 1) * p.mu, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", PARAMS, ids=IDS)
+def test_pde_growth_rate_and_mirror_masses(p):
+    g = build_grid(p.n, 2.0, 33)
+    cfg = pde.SolverConfig(t_end=50.0, record_every=5.0)
+    # m_D = 0: the basis-width bump at 0 is the principal mode itself
+    flat = p.with_m_D(0.0)
+    bump = (Bump(0.0, p.mu, 1.0),)
+    traj, _ = pde.integrate_to(flat, g, InitialData(bump, bump), cfg)
+    rate = math.log(traj.n_total()[-1] / traj.n_total()[0]) / cfg.t_end
+    assert rate == pytest.approx(p.rmax1 - 0.5 * p.n * p.mu, rel=1e-10, abs=1e-12)
+    # mirror data on mirror habitats: the two habitats' records agree bitwise
+    spread = tuple(Bump(c, p.mu, 1.0) for c in (0.0, -p.beta, p.beta))
+    traj, final = pde.integrate_to(p, g, InitialData(spread, spread), cfg)
+    np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
+    np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
+    np.testing.assert_array_equal(final.u2, final.u1[::-1])

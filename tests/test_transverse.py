@@ -2,21 +2,22 @@
 
 The solvers discretize only the x1 axis and fold the n - 1 transverse
 traits into the fitness as the load (n - 1) mu / 2. These tests build the
-two-trait discretisation on the full m x m tensor grid (a Kronecker sum of
-the axis operator and a transverse harmonic oscillator) and check that the
-axis solves reproduce it exactly, up to the oscillator's own grid error.
+two-trait discretisation as a Kronecker sum of the axis operator and a
+transverse harmonic oscillator, on the full m x m tensor grid for the box
+ladder and on the tensor Hermite basis for the PDE, and check that the axis
+solves reproduce it exactly, up to the oscillator's own grid error.
 """
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
+import oracle
 from twopatch import eigen, model, pde
-from twopatch.grid import Field2, build_grid, integrate
+from twopatch.grid import build_grid
 
 L, M = 3.0, 25
 MIGRATIONS = {
@@ -74,23 +75,27 @@ def test_two_trait_eigenvalue_is_axis_value_plus_oscillator_gap(kind):
 
 @pytest.mark.parametrize("kind", sorted(MIGRATIONS))
 def test_two_trait_malthusian_masses_factor_through_the_axis(kind):
-    # u_2D(t) = u_1D(t) x psi(t), so the 2-D habitat masses are the axis
-    # masses with the continuum factor exp(-mu t/2) replaced by the grid's G_h(t)
+    # u_2D(t) = u_1D(t) x psi(t): the two-trait Galerkin system on the tensor
+    # basis phi_k(x1) phi_j(x2), where the transverse oscillator is
+    # diag(mu (j + 1/2)) and psi = N(0, mu) is its ground mode, gives the
+    # masses of the axis solve at n = 2, whose load mu / 2 is that mode's decay
     p = params_2d(kind)
-    g = build_grid(2, L, M)
-    x = g.axis()
-    w0 = pde.gaussian_initial(g, 0.2, 0.3, 1.0)
-    psi0 = np.exp(-0.5 * x * x / p.mu)
-    psi0 /= integrate(g, psi0)
+    size, modes = 48, 4
+    axis = dataclasses.replace(p, n=1)
+    a_2d = (np.kron(oracle.galerkin_matrix(axis, size), np.eye(modes))
+            + np.kron(np.eye(2 * size), np.diag(p.mu * (np.arange(modes) + 0.5))))
+    data = pde.InitialData((pde.Bump(0.2, 0.3, 1.0),), (pde.Bump(0.2, 0.3, 0.5),))
+    x, w = oracle.quadrature_axis(p.mu, 8.0)
+    basis = oracle.phi(p.mu, size, x)
+    stationary = oracle.gaussian(x, (pde.Bump(0.0, p.mu, 1.0),))  # N(0, mu) in x2
+    transverse = oracle.phi(p.mu, modes, x).T @ (w * stationary)
+    c_axis = np.concatenate([basis.T @ (w * oracle.gaussian(x, data.u1)),
+                             basis.T @ (w * oracle.gaussian(x, data.u2))])
+    mass = basis.T @ w
+    mass_t = oracle.phi(p.mu, modes, x).T @ w
     cfg = pde.SolverConfig(t_end=4.0, record_every=1.0)
-    traj, _ = pde.integrate_to(p, g, Field2(w0, 0.5 * w0), cfg)
-
-    u0 = np.concatenate([np.kron(w0, psi0), np.kron(0.5 * w0, psi0)])
-    u_2d = expm_multiply(-operator_2d(p), u0, start=0.0, stop=4.0, num=5, endpoint=True)
-    psi = expm_multiply(-oscillator(p), psi0, start=0.0, stop=4.0, num=5, endpoint=True)
+    traj, _ = pde.integrate_to(p, build_grid(2, L, M), data, cfg)
     for k, t in enumerate(traj.t):
-        ratio = integrate(g, psi[k]) / math.exp(-0.5 * p.mu * t)
+        c = (scipy.linalg.expm(-t * a_2d) @ np.kron(c_axis, transverse)).reshape(2, size, modes)
         for i, n_axis in ((0, traj.N1[k]), (1, traj.N2[k])):
-            u = u_2d[k, i * M * M:(i + 1) * M * M].reshape(M, M)
-            mass = np.trapezoid(np.trapezoid(u, dx=g.h, axis=1), dx=g.h)
-            assert mass == pytest.approx(n_axis * ratio, rel=1e-7)
+            assert mass @ c[i] @ mass_t == pytest.approx(n_axis, rel=1e-7)
