@@ -25,8 +25,6 @@ from .pde import (
     SolverConfig,
     SolverError,
     Trajectory,
-    diagnostics,
-    fitness_fields,
     integrate_to,
 )
 from .eigen import (
@@ -35,6 +33,7 @@ from .eigen import (
     assemble_full,
     assemble_symmetric_reduced,
     default_schedules,
+    fitness_fields,
     lambda_limit,
     lambda_of,
     principal_eigenpair,
@@ -80,14 +79,13 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "Trajectory",
-    "diagnostics",
-    "fitness_fields",
     "integrate_to",
     "EigenError",
     "EigenResult",
     "assemble_full",
     "assemble_symmetric_reduced",
     "default_schedules",
+    "fitness_fields",
     "lambda_limit",
     "lambda_of",
     "principal_eigenpair",

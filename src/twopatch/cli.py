@@ -90,22 +90,12 @@ class ExperimentConfig:
     out_dir: str = "."
 
 
-_KINDS = {
-    "n": "int", "mu": "float", "rmax1": "float", "rmax2": "float", "m_D": "float",
-    "delta": "float", "migration": "str", "d11": "float", "d12": "float",
-    "d21": "float", "d22": "float", "growth": "str",
-    "L": "opt_float", "m": "opt_int",
-    "t_end": "float", "record_every": "float",
-    "initial": "str", "initial_variance": "opt_float", "initial_mass": "float",
-    "h_target": "opt_float", "tol_domain": "float", "rungs": "int", "richardson": "bool",
-    "U": "float", "lambda_var": "float", "N0": "int", "T": "int",
-    "replicates": "int", "cap": "int",
-    "sweep_min": "floats", "sweep_max": "floats", "sweep_steps": "ints",
-    "phase_ibm": "bool",
-    "threshold_param": "str", "threshold_lo": "opt_float", "threshold_hi": "opt_float",
-    "threshold_tol": "float",
-    "seed": "int", "threads": "int", "out_dir": "str",
-}
+# Each field's parse/emit kind, read off its annotation (annotations are
+# strings under "from __future__ import annotations").
+_KINDS = {f.name: {"int": "int", "float": "float", "str": "str", "bool": "bool",
+                   "float | None": "opt_float", "int | None": "opt_int",
+                   "tuple[float, ...]": "floats", "tuple[int, ...]": "ints"}[f.type]
+          for f in fields(ExperimentConfig)}
 
 
 def _parse_one(kind: str, raw: str):
@@ -256,6 +246,10 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams) -> Initia
 
 def ibm_params(config: ExperimentConfig, *, delta: float | None = None,
                m_d: float | None = None) -> IbmParams:
+    """IBM parameters from a config, optionally overriding delta / m_D. The IBM has
+    one migration rate and one peak height: any other config is a ConfigError."""
+    if config.migration != "symmetric":
+        raise ConfigError("the individual-based model needs migration = symmetric")
     if config.rmax1 != config.rmax2:
         raise ConfigError("the individual-based model needs rmax1 == rmax2")
     return IbmParams(
@@ -451,7 +445,15 @@ def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
 
 
 def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> dict[str, str]:
-    """Sweep the (delta, m_D) plane; write phase.csv (and phase.svg)."""
+    """Sweep the (delta, m_D) plane; write phase.csv (and phase.svg).
+
+    General migration (no delta to sweep) and, with phase_ibm on, a config
+    ibm_params rejects raise ConfigError before any cell."""
+    if config.migration != "symmetric":
+        raise ConfigError("phase sweeps the symmetric migration rate delta: "
+                          "it needs migration = symmetric")
+    if config.phase_ibm:
+        ibm_params(config)
     cells = phase_cells(config)
     path = os.path.join(out_dir, "phase.csv")
     _write_csv(path, "delta,m_D,lambda,classification,N_total_pde,N_total_ibm_mean,error",

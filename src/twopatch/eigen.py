@@ -4,13 +4,13 @@ The operator acts on density pairs (v1, v2) over the x1 axis:
 
     (A v)_i = -(mu^2 / 2) v_i'' - (r_i - d_ii) v_i - d_ij v_j
 
-with r_i the axis fitness of pde.fitness_fields, which carries the
-transverse traits exactly, so its smallest eigenvalue lambda is the
-n-trait one. On a box grid its matrix is pde.two_habitat_operator, the
-one the PDE integrates. Negative lambda means the linearized population grows,
-positive means it decays. With symmetric migration and equal fitness
-ceilings the habitats are mirror images, and the problem reduces to a
-scalar operator with a reflection coupling,
+with r_i the axis fitness of fitness_fields, which carries the transverse
+traits exactly, so its smallest eigenvalue lambda is the n-trait one, and
+du/dt = -A u is the Malthusian growth pde.integrate_to solves. Negative
+lambda means the linearized population grows, positive means it decays.
+With symmetric migration and equal fitness ceilings the habitats are mirror
+images, and the problem reduces to a scalar operator with a reflection
+coupling,
 
     M phi = -(mu^2 / 2) phi'' - r_1 phi + delta (phi - phi o iota),
 
@@ -31,6 +31,8 @@ extrapolation in h gives its lambda, about 2e-6 above the Hermite value
 at the default spacing, and the eigenfunction on the finest grid. Each
 rung is one ARPACK shift-invert solve (principal_eigenpair) at the
 certified lower bound of spectral_lower_bound.
+assemble_full and assemble_symmetric_reduced build the box's three-point
+operators (Dirichlet zero ghosts), each as one sparse matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from . import hermite, model
 from .grid import Field2, Grid, build_grid, reflect_field
 from .hermite import EigenError
-from .pde import reduced_operator, two_habitat_operator
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class Operator:
     """Assembled sparse operator plus the metadata the solvers need."""
 
     matrix: sp.csr_matrix
-    grid: Grid
-    components: int  # 1 = reduced scalar form, 2 = full two-habitat form
     symmetric: bool  # d12 == d21; lets dense checks pick a symmetric solver
     lower_bound: float
 
@@ -101,25 +100,72 @@ def spectral_lower_bound(params: model.ModelParams) -> float:
     return min(-params.rmax1 + d11 - d12, -params.rmax2 + d22 - d21)
 
 
+def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Axis fitness (r1, r2): r_i(x1, 0, ..., 0) - (n - 1) mu / 2 at the nodes.
+
+    The only place where the trait dimension n enters the box operators. The
+    n - 1 transverse traits see isotropic mutation and the same quadratic
+    selection about 0 in both habitats: a harmonic oscillator whose
+    stationary Gaussian N(0, mu) decays at exactly (n - 1) mu / 2 (Mehler's
+    formula), the fitness averaged over it. So the one-trait eigenproblem
+    with this fitness is the n-trait one, whose eigenfunction is the x1
+    profile times N(0, mu I_{n-1}). A grid of another n is a ValueError.
+    """
+    if grid.n != params.n:
+        raise ValueError(f"grid has {grid.n} trait(s) but the model has {params.n}")
+    x = np.zeros((grid.m, params.n))
+    x[:, 0] = grid.axis()
+    load = 0.5 * (params.n - 1) * params.mu
+    return model.fitness(params, 1, x) - load, model.fitness(params, 2, x) - load
+
+
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:
-    """Scalar reflection-coupled operator for the mirror-symmetric case."""
-    return Operator(matrix=reduced_operator(params, grid), grid=grid, components=1,
-                    symmetric=True, lower_bound=spectral_lower_bound(params))
+    """A on the habitat-swap-even half: (mu^2/2)(-v'') - (r1 - delta) v - delta P v.
+
+    With Symmetric migration and rmax1 = rmax2 the habitats are mirror
+    images: A commutes with the swap J(v1, v2) = (rev v2, rev v1), and on
+    its even pairs (v, rev v) A acts as this m x m matrix (A11 + A12 J) on
+    v, with P the node reversal. Its smallest eigenvalue is A's (the Perron
+    vector is J-even). The reversal's antidiagonal meets the diagonal at the
+    centre node, where delta - delta cancels exactly. Zero entries (delta =
+    0) are not stored.
+    """
+    if not hermite.is_mirror(params):
+        raise ValueError("reduced assembly requires Symmetric migration and rmax1 == rmax2 "
+                         "(mirror habitats)")
+    r1, _ = fitness_fields(params, grid)
+    delta, m = params.migration.delta, grid.m
+    stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
+    k = np.arange(m)
+    side = k != k[::-1]  # every node but the centre
+    rows = np.concatenate([k, k[:-1], k[1:], k[side]])
+    cols = np.concatenate([k, k[1:], k[:-1], k[::-1][side]])
+    vals = np.concatenate([2.0 * stiff - r1 + delta * side, np.full(2 * m - 2, -stiff),
+                           np.full(m - 1, -delta)])
+    keep = vals != 0
+    matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
+    return Operator(matrix=matrix, symmetric=True, lower_bound=spectral_lower_bound(params))
 
 
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
-    """Full two-component operator, the one the PDE integrates; symmetric
-    whenever d12 == d21."""
-    _, d12, d21, _ = params.migration.rates
-    return Operator(matrix=two_habitat_operator(params, grid), grid=grid, components=2,
-                    symmetric=(d12 == d21), lower_bound=spectral_lower_bound(params))
+    """A on stacked pairs (v1, v2): (A v)_i = -(mu^2/2) v_i'' - (r_i - d_ii) v_i - d_ij v_j.
 
-
-def _assemble(params: model.ModelParams, grid: Grid) -> Operator:
-    """Reduced form when the habitats are mirror images, else the full form."""
-    if isinstance(params.migration, model.Symmetric) and params.rmax1 == params.rmax2:
-        return assemble_symmetric_reduced(params, grid)
-    return assemble_full(params, grid)
+    The centred difference on diagonals +-1 of each habitat's block, the
+    fitness on the diagonal and the migration rates on diagonals +-m; zero
+    entries (a block's edge, absent migration) are not stored. Symmetric
+    whenever d12 == d21.
+    """
+    r1, r2 = fitness_fields(params, grid)
+    d11, d12, d21, d22 = params.migration.rates
+    m = grid.m
+    stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
+    off = np.full(2 * m - 1, -stiff)
+    off[m - 1] = 0.0  # no difference across the habitats' boundary
+    diag = np.concatenate([2.0 * stiff - (r1 - d11), 2.0 * stiff - (r2 - d22)])
+    matrix = sp.diags([diag, off, off, np.full(m, -d12), np.full(m, -d21)],
+                      [0, 1, -1, m, -m], format="csr")
+    return Operator(matrix=matrix, symmetric=(d12 == d21),
+                    lower_bound=spectral_lower_bound(params))
 
 
 def principal_eigenpair(operator: Operator) -> EigenPair:
@@ -211,15 +257,14 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
     rows: list[EigenRow] = []
     iterations = 0
     converged = False
-    final: tuple[Grid, Operator, EigenPair] | None = None
     prev = math.inf
+    mirror = hermite.is_mirror(params)
+    assemble = assemble_symmetric_reduced if mirror else assemble_full
     for L, m in zip(ls, ms):
         g = build_grid(params.n, L, m)
-        op = _assemble(params, g)
-        pair = principal_eigenpair(op)
+        pair = principal_eigenpair(assemble(params, g))
         rows.append(EigenRow(L=L, m=m, lambda_L=pair.value, residual=pair.residual))
         iterations += pair.iterations
-        final = (g, op, pair)
         if pair.value > prev + tol_domain:
             raise EigenError(
                 f"lambda_L increased from {prev:.12g} to {pair.value:.12g} at L={L}: "
@@ -229,22 +274,17 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
             break
         prev = pair.value
 
-    assert final is not None
-    g, op, pair = final
-    lam = pair.value
+    lam = pair.value  # the last rung's (g, pair): the schedule is not empty
     if richardson:
         g2 = build_grid(params.n, g.L, 2 * g.m - 1)
-        op2 = _assemble(params, g2)
-        pair2 = principal_eigenpair(op2)
+        pair2 = principal_eigenpair(assemble(params, g2))
         rows.append(EigenRow(L=g.L, m=g2.m, lambda_L=pair2.value, residual=pair2.residual))
         iterations += pair2.iterations
         lam = (4.0 * pair2.value - pair.value) / 3.0
-        g, op, pair = g2, op2, pair2
+        g, pair = g2, pair2
 
-    if op.components == 1:
-        field = Field2(pair.vector, reflect_field(g, pair.vector))
-    else:
-        field = Field2(pair.vector[:g.size], pair.vector[g.size:])
+    v = pair.vector
+    field = Field2(v, reflect_field(g, v)) if mirror else Field2(v[:g.size], v[g.size:])
     return EigenResult(rows=rows, lam=lam, eigenfield=field, grid=g,
                        residual=pair.residual, iterations=iterations,
                        converged=converged)
@@ -262,7 +302,8 @@ def lambda_of(params: model.ModelParams, *, h_target: float | None = None,
     size K; K doubles from 32 until two values agree to 1e-13 times the
     largest diagonal entry, and EigenError is raised past K = 8192.
 
-    h_target, rungs, tol_domain and richardson set the box ladder only; they
-    are accepted for existing callers and do not change the value.
+    h_target, rungs, tol_domain and richardson set the box ladder only and do
+    not change the value; the benchmark passes them with each config's ladder
+    settings.
     """
     return hermite.with_constant(params, hermite.smallest(params)[0])

@@ -2,10 +2,10 @@
 
 The state is a pair of phenotype densities (u1, u2) on the x1 axis. Each
 density diffuses with coefficient mu**2 / 2 (mutation), grows at the axis
-fitness of fitness_fields (minus the habitat's total mass under logistic
-growth), and exchanges mass with the other habitat through migration.
-Masses and mean fitnesses of the profile are those of the n-trait density,
-which is the profile times N(0, mu I_{n-1}).
+fitness r_i(x1) - (n - 1) mu / 2 (eigen.fitness_fields; minus the habitat's
+total mass under logistic growth), and exchanges mass with the other habitat
+through migration. Masses and mean fitnesses of the profile are those of the
+n-trait density, which is the profile times N(0, mu I_{n-1}).
 
 The system is du/dt = -A u with A the growth operator whose smallest
 eigenvalue eigen computes. integrate_to solves it in free space, in the
@@ -18,9 +18,6 @@ under one-way migration. Masses and mean fitnesses are exact integrals of the
 basis, and the initial data are Gaussian bumps (Bump, InitialData), whose
 coefficients follow from an exact recurrence. The grid only says where the
 final state is sampled.
-
-The box grid's finite-difference operators two_habitat_operator and
-reduced_operator serve the box ladder of eigen.lambda_limit (twopatch eigen).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
 from . import hermite, model
@@ -85,25 +81,6 @@ class Trajectory:
         return self.N1 + self.N2
 
 
-def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Axis fitness (r1, r2): r_i(x1, 0, ..., 0) - (n - 1) mu / 2 at the nodes.
-
-    The only place where the trait dimension n enters the numerics. The
-    n - 1 transverse traits see isotropic mutation and the same quadratic
-    selection about 0 in both habitats: a harmonic oscillator whose
-    stationary Gaussian N(0, mu) decays at exactly (n - 1) mu / 2 (Mehler's
-    formula), the fitness averaged over it. So the one-trait eigenproblem
-    and PDE with this fitness are the n-trait ones, whose density is the
-    x1 profile times N(0, mu I_{n-1}). A grid of another n is a ValueError.
-    """
-    if grid.n != params.n:
-        raise ValueError(f"grid has {grid.n} trait(s) but the model has {params.n}")
-    x = np.zeros((grid.m, params.n))
-    x[:, 0] = grid.axis()
-    load = 0.5 * (params.n - 1) * params.mu
-    return model.fitness(params, 1, x) - load, model.fitness(params, 2, x) - load
-
-
 @dataclass(frozen=True)
 class Bump:
     """A Gaussian x1 profile: mass times the normal density N(center, variance)."""
@@ -130,79 +107,14 @@ class InitialData:
     u2: tuple[Bump, ...]
 
 
-def diagnostics(params: model.ModelParams, grid: Grid, state: Field2):
-    """(N1, N2, rbar1, rbar2) of a sampled state, by the trapezoid rule; rbar
-    of an empty habitat is nan."""
-    r1, r2 = fitness_fields(params, grid)
-    q = np.array([[integrate(grid, state.u1), integrate(grid, state.u2),
-                   integrate(grid, r1 * state.u1), integrate(grid, r2 * state.u2)]])
-    return tuple(map(float, _observe(q)[0]))
-
-
-def _observe(q: np.ndarray) -> np.ndarray:
-    """Rows (N1, N2, rbar1, rbar2) from rows (N1, N2, int r1 u1, int r2 u2), in place."""
-    q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
-    return q
-
-
-def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """-d^2/dx1^2 as a sparse tridiagonal matrix (Dirichlet zero ghosts)."""
-    e = np.ones(grid.m)
-    return (sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]) / (grid.h * grid.h)).tocsr()
-
-
-def two_habitat_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix:
-    """A on stacked pairs (v1, v2): (A v)_i = -(mu^2/2) v_i'' - (r_i - d_ii) v_i - d_ij v_j.
-
-    Malthusian growth is du/dt = -A u; eigen finds its smallest eigenvalue.
-    """
-    r1, r2 = fitness_fields(params, grid)
-    d11, d12, d21, d22 = params.migration.rates
-    half_mu2 = 0.5 * params.mu * params.mu
-    neg_lap = neg_laplacian_matrix(grid)
-    eye = sp.identity(grid.size)
-    a11 = half_mu2 * neg_lap - sp.diags(r1 - d11)
-    a22 = half_mu2 * neg_lap - sp.diags(r2 - d22)
-    return sp.bmat([[a11, -d12 * eye], [-d21 * eye, a22]], format="csr")
-
-
-def reflection_permutation(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix P with (P v)[k] = v at the x1-mirrored node of k."""
-    m = grid.m
-    return sp.csr_matrix((np.ones(m), (np.arange(m), np.arange(m)[::-1])), shape=(m, m))
-
-
-def reduced_operator(params: model.ModelParams, grid: Grid) -> sp.csr_matrix:
-    """A on the habitat-swap-even half: (mu^2/2)(-v'') - (r1 - delta) v - delta P v.
-
-    With Symmetric migration and rmax1 = rmax2 the habitats are mirror
-    images: A commutes with the swap J(v1, v2) = (rev v2, rev v1), and on
-    its even pairs (v, rev v) A acts as this m x m matrix (A11 + A12 J) on
-    v. Its smallest eigenvalue is A's (the Perron vector is J-even).
-    """
-    if not isinstance(params.migration, model.Symmetric):
-        raise ValueError("reduced assembly requires Symmetric migration")
-    if params.rmax1 != params.rmax2:
-        raise ValueError("reduced assembly requires rmax1 == rmax2 (mirror habitats)")
-    r1, _ = fitness_fields(params, grid)
-    delta = params.migration.delta
-    half_mu2 = 0.5 * params.mu * params.mu
-    eye = sp.identity(grid.size)
-    mat = (half_mu2 * neg_laplacian_matrix(grid)
-           - sp.diags(r1)
-           + delta * (eye - reflection_permutation(grid)))
-    return mat.tocsr()
-
-
 def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):
     """(records, state) of du/dt = -a u by expm, for one-way migration.
 
     a is block triangular then, and defective for mirror habitats, so it has
     no eigenbasis. One expm for the cadence, one more for a remainder to
     t_end that differs from it beyond rec's 1e-9 roundoff, then one mat-vec
-    per record. records holds the raw
-    rows (N1, N2, int r1 u1, int r2 u2) at the record times; state(k) is the
-    state at record k.
+    per record. records holds the raw rows (N1, N2, int r1 u1, int r2 u2) at
+    the record times; state(k) is the state at record k.
     """
     ys = np.empty((rec.size, y0.size))
     ys[0] = y0
@@ -418,5 +330,7 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
     if u.min() < -_ROUNDOFF * top:
         raise SolverError(f"final state dips to {u.min():.3g} (height {top:.3g}), beyond roundoff")
     u[u < _ROUNDOFF * top] = 0.0
-    traj = Trajectory(rec[:end + 1].copy(), *_observe(q).T.copy(), extinct=low.size > 0)
+    # rows (N1, N2, rbar1, rbar2) from (N1, N2, int r1 u1, int r2 u2)
+    q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
+    traj = Trajectory(rec[:end + 1].copy(), *q.T.copy(), extinct=low.size > 0)
     return traj, Field2(u[:, 0].copy(), u[:, 1].copy())

@@ -42,8 +42,8 @@ def classify(params: model.ModelParams, *, tol: float = 1e-6,
     """Persist / extinct / critical by the sign of lambda with a dead band.
 
     Pass lam to reuse an eigenvalue computed elsewhere. eigen_opts are
-    forwarded to lambda_of, which accepts only the ladder-only keywords kept
-    for existing callers.
+    forwarded to lambda_of, whose box-ladder keywords do not change its
+    value; the benchmark's classify workload passes them.
     """
     if lam is None:
         lam = lambda_of(params, **eigen_opts)
@@ -115,8 +115,7 @@ def _check_existence(params: model.ModelParams, which: str) -> tuple[float, floa
 
 
 def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
-                   tol_lambda: float = 1e-4, max_iter: int = 40,
-                   **eigen_opts) -> ThresholdResult:
+                   tol_lambda: float = 1e-4, max_iter: int = 40) -> ThresholdResult:
     """Find the parameter value where lambda crosses zero.
 
     delta, m_D and mu are bisected. rmax needs no bracket: lambda_of adds
@@ -133,8 +132,6 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
             to the certified bracket from the existence inequalities.
         tol_lambda: stop once |lambda(mid)| <= tol_lambda.
         max_iter: bisection cap.
-        **eigen_opts: forwarded to lambda_of, which accepts only the
-            ladder-only keywords kept for existing callers.
 
     Raises:
         ThresholdError: existence inequality fails, or no sign change is
@@ -143,8 +140,8 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
     if not isinstance(params.migration, model.Symmetric) or params.rmax1 != params.rmax2:
         raise ThresholdError("threshold search requires Symmetric migration and rmax1 == rmax2")
     if which == "rmax":
-        value = params.rmax1 + lambda_of(params, **eigen_opts)
-        f_value = lambda_of(_with_value(params, which, value), **eigen_opts)
+        value = params.rmax1 + lambda_of(params)
+        f_value = lambda_of(_with_value(params, which, value))
         return ThresholdResult(parameter=which, lo=value, hi=value, value=value,
                                lambda_at_value=f_value, iterations=0, evaluations=2)
     lo_cert, hi0 = _check_existence(params, which)
@@ -153,7 +150,7 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         raise ValueError(f"bracket must be positive, got ({lo!r}, {hi!r})")
 
     def lam_at(v: float) -> float:
-        return lambda_of(_with_value(params, which, v), **eigen_opts)
+        return lambda_of(_with_value(params, which, v))
 
     f_lo = lam_at(lo)
     f_hi = lam_at(hi)

@@ -457,6 +457,31 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     assert "rmax1 == rmax2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    # the IBM has one peak height: every cell would be an error row
+    ("phase", "rmax2 = 0.05\n", "rmax1 == rmax2"),
+    # General migration has no delta to sweep
+    ("phase", "migration = general\nd11 = 0.05\nd12 = 0.05\nd21 = 0.05\nd22 = 0.05\n",
+     "migration = symmetric"),
+    # the IBM migrates at the one rate delta
+    ("ibm", "migration = general\nd11 = 0.05\nd12 = 0.05\nd21 = 0.05\nd22 = 0.05\n",
+     "migration = symmetric"),
+], ids=["phase_unequal_peaks", "phase_general", "ibm_general"])
+def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
+    path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
+    out_dir = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
+def test_every_config_field_has_a_kind():
+    # the parse/emit kinds are read off ExperimentConfig's annotations
+    assert list(cli._KINDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert set(cli._KINDS.values()) == {"int", "float", "str", "bool", "opt_float", "opt_int",
+                                        "floats", "ints"}
+
+
 def test_main_numerical_failure_exits_2(tmp_path, capsys):
     path = write_config(
         tmp_path,

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from twopatch import cli, eigen, model, pde, thresholds
+from twopatch import cli, eigen, model, thresholds
 from twopatch.grid import build_grid, reflect_field
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
@@ -25,8 +25,7 @@ def test_raw_tridiagonal_matches_textbook_value():
     h = 2.0 * L / (m - 1)
     e = np.ones(m)
     mat = sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]).tocsr() / (h * h)
-    op = eigen.Operator(matrix=mat, grid=build_grid(1, L, m), components=1, symmetric=True,
-                        lower_bound=0.0)
+    op = eigen.Operator(matrix=mat, symmetric=True, lower_bound=0.0)
     pair = eigen.principal_eigenpair(op)
     want = 2.0 / (h * h) * (1.0 - math.cos(math.pi / (m + 1)))
     assert pair.value == pytest.approx(want, rel=1e-10)
@@ -79,15 +78,17 @@ def test_trait_dimension_adds_the_transverse_load():
         assert lam == pytest.approx(lam1 + 0.5 * (n - 1) * FIG_MU, abs=1e-12)
 
 
-def test_reflection_permutation_is_reflect_field():
-    rng = np.random.default_rng(6)
-    for n in (1, 2):
-        g = build_grid(n, 1.0, 7)
-        P = pde.reflection_permutation(g)
-        f = rng.normal(size=g.shape)
-        np.testing.assert_array_equal((P @ f.ravel()).reshape(g.shape),
-                                      reflect_field(g, f))
-        assert (P @ P != sp.identity(g.size)).nnz == 0
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+@pytest.mark.parametrize("m", [3, 7, 81])
+def test_reduced_operator_is_full_blocks_folded_by_reversal(m, delta):
+    # on habitat-swap-even pairs (v, rev v) the full operator acts as
+    # A11 + A12 P on v, with P the node reversal: the reduced matrix exactly
+    p = ref_params(n=2, delta=delta)
+    g = build_grid(2, 3.0, m)
+    full = eigen.assemble_full(p, g).matrix.toarray()
+    fold = full[:m, :m] + full[:m, m:] @ np.eye(m)[::-1]
+    reduced = eigen.assemble_symmetric_reduced(p, g).matrix.toarray()
+    np.testing.assert_allclose(reduced, fold, rtol=0, atol=1e-14 * np.abs(fold).max())
 
 
 def test_reduced_and_full_routes_agree():
@@ -163,7 +164,9 @@ def test_smallest_grids_match_dense_spectrum(m, migration, rmax2):
     # on three and five nodes ARPACK's Krylov space (ncv = min(10, n)) is the whole space
     p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=rmax2, beta=0.5,
                           migration=migration)
-    op = eigen._assemble(p, build_grid(1, 2.0, m))
+    g = build_grid(1, 2.0, m)
+    mirror = isinstance(migration, model.Symmetric)
+    op = (eigen.assemble_symmetric_reduced if mirror else eigen.assemble_full)(p, g)
     pair = eigen.principal_eigenpair(op)
     dense = scipy.linalg.eigvals(op.matrix.toarray()).real.min()
     assert pair.value == pytest.approx(dense, abs=1e-12)

@@ -48,16 +48,6 @@ def test_bump_outside_the_sampling_box_keeps_its_mass():
     assert final.u1.max() < 1e-9
 
 
-def test_diagnostics_empty_habitat_is_nan_not_zero_division():
-    p, g, _ = small_setup()
-    u = oracle.gaussian(g.axis(), (Bump(0.0, 0.1, 2.0),))
-    n1, n2, rb1, rb2 = pde.diagnostics(p, g, Field2(np.zeros(g.shape), u))
-    assert n1 == 0.0
-    assert n2 == pytest.approx(2.0, rel=1e-12)
-    assert math.isnan(rb1)
-    assert math.isfinite(rb2)
-
-
 def test_rhs_matches_hand_formula_with_general_migration():
     # the growth operator -A against the hand-written right-hand side
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
@@ -66,8 +56,8 @@ def test_rhs_matches_hand_formula_with_general_migration():
     rng = np.random.default_rng(8)
     u1 = rng.random(g.shape)
     u2 = rng.random(g.shape)
-    out = -(pde.two_habitat_operator(p, g) @ np.concatenate([u1, u2]))
-    r1, r2 = pde.fitness_fields(p, g)
+    out = -(eigen.assemble_full(p, g).matrix @ np.concatenate([u1, u2]))
+    r1, r2 = eigen.fitness_fields(p, g)
     half_mu2 = 0.5 * p.mu * p.mu
     want1 = half_mu2 * laplacian(g, u1) + r1 * u1 - 0.3 * u1 + 0.05 * u2
     want2 = half_mu2 * laplacian(g, u2) + r2 * u2 + 0.2 * u1 - 0.7 * u2
@@ -82,7 +72,7 @@ def test_rhs_habitats_decouple_without_migration():
     g = build_grid(1, 2.0, 17)
     rng = np.random.default_rng(9)
     u1 = rng.random(g.shape)
-    a = pde.two_habitat_operator(p, g)
+    a = eigen.assemble_full(p, g).matrix
     out_a = a @ np.concatenate([u1, rng.random(g.shape)])
     out_b = a @ np.concatenate([u1, rng.random(g.shape)])
     np.testing.assert_array_equal(out_a[:g.m], out_b[:g.m])
@@ -350,13 +340,13 @@ def test_step_sequence_does_not_depend_on_record_cadence():
 def test_fitness_fields_carry_the_transverse_load():
     # axis fitness at n traits is the one-trait fitness minus (n - 1) mu / 2
     g1 = build_grid(1, 2.0, 17)
-    r1, r2 = pde.fitness_fields(small_params(n=1), g1)
+    r1, r2 = eigen.fitness_fields(small_params(n=1), g1)
     for n in (2, 3):
-        rn1, rn2 = pde.fitness_fields(small_params(n=n), build_grid(n, 2.0, 17))
+        rn1, rn2 = eigen.fitness_fields(small_params(n=n), build_grid(n, 2.0, 17))
         np.testing.assert_allclose(rn1, r1 - 0.5 * (n - 1) * 0.2, rtol=0, atol=1e-15)
         np.testing.assert_allclose(rn2, r2 - 0.5 * (n - 1) * 0.2, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="trait"):
-        pde.fitness_fields(small_params(n=2), g1)
+        eigen.fitness_fields(small_params(n=2), g1)
 
 
 def test_initial_state_validation():
@@ -454,12 +444,16 @@ def test_final_state_below_the_roundoff_floor_is_exactly_zero():
 
 
 def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
-    # the grid only samples the final state: a 4097-node axis costs no m x m matrix
+    # the grid only samples the final state: a 4097-node axis costs no m x m
+    # matrix, and the box's finite-difference operators live in eigen alone
     def refuse(*args, **kwargs):
         raise AssertionError("integrate_to assembled a finite-difference operator")
 
-    for name in ("two_habitat_operator", "reduced_operator", "neg_laplacian_matrix"):
-        monkeypatch.setattr(pde, name, refuse)
+    for name in ("assemble_full", "assemble_symmetric_reduced"):
+        monkeypatch.setattr(eigen, name, refuse)
+    for name in ("two_habitat_operator", "reduced_operator", "neg_laplacian_matrix",
+                 "reflection_permutation"):
+        assert not hasattr(pde, name)
     config = cli.ExperimentConfig(m=4097)
     params = cli.to_model_params(config)
     traj, final = pde.integrate_to(params, cli.grid_for(config, params),
@@ -470,9 +464,10 @@ def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
 
 def fd_total_mass(p, bumps, t, h, L=4.0):
     """N1 + N2 at t of the mirror finite-difference solve on [-L, L] at spacing h:
-    dense expm of pde.reduced_operator, data sampled at the nodes, trapezoid mass."""
+    dense expm of eigen.assemble_symmetric_reduced, data sampled at the nodes,
+    trapezoid mass."""
     g = build_grid(p.n, L, int(round(2 * L / h)) + 1)
-    propagator = scipy.linalg.expm(-t * pde.reduced_operator(p, g).toarray())
+    propagator = scipy.linalg.expm(-t * eigen.assemble_symmetric_reduced(p, g).matrix.toarray())
     return 2.0 * integrate(g, propagator @ oracle.gaussian(g.axis(), bumps))
 
 
