@@ -12,6 +12,7 @@ failure (solver abort, eigensolve non-convergence, population overflow).
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -186,6 +187,8 @@ def validate_config(config: ExperimentConfig) -> None:
             errors.append(f"{name} must have two entries, got {getattr(config, name)!r}")
     if len(config.sweep_steps) == 2 and any(s < 2 for s in config.sweep_steps):
         errors.append(f"sweep_steps entries must be >= 2, got {config.sweep_steps!r}")
+    if config.rungs < 2:
+        errors.append(f"rungs must be >= 2 (two rungs certify the ladder), got {config.rungs}")
     if config.m is not None and (config.m < 3 or config.m % 2 == 0):
         errors.append(f"m must be odd and >= 3, got {config.m}")
     if config.threshold_param not in ("delta", "m_D", "mu", "rmax"):
@@ -267,10 +270,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
-    with open(path, "w") as fh:
+    """Rows of _fmt fields; a field with a comma or quote is quoted (RFC 4180)."""
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
         if footer is not None:
             fh.write(footer + "\n")
 
@@ -344,14 +347,24 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
 
 
 def cmd_eigen(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
-    """Run the box ladder; write eigen.csv with a trailing # lambda= row."""
+    """Run the box ladder; write eigen.csv with a trailing # lambda= row.
+
+    With L and m both set, the one box (L, m) is solved and reported as is.
+    Otherwise the default ladder must certify its value: two rungs within
+    tol_domain. A ladder that runs out of rungs first raises EigenError.
+    """
     params = to_model_params(config)
-    if config.L is not None and config.m is not None:
+    one_box = config.L is not None and config.m is not None
+    if one_box:
         ls, ms = [config.L], [config.m]
     else:
         ls, ms = default_schedules(params, h_target=config.h_target, rungs=config.rungs)
     result = lambda_limit(params, ls, ms, tol_domain=config.tol_domain,
                           richardson=config.richardson)
+    if not one_box and not result.converged:
+        raise EigenError(
+            f"box ladder not converged: lambda_L still moved by more than tol_domain = "
+            f"{config.tol_domain:g} at rung {config.rungs}; raise rungs or tol_domain")
     path = os.path.join(out_dir, "eigen.csv")
     _write_csv(path, "L,m,lambda_L,residual",
                ((row.L, row.m, row.lambda_L, row.residual) for row in result.rows),
@@ -447,11 +460,14 @@ def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
 def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> dict[str, str]:
     """Sweep the (delta, m_D) plane; write phase.csv (and phase.svg).
 
-    General migration (no delta to sweep) and, with phase_ibm on, a config
-    ibm_params rejects raise ConfigError before any cell."""
+    General migration (no delta to sweep), a config that to_model_params,
+    solver_config or initial_state rejects and, with phase_ibm on, one that
+    ibm_params rejects raise before any cell (exit 1)."""
     if config.migration != "symmetric":
         raise ConfigError("phase sweeps the symmetric migration rate delta: "
                           "it needs migration = symmetric")
+    initial_state(config, to_model_params(config))
+    solver_config(config)
     if config.phase_ibm:
         ibm_params(config)
     cells = phase_cells(config)

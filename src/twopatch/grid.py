@@ -71,9 +71,6 @@ class Field2:
         if self.u1.shape != self.u2.shape:
             raise ValueError(f"component shapes differ: {self.u1.shape} vs {self.u2.shape}")
 
-    def copy(self) -> "Field2":
-        return Field2(self.u1.copy(), self.u2.copy())
-
 
 def build_grid(n: int, L: float, m: int) -> Grid:
     """Construct and validate a grid."""

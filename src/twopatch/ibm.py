@@ -90,11 +90,6 @@ class IbmParams:
         if errors:
             raise ValueError("invalid IbmParams: " + "; ".join(errors))
 
-    @property
-    def mu2(self) -> float:
-        """Diffusive scale mu^2 = U * lambda_var of the matching density model."""
-        return self.U * self.lambda_var
-
 
 @dataclass
 class IbmState:

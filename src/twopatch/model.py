@@ -19,10 +19,6 @@ import numpy as np
 GROWTH_MALTHUSIAN = "malthusian"
 GROWTH_LOGISTIC = "logistic"
 
-#: A phenotype is a plain float vector of length ModelParams.n. Batched
-#: arrays of shape (..., n) are accepted by every function that takes one.
-Phenotype = np.ndarray
-
 
 @dataclass(frozen=True)
 class Symmetric:
@@ -115,14 +111,7 @@ class ModelParams:
     @property
     def m_D(self) -> float:
         """Habitat difference 2 * beta**2."""
-        return habitat_difference(self.beta)
-
-    def optimum(self, habitat: int) -> np.ndarray:
-        """Optimal phenotype of the given habitat (1 or 2) in canonical frame."""
-        _check_habitat(habitat)
-        o = np.zeros(self.n)
-        o[0] = -self.beta if habitat == 1 else self.beta
-        return o
+        return 2.0 * self.beta * self.beta
 
     def rmax(self, habitat: int) -> float:
         _check_habitat(habitat)
@@ -131,32 +120,6 @@ class ModelParams:
     def with_m_D(self, m_d: float) -> "ModelParams":
         """Copy of the parameters with the habitat difference set to m_d."""
         return replace(self, beta=beta_of(m_d))
-
-    @classmethod
-    def from_optima(
-        cls,
-        optimum1,
-        optimum2,
-        *,
-        mu: float,
-        rmax1: float,
-        rmax2: float,
-        migration: Migration,
-        growth: str = GROWTH_MALTHUSIAN,
-    ) -> "ModelParams":
-        """Build params from an arbitrary optimum pair.
-
-        Fitness depends only on distances to the optima, so any rigid motion
-        of phenotype space leaves the model unchanged; the pair is stored in
-        the canonical frame with both optima on the first axis.
-        """
-        o1 = np.atleast_1d(np.asarray(optimum1, dtype=float))
-        o2 = np.atleast_1d(np.asarray(optimum2, dtype=float))
-        if o1.shape != o2.shape or o1.ndim != 1:
-            raise ValueError(f"optima must be equal-length vectors, got shapes {o1.shape} and {o2.shape}")
-        beta = 0.5 * float(np.linalg.norm(o1 - o2))
-        return cls(n=o1.size, mu=mu, rmax1=rmax1, rmax2=rmax2, beta=beta,
-                   migration=migration, growth=growth)
 
 
 def _check_habitat(habitat: int) -> None:
@@ -191,23 +154,8 @@ def fitness(params: ModelParams, habitat: int, x) -> np.ndarray | float:
     return float(r) if r.ndim == 0 else r
 
 
-def reflect(x) -> np.ndarray:
-    """Mirror a phenotype across the trait-1 axis: (x1, x2, ...) -> (-x1, x2, ...).
-
-    An exact involution (sign flip only); swaps the roles of the habitats.
-    """
-    arr = np.array(x, dtype=float)
-    arr[..., 0] = -arr[..., 0]
-    return arr
-
-
-def habitat_difference(beta: float) -> float:
-    """Habitat difference m_D = 2 * beta**2 (squared optimum gap over 2)."""
-    return 2.0 * beta * beta
-
-
 def beta_of(m_d: float) -> float:
-    """Inverse of habitat_difference: the beta >= 0 with 2 * beta**2 = m_d."""
+    """Inverse of ModelParams.m_D: the beta >= 0 with 2 * beta**2 = m_d."""
     if m_d < 0:
         raise ValueError(f"m_D must be >= 0, got {m_d!r}")
     return math.sqrt(0.5 * m_d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import model
+from . import hermite, model
 from .eigen import lambda_of
 
 PERSIST = "persist"
@@ -137,7 +137,7 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         ThresholdError: existence inequality fails, or no sign change is
             found after geometric bracket expansion.
     """
-    if not isinstance(params.migration, model.Symmetric) or params.rmax1 != params.rmax2:
+    if not hermite.is_mirror(params):
         raise ThresholdError("threshold search requires Symmetric migration and rmax1 == rmax2")
     if which == "rmax":
         value = params.rmax1 + lambda_of(params)

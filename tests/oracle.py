@@ -6,7 +6,9 @@ the basis from scipy.special.eval_hermite, the initial coefficients, masses
 and mean-fitness weights by trapezoid quadrature on a fine wide grid (exact
 to roundoff for these smooth, fast-decaying integrands), the Galerkin matrix
 in block layout from the textbook oscillator and position-operator formulas,
-and the propagator as scipy.linalg.expm at each record time.
+and the propagator as scipy.linalg.expm at each record time. A dense
+finite-difference operator on a box (fd_mirror_matrix) gives a second,
+discretised route to the same dynamics.
 """
 
 import math
@@ -58,6 +60,24 @@ def galerkin_matrix(params, size):
     a11 = osc + beta * pos + (0.5 * beta * beta - params.rmax1 + load + d11) * eye
     a22 = osc - beta * pos + (0.5 * beta * beta - params.rmax2 + load + d22) * eye
     return np.block([[a11, -d12 * eye], [-d21 * eye, a22]])
+
+
+def fd_mirror_matrix(params, L, m):
+    """(x, A): m uniform nodes on [-L, L] and the dense three-point
+    finite-difference growth operator of mirror habitats there.
+
+    On the habitat-swap-even half (v, v reversed), for Symmetric migration
+    and rmax1 = rmax2, (A v)_k = (mu^2 / 2)(2 v_k - v_(k-1) - v_(k+1)) / h^2
+    - r_1(x_k) v_k + delta (v_k - v_(m-1-k)), zero beyond both ends, with
+    r_1 = rmax1 - (n - 1) mu / 2 - (x + beta)^2 / 2.
+    """
+    x = np.linspace(-L, L, m)
+    h = 2.0 * L / (m - 1)
+    mu, delta = params.mu, params.migration.delta
+    r1 = params.rmax1 - 0.5 * (params.n - 1) * mu - 0.5 * (x + params.beta) ** 2
+    eye = np.eye(m)
+    second = (2.0 * eye - np.eye(m, k=1) - np.eye(m, k=-1)) / (h * h)
+    return x, 0.5 * mu * mu * second - np.diag(r1) + delta * (eye - eye[::-1])
 
 
 class Solve:

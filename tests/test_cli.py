@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import math
@@ -391,6 +392,19 @@ def test_cmd_phase_cell_failure_lands_in_error_column(tmp_path):
         assert parts[2] == "nan"
 
 
+def test_cmd_phase_quotes_an_error_message_with_a_comma(tmp_path):
+    # m_D = 2 at mu = 0.001 needs more Hermite modes than the solve allows;
+    # the SolverError text has a comma and must stay one field of seven
+    cfg = ExperimentConfig(mu=0.001, sweep_max=(0.1, 2.0), sweep_steps=(2, 2), t_end=10.0,
+                           phase_ibm=False)
+    written = cli.cmd_phase(cfg, str(tmp_path))
+    with open(written["phase"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [7] * 5
+    errors = [r[6] for r in rows[1:] if r[3] == "error"]
+    assert errors and all(e.startswith("SolverError: ") and "," in e for e in errors)
+
+
 def test_cmd_phase_programming_error_propagates(tmp_path, monkeypatch):
     # only numerical and config failures become error cells; a bug must
     # surface instead of being filed as one
@@ -466,7 +480,17 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # the IBM migrates at the one rate delta
     ("ibm", "migration = general\nd11 = 0.05\nd12 = 0.05\nd21 = 0.05\nd22 = 0.05\n",
      "migration = symmetric"),
-], ids=["phase_unequal_peaks", "phase_general", "ibm_general"])
+    # keys every phase cell would reject, without the IBM's own check
+    ("phase", "phase_ibm = false\ninitial_mass = -1\n", "bump mass must be > 0"),
+    ("phase", "phase_ibm = false\nt_end = -1\n", "t_end must be >= 0"),
+    ("phase", "phase_ibm = false\nrecord_every = 0\n", "record_every must be > 0"),
+    ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
+    ("phase", "phase_ibm = false\ninitial_variance = 0\n", "bump variance must be > 0"),
+    # one rung has nothing to agree with: its lambda is never certified
+    ("eigen", "rungs = 1\n", "rungs must be >= 2"),
+], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
+        "phase_t_end", "phase_record_every", "phase_mu", "phase_initial_variance",
+        "eigen_one_rung"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
     out_dir = tmp_path / "out"
@@ -488,6 +512,16 @@ def test_main_numerical_failure_exits_2(tmp_path, capsys):
         "n = 1\nrmax1 = 2.0\nrmax2 = 2.0\nN0 = 1000\nT = 50\ncap = 5000\nreplicates = 1\n")
     assert cli.main(["ibm", "--config", path, "--out", str(tmp_path)]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_main_eigen_unconverged_ladder_exits_2(tmp_path, capsys):
+    # a tol_domain below the ladder's roundoff: no two rungs agree, so its
+    # lambda is not certified and eigen.csv is not written
+    path = write_config(tmp_path, "n = 1\nmu = 0.01\nm_D = 0.5\ndelta = 0.5\nh_target = 0.25\n"
+                                  "rungs = 2\ntol_domain = 1e-18\n")
+    assert cli.main(["eigen", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "box ladder" in capsys.readouterr().err
+    assert not (tmp_path / "eigen.csv").exists()
 
 
 def test_main_solve_overflow_exits_2(tmp_path, capsys):

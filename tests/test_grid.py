@@ -98,10 +98,6 @@ def test_reflect_field_commutes_with_laplacian_bitwise():
 def test_field2_shape_check_and_copy():
     with pytest.raises(ValueError, match="shapes differ"):
         g.Field2(np.zeros(3), np.zeros(4))
-    f = g.Field2(np.arange(3.0), np.arange(3.0))
-    c = f.copy()
-    c.u1[0] = 99.0
-    assert f.u1[0] == 0.0
 
 
 def test_shape_mismatch_errors():

@@ -15,7 +15,7 @@ def params(**overrides):
 
 def test_mu2_links_to_density_model():
     p = params()
-    assert p.mu2 == pytest.approx(1.0 / 1800.0, rel=1e-15)
+    assert p.U * p.lambda_var == pytest.approx(1.0 / 1800.0, rel=1e-15)  # mu^2
 
 
 def test_validation_collects_every_failure():
@@ -74,8 +74,9 @@ def test_mutation_displacement_variance():
     disp = s.pop1 - before
     var = disp.var(axis=0)
     assert var.shape == (2,)
-    np.testing.assert_allclose(var, p.mu2, rtol=0.05)
-    assert abs(disp.mean()) < 5.0 * math.sqrt(p.mu2 / (2 * n_ind))
+    mu_squared = p.U * p.lambda_var
+    np.testing.assert_allclose(var, mu_squared, rtol=0.05)
+    assert abs(disp.mean()) < 5.0 * math.sqrt(mu_squared / (2 * n_ind))
 
 
 @pytest.mark.parametrize("U", [1.0 / 6.0, 20.0])
@@ -92,7 +93,7 @@ def test_mutation_displaces_a_thinned_fraction(U):
     assert abs(moved.mean() - frac) <= 3.0 * math.sqrt(frac * (1.0 - frac) / n_ind)
     np.testing.assert_allclose(s.pop1[moved].var(axis=0),
                                U * p.lambda_var / frac, rtol=0.05)
-    np.testing.assert_allclose(s.pop1.var(axis=0), p.mu2, rtol=0.05)
+    np.testing.assert_allclose(s.pop1.var(axis=0), U * p.lambda_var, rtol=0.05)
 
 
 def test_zero_mutation_rate_leaves_phenotypes_alone():

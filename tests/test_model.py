@@ -25,8 +25,8 @@ def test_fitness_at_origin_matches_hand_value():
 
 def test_fitness_peaks_at_own_optimum():
     p = ref_params()
-    assert model.fitness(p, 1, p.optimum(1)) == FIG_RMAX
-    assert model.fitness(p, 2, p.optimum(2)) == FIG_RMAX
+    assert model.fitness(p, 1, [-0.5, 0.0]) == FIG_RMAX  # optima at (-+beta, 0), beta = 0.5
+    assert model.fitness(p, 2, [0.5, 0.0]) == FIG_RMAX
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 2))
     assert np.all(model.fitness(p, 1, pts) <= FIG_RMAX)
@@ -47,21 +47,13 @@ def test_fitness_mirror_symmetry():
     p = ref_params()
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100, 2))
-    np.testing.assert_array_equal(model.fitness(p, 2, x),
-                                  model.fitness(p, 1, model.reflect(x)))
-
-
-def test_reflect_is_involution_bitwise():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(30, 3))
-    np.testing.assert_array_equal(model.reflect(model.reflect(x)), x)
-    y = model.reflect([1.5, -2.0])
-    np.testing.assert_array_equal(y, [-1.5, -2.0])
+    mirrored = x * np.array([-1.0, 1.0])  # x1 -> -x1, an exact sign flip
+    np.testing.assert_array_equal(model.fitness(p, 2, x), model.fitness(p, 1, mirrored))
 
 
 def test_habitat_difference_round_trip():
     for m_d in (0.0, 0.125, 0.5, 2.0, 13.7):
-        assert model.habitat_difference(model.beta_of(m_d)) == pytest.approx(m_d, rel=1e-15)
+        assert ref_params(beta=model.beta_of(m_d)).m_D == pytest.approx(m_d, rel=1e-15)
     assert model.beta_of(0.5) == 0.5  # exact: sqrt(0.25)
     with pytest.raises(ValueError):
         model.beta_of(-0.1)
@@ -73,18 +65,6 @@ def test_m_d_property_and_with_m_d():
     q = p.with_m_D(2.0)
     assert q.beta == 1.0
     assert q.mu == p.mu and q.migration == p.migration
-
-
-def test_from_optima_canonicalizes():
-    p = model.ModelParams.from_optima([1.0, 0.0], [0.0, 1.0], mu=0.1,
-                                      rmax1=0.2, rmax2=0.2,
-                                      migration=model.Symmetric(0.3))
-    # half the distance between the optima, frame-independent
-    assert p.beta == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-    np.testing.assert_allclose(p.optimum(1), [-p.beta, 0.0])
-    with pytest.raises(ValueError, match="equal-length"):
-        model.ModelParams.from_optima([1.0], [0.0, 1.0], mu=0.1, rmax1=0.0,
-                                      rmax2=0.0, migration=model.Symmetric(0.3))
 
 
 def test_validation_collects_every_failure_at_once():
@@ -132,6 +112,6 @@ def test_as_phenotype_shapes():
 def test_optimum_and_rmax_check_habitat_index():
     p = ref_params()
     with pytest.raises(ValueError, match="habitat"):
-        p.optimum(3)
+        p.rmax(3)
     with pytest.raises(ValueError, match="habitat"):
         model.fitness(p, 0, [0.0, 0.0])

@@ -464,11 +464,10 @@ def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
 
 def fd_total_mass(p, bumps, t, h, L=4.0):
     """N1 + N2 at t of the mirror finite-difference solve on [-L, L] at spacing h:
-    dense expm of eigen.assemble_symmetric_reduced, data sampled at the nodes,
+    dense expm of oracle.fd_mirror_matrix, data sampled at the nodes,
     trapezoid mass."""
-    g = build_grid(p.n, L, int(round(2 * L / h)) + 1)
-    propagator = scipy.linalg.expm(-t * eigen.assemble_symmetric_reduced(p, g).matrix.toarray())
-    return 2.0 * integrate(g, propagator @ oracle.gaussian(g.axis(), bumps))
+    x, a = oracle.fd_mirror_matrix(p, L, int(round(2 * L / h)) + 1)
+    return 2.0 * np.trapezoid(scipy.linalg.expm(-t * a) @ oracle.gaussian(x, bumps), x)
 
 
 def test_finite_difference_solve_converges_to_the_hermite_solve_at_second_order():
