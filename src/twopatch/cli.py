@@ -5,15 +5,17 @@ lists are comma-separated). Every key maps to exactly one field of
 ExperimentConfig; unknown keys are reported all at once. All numeric CSV
 output carries at least 12 significant digits.
 
-Exit codes: 0 success, 1 invalid configuration or request, 2 numerical
-failure (solver abort, eigensolve non-convergence, population overflow).
+Exit codes: 0 success, 1 usage error or invalid configuration or request,
+2 numerical failure (solver abort, unconverged eigensolve, IBM overflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -279,11 +281,15 @@ def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
 
 
 def _write_float_csv(path: str, header: str, columns) -> None:
-    """_write_csv for float columns in one %-template pass ("%.15g" % x == _fmt(x))."""
-    rows = np.column_stack(columns)
+    """_write_csv for float columns ("%.15g" % x == _fmt(x)), each distinct one formatted once."""
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    distinct = {col.tobytes(): col for col in cols}  # by bytes: -0.0 and nan stay apart
+    texts = {key: ["%.15g" % v for v in col.tolist()] for key, col in distinct.items()}
+    cells = [""] * (len(cols) * cols[0].size)
+    for k, col in enumerate(cols):
+        cells[k::len(cols)] = texts[col.tobytes()]
     with open(path, "w") as fh:
-        fh.write(header + "\n" + (",".join(["%.15g"] * rows.shape[1]) + "\n") * len(rows)
-                 % tuple(rows.ravel().tolist()))
+        fh.write(header + "\n" + ("%s," * (len(cols) - 1) + "%s\n") * cols[0].size % tuple(cells))
 
 
 # ----------------------------------------------------------------------
@@ -316,33 +322,39 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
                      [traj.t, traj.N1, traj.N2, traj.rbar1, traj.rbar2])
 
     # Rows run over the m^n nodes, x1 slowest: the x1 profile times the
-    # stationary Gaussian N(0, mu) in each of x2..xn. Each x1 slab is one
-    # %-template: its coordinate, then per transverse node ",x2,...,xn,u1,u2".
+    # stationary Gaussian N(0, mu) in each of x2..xn. Each x1 slab is one join
+    # of six strings per transverse node: x1, ",x2,...,xn,", u1, ",", u2, "\n".
     # The even Gaussian's product takes few distinct values, and on mirror
-    # runs u2 is u1 reversed, so each density's slab of strings is formatted
-    # once, keyed by its bit pattern (-0.0 prints apart from 0.0), and kept
-    # joined: as separate str objects the slabs of an n = 3 run take 10 MB more.
+    # runs u2 is u1 reversed, so each density's products are formatted once,
+    # keyed by its bit pattern (-0.0 prints apart from 0.0), and gathered per
+    # slab by itemgetter. At n = 1 a slab is one row: the file is one template.
     state_path = os.path.join(out_dir, "final_state.txt")
     ax = grid.axis()
     xs = ["%.15g" % v for v in ax]
     idx = np.indices((grid.m,) * (grid.n - 1)).reshape(grid.n - 1, grid.m ** (grid.n - 1)).T
     phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
     factors, which = np.unique(np.prod(phi[idx], axis=1), return_inverse=True)
-    tails = ["".join("," + xs[k] for k in node) + ",%s,%s\n" for node in idx.tolist()]
+    mids = ["".join("," + xs[k] for k in node) + "," for node in idx.tolist()]
     keys = [u.view(np.uint64).tolist() for u in (final.u1, final.u2)]
-    slabs: dict[int, str] = {}
+    texts: dict[int, list[str]] = {}
     for key, a in zip(keys[0] + keys[1], final.u1.tolist() + final.u2.tolist()):
-        if key not in slabs:
-            slabs[key] = ",".join(["%.15g" % v for v in (a * factors).tolist()])
-    row = np.empty((which.size, 2), dtype=object)
+        if key not in texts:
+            texts[key] = ["%.15g" % v for v in (a * factors).tolist()]
     with open(state_path, "w") as fh:
         fh.write(f"# n={grid.n} L={_fmt(grid.L)} m={grid.m} h={_fmt(grid.h)}\n")
         fh.write(f"# t={_fmt(traj.t[-1])} extinct={traj.extinct}\n")
         fh.write(",".join(f"x{k + 1}" for k in range(grid.n)) + ",u1,u2\n")
-        for x, key1, key2 in zip(xs, *keys):
-            row[:, 0] = np.array(slabs[key1].split(","), dtype=object)[which]
-            row[:, 1] = np.array(slabs[key2].split(","), dtype=object)[which]
-            fh.write((x + x.join(tails)) % tuple(row.ravel().tolist()))
+        if grid.n == 1:
+            u1, u2 = ([texts[k][0] for k in ks] for ks in keys)
+            fh.write("%s,%s,%s\n" * grid.m % tuple(v for row in zip(xs, u1, u2) for v in row))
+        else:
+            get = operator.itemgetter(*which.tolist())
+            slab = [","] * (6 * which.size)
+            slab[1::6], slab[5::6] = mids, ["\n"] * which.size
+            for x, key1, key2 in zip(xs, *keys):
+                slab[0::6] = [x] * which.size
+                slab[2::6], slab[4::6] = get(texts[key1]), get(texts[key2])
+                fh.write("".join(slab))
     return {"trajectory": traj_path, "final_state": state_path}
 
 
@@ -379,14 +391,12 @@ def cmd_ibm(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     summary = run_replicates(params, seeds)
 
     path = os.path.join(out_dir, "ibm.csv")
-    def rows():
-        for rep, tr in enumerate(summary.trajectories):
-            for i in range(tr.t.size):
-                yield rep, tr.t[i], tr.N1[i], tr.N2[i]
-    _write_csv(path, "replicate,t,N1,N2", rows())
+    rows = np.concatenate([np.column_stack([np.full(tr.t.size, k), tr.t, tr.N1, tr.N2])
+                           for k, tr in enumerate(summary.trajectories)])
+    _write_float_csv(path, "replicate,t,N1,N2", rows.T)
 
     mean_path = os.path.join(out_dir, "ibm_mean.csv")
-    _write_csv(mean_path, "t,N_total_mean", zip(summary.t, summary.n_total_mean))
+    _write_float_csv(mean_path, "t,N_total_mean", [summary.t, summary.n_total_mean])
     return {"ibm": path, "ibm_mean": mean_path}
 
 
@@ -540,7 +550,9 @@ def _load_config(path: str | None) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="twopatch",
         description="Two-habitat adaptation dynamics: PDE, eigenvalue, stochastic and sweep runs.")
@@ -559,30 +571,28 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, help="worker pool size for sweeps")
         if name == "phase":
             p.add_argument("--svg", action="store_true", help="also write phase.svg")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (code 0) or a usage error
+        return 1 if exc.code else 0
     try:
         config = _load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
+        overrides = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
+                     if v is not None}
         if overrides:
             config = replace(config, **overrides)
             validate_config(config)
         out_dir = args.out if args.out is not None else config.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "solve":
-            written = cmd_solve(config, out_dir)
-        elif args.command == "eigen":
-            written = cmd_eigen(config, out_dir)
-        elif args.command == "ibm":
-            written = cmd_ibm(config, out_dir)
-        elif args.command == "phase":
+        if args.command == "phase":
             written = cmd_phase(config, out_dir, svg=args.svg)
-        else:
-            written = cmd_threshold(config, out_dir)
+        else:  # the module globals at call time, so a wrapper set on them runs
+            written = {"solve": cmd_solve, "eigen": cmd_eigen, "ibm": cmd_ibm,
+                       "threshold": cmd_threshold}[args.command](config, out_dir)
     except (ConfigError, ThresholdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -209,7 +210,13 @@ def signed_zero_solve(*args):
     # u2 is not u1 reversed
     (dict(n=2, L=3.0, m=25, migration="general", d11=0.05, d12=0.05, d21=0.02, d22=0.02), None),
     (dict(n=2, L=3.0, m=25), signed_zero_solve),
-], ids=["n1", "n2", "n3", "extinct", "general_n2", "signed_zero"])
+    # the criterion-7 logistic run: a mirror run, so N2 repeats N1 bitwise
+    (dict(mu=ExperimentConfig().mu, L=4.0, m=129, t_end=50.0, record_every=0.125,
+          initial_mass=1.0, growth="logistic"), None),
+    # the last record interval is shorter than record_every
+    (dict(n=2, L=3.0, m=25, t_end=2.3, record_every=0.5), None),
+], ids=["n1", "n2", "n3", "extinct", "general_n2", "signed_zero", "logistic_n1",
+        "record_every_remainder"])
 def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, overrides, solve):
     if solve is not None:
         monkeypatch.setattr(cli, "integrate_to", solve)
@@ -225,17 +232,29 @@ def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, ov
         assert ",0,0\n" in want
     if solve is not None:  # u1 prints a 0 and u2 a -0
         assert re.search(r",0,[^,\n]+\n", want) and ",-0\n" in want
+    if overrides.get("growth") == "logistic":
+        assert np.array_equal(traj.N1, traj.N2) and np.array_equal(traj.rbar1, traj.rbar2)
+    if overrides.get("t_end") == 2.3:
+        assert traj.t[-2:].tolist() == [2.0, 2.3]
 
 
 def test_float_csv_matches_write_csv(tmp_path):
     cols = [np.array([0.0, -0.0, math.nan, 1.0 / 3.0]),
             np.array([1e-300, -math.inf, 12345.0, 2.0 ** 60]),
             np.array([math.nan, 1.0 / 1800.0, -1e16, 5e-324])]
-    cli._write_float_csv(str(tmp_path / "a.csv"), "p,q,r", cols)
-    cli._write_csv(str(tmp_path / "b.csv"), "p,q,r", zip(*cols))
-    text = (tmp_path / "a.csv").read_text()
-    assert text == (tmp_path / "b.csv").read_text()
-    assert text.splitlines()[2] == "-0,-inf,0.000555555555555556"
+    for extra, tail in (
+        ([], ""),
+        # bitwise-equal columns: formatted once, printed twice
+        ([cols[0], cols[0].copy()], ",-0,-0"),
+        # equal but not bitwise equal: 0.0 and -0.0 print apart
+        ([np.zeros(4), -np.zeros(4)], ",0,-0"),
+    ):
+        header = ",".join("pqrst"[:len(cols + extra)])
+        cli._write_float_csv(str(tmp_path / "a.csv"), header, cols + extra)
+        cli._write_csv(str(tmp_path / "b.csv"), header, zip(*(cols + extra)))
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert text.splitlines()[2] == "-0,-inf,0.000555555555555556" + tail
 
 
 def test_cmd_solve_zero_horizon_records_initial_row(tmp_path):
@@ -316,6 +335,21 @@ def test_cmd_ibm_outputs_and_determinism(tmp_path):
     assert (a / "ibm.csv").read_bytes() == (b / "ibm.csv").read_bytes()
     cli.cmd_ibm(quick_ibm_config(seed=1), str(c))
     assert (a / "ibm.csv").read_bytes() != (c / "ibm.csv").read_bytes()
+
+
+def test_cmd_ibm_matches_write_csv(tmp_path):
+    # the float writer prints the replicate index as str does (below 2^53)
+    cfg = quick_ibm_config(replicates=12)
+    cli.cmd_ibm(cfg, str(tmp_path))
+    summary = cli.run_replicates(cli.ibm_params(cfg),
+                                 [[cfg.seed, k] for k in range(cfg.replicates)])
+    cli._write_csv(str(tmp_path / "want.csv"), "replicate,t,N1,N2",
+                   [(rep, t, n1, n2) for rep, tr in enumerate(summary.trajectories)
+                    for t, n1, n2 in zip(tr.t, tr.N1, tr.N2)])
+    cli._write_csv(str(tmp_path / "want_mean.csv"), "t,N_total_mean",
+                   zip(summary.t, summary.n_total_mean))
+    assert (tmp_path / "ibm.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "ibm_mean.csv").read_bytes() == (tmp_path / "want_mean.csv").read_bytes()
 
 
 def test_ibm_params_requires_mirror_peaks():
@@ -542,3 +576,60 @@ def test_main_removed_solver_keys_exit_1(tmp_path, capsys):
 def test_main_missing_config_file_exits_1(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["ibm", "--seed", "abc"], "invalid int value: 'abc'"),
+], ids=["unknown_option", "no_subcommand", "bad_seed"])
+def test_main_usage_error_exits_1(capsys, argv, message):
+    # exit code 2 is reserved for numerical failure
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: twopatch" in err and message in err
+
+
+def test_main_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: twopatch" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        path = write_config(tmp_path, "n = 1\nmu = 0.1\ndelta = 0.02\nh_target = 0.25\n")
+        for command in ("threshold", "eigen", "threshold"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert cli.main(["solve", "--bogus"]) == 1
+    finally:
+        cli._parser.cache_clear()
+    # one tree: the root and one parser per subcommand
+    assert built == ["twopatch"] + [f"twopatch {c}" for c in
+                                    ("solve", "eigen", "ibm", "phase", "threshold")]
+
+
+def test_main_svg_flag_does_not_reach_the_next_call(tmp_path):
+    path = write_config(tmp_path, emit_config(quick_phase_config(phase_ibm=False)))
+    assert cli.main(["phase", "--config", path, "--out", str(tmp_path / "a"), "--svg"]) == 0
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "b")]) == 0
+    assert cli.main(["phase", "--config", path, "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "a" / "phase.svg").exists()
+    assert not (tmp_path / "b" / "phase.svg").exists()
+    assert not (tmp_path / "c" / "phase.svg").exists()
+
+
+def test_main_seed_override_does_not_reach_the_next_call(tmp_path):
+    path = write_config(tmp_path, "n = 1\nN0 = 30\nT = 5\nreplicates = 2\n")
+    for name, extra in (("a", []), ("b", ["--seed", "7"]), ("c", [])):
+        assert cli.main(["ibm", "--config", path, "--out", str(tmp_path / name)] + extra) == 0
+    ibm = {name: (tmp_path / name / "ibm.csv").read_bytes() for name in "abc"}
+    assert ibm["c"] == ibm["a"] != ibm["b"]
