@@ -86,7 +86,7 @@ class ExperimentConfig:
     threshold_param: str = "delta"
     threshold_lo: float | None = None
     threshold_hi: float | None = None
-    threshold_tol: float = 1e-4
+    threshold_tol: float = 1e-4  # largest accepted |lambda| at the crossing found
     # run control
     seed: int = 0
     threads: int = 1

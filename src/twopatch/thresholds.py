@@ -1,15 +1,18 @@
 """Critical-parameter search on the principal eigenvalue's sign.
 
-The principal eigenvalue lambda is monotone in each of delta, m_D, mu
-(nondecreasing) and rmax (decreasing, slope exactly -1), so persistence
-boundaries are single sign changes and bisection is reliable. Before
-searching, the closed-form existence inequalities for the requested
-parameter are checked so a hopeless search fails with the inequality that
-rules it out rather than with a bracket-expansion timeout.
+lambda is monotone in each of delta, m_D, mu (nondecreasing) and rmax
+(decreasing, slope exactly -1), so each persistence boundary is one sign
+change, found by false position once a bracket straddles it. Closed-form
+existence inequalities are checked first, so a hopeless search fails with
+the inequality that rules it out. For mu that is a lower bound on lambda
+at every mu (diffusion and the transverse load only raise lambda): min_x
+lambda_min([[delta - r1(x), -delta], [-delta, delta - r2(x)]]), which is
+delta - rmax - delta^2/m_D if m_D > 2 delta, else m_D/4 - rmax.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from . import hermite, model
@@ -67,12 +70,9 @@ def _with_value(params: model.ModelParams, which: str, value: float) -> model.Mo
 
 
 def _check_existence(params: model.ModelParams, which: str) -> tuple[float, float]:
-    """Validate the existence inequalities; return a certified (lo, hi) bracket.
+    """Validate the existence inequalities; return a starting (lo, hi) bracket.
 
-    params must be mirror-symmetric (find_threshold checks). lo always sits
-    on the persistence side (lambda < 0) and hi on the extinction side when
-    theory certifies one; otherwise hi is a starting point for geometric
-    expansion.
+    params must be mirror-symmetric (find_threshold checks).
     """
     n, mu, rmax = params.n, params.mu, params.rmax1
     load = 0.5 * mu * n  # mutation load: lambda -> -rmax + load as delta -> 0
@@ -104,8 +104,11 @@ def _check_existence(params: model.ModelParams, which: str) -> tuple[float, floa
         lo = 4.0 * (rmax - load)  # theory: the critical m_D exceeds this
         return lo, 4.0 * lo
     if which == "mu":
-        if not (rmax > 0):
-            raise ThresholdError(f"no critical mu: requires rmax > 0, got {rmax:.6g}")
+        floor = delta - delta * delta / m_d if m_d > 2.0 * delta else 0.25 * m_d  # >= 0
+        if not (rmax > floor):
+            raise ThresholdError(
+                f"no critical mu: requires rmax > {floor:.6g}, got {rmax:.6g}: lambda >= "
+                f"{floor - rmax:.6g} at every mu (extinct at every mutation scale)")
         hi = 2.0 * rmax / n  # lambda >= 0 here (equality when m_D = 0)
         lo = 2.0 * (rmax - min(delta, 0.25 * m_d)) / n
         if lo <= 0:
@@ -115,27 +118,30 @@ def _check_existence(params: model.ModelParams, which: str) -> tuple[float, floa
 
 
 def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
-                   tol_lambda: float = 1e-4, max_iter: int = 40) -> ThresholdResult:
+                   tol_lambda: float = 1e-4) -> ThresholdResult:
     """Find the parameter value where lambda crosses zero.
 
-    delta, m_D and mu are bisected. rmax needs no bracket: lambda_of adds
-    -rmax to the eigenvalue of a Hermite matrix that does not depend on it,
-    so lambda(rmax') = lambda(rmax) - (rmax' - rmax) holds to rounding and
-    the crossing is rmax + lambda(params), returned with iterations = 0,
-    lo = hi = value and a fresh lambda there.
+    delta, m_D and mu: lo is halved while lambda(lo) >= 0 and hi doubled
+    while lambda(hi) < 0, then false position narrows [lo, hi] to 1e-14 and
+    returns its end of smaller |lambda|. The result's lo, hi are that last
+    bracket, lambda(lo) < 0 <= lambda(hi); iterations counts the lambda
+    solves inside the first. rmax needs no bracket: lambda_of adds -rmax to
+    the eigenvalue of a Hermite matrix that does not depend on it, so the
+    crossing is rmax + lambda(params) to rounding, returned with
+    iterations = 0, lo = hi = value and a fresh lambda there.
 
     Args:
         params: baseline model; the searched parameter's entry is ignored
             (rmax reads it as the reference height).
         which: one of "delta", "m_D", "mu", "rmax".
-        bracket: optional (lo, hi) with lo on the lambda < 0 side; defaults
-            to the certified bracket from the existence inequalities.
-        tol_lambda: stop once |lambda(mid)| <= tol_lambda.
-        max_iter: bisection cap.
+        bracket: optional (lo, hi) to start from; defaults to the bracket
+            from the existence inequalities.
+        tol_lambda: acceptance bar: |lambda(value)| above it (lambda jumps
+            there rather than crossing) is an error, not a threshold.
 
     Raises:
-        ThresholdError: existence inequality fails, or no sign change is
-            found after geometric bracket expansion.
+        ThresholdError: existence inequality fails, no sign change is found
+            in 60 bracket moves, or |lambda(value)| > tol_lambda.
     """
     if not hermite.is_mirror(params):
         raise ThresholdError("threshold search requires Symmetric migration and rmax1 == rmax2")
@@ -149,48 +155,41 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
     if not (lo > 0 and hi > 0):
         raise ValueError(f"bracket must be positive, got ({lo!r}, {hi!r})")
 
+    @functools.cache
     def lam_at(v: float) -> float:
         return lambda_of(_with_value(params, which, v))
 
-    f_lo = lam_at(lo)
-    f_hi = lam_at(hi)
-    evaluations = 2
-    # lo is meant to sit on the persistence side; expand geometrically
-    # toward 0 / infinity until the bracket actually straddles the crossing.
+    # An end on the wrong side of the crossing becomes the other end.
     for _ in range(60):
-        if f_lo < 0:
-            break
-        lo /= 2.0
-        f_lo = lam_at(lo)
-        evaluations += 1
-    else:
-        raise ThresholdError(f"no sign change: lambda stays >= 0 down to {which} = {lo:.3g}")
-    for _ in range(60):
-        if f_hi >= 0:
-            break
-        hi *= 2.0
-        f_hi = lam_at(hi)
-        evaluations += 1
-    else:
-        raise ThresholdError(f"no sign change: lambda stays < 0 up to {which} = {hi:.3g}")
-
-    value, f_value = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        f_mid = lam_at(mid)
-        evaluations += 1
-        if abs(f_mid) <= abs(f_value):
-            value, f_value = mid, f_mid
-        if abs(f_mid) <= tol_lambda:
-            break
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
+        if lam_at(lo) >= 0:
+            lo, hi = 0.5 * lo, lo
+        elif lam_at(hi) < 0:
+            lo, hi = hi, 2.0 * hi
         else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
             break
+    else:
+        raise ThresholdError(f"no sign change in lambda over {which} in [{lo:.3g}, {hi:.3g}]")
 
+    bracketed = lam_at.cache_info().misses
+    # Pegasus false position: an end kept twice running has its lambda scaled
+    # down (M. Dowell and P. Jarratt, BIT 12, 1972, 503-508).
+    f_lo, f_hi, moved = lam_at(lo), lam_at(hi), 0
+    tol = 1e-14 + 1e-15 * hi
+    while hi - lo > tol:
+        # a step of at least tol / 2 from either end lets the far end close in
+        value = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        value = min(max(value, lo + 0.5 * tol), hi - 0.5 * tol)
+        if (f := lam_at(value)) < 0:
+            lo, f_lo, f_hi = value, f, f_hi * (f_lo / (f_lo + f) if moved < 0 else 1.0)
+        else:
+            hi, f_hi, f_lo = value, f, f_lo * (f_hi / (f_hi + f) if moved > 0 else 1.0)
+        moved = -1 if f < 0 else 1
+    value = min(lo, hi, key=lambda v: abs(lam_at(v)))
+    f_value = lam_at(value)
+    if not abs(f_value) <= tol_lambda:
+        raise ThresholdError(f"lambda jumps across {which} = {value:.12g}: "
+                             f"|lambda| = {abs(f_value):.3g} > tol_lambda = {tol_lambda:.3g}")
+    evaluations = lam_at.cache_info().misses
     return ThresholdResult(parameter=which, lo=lo, hi=hi, value=value,
-                           lambda_at_value=f_value, iterations=iterations,
+                           lambda_at_value=f_value, iterations=evaluations - bracketed,
                            evaluations=evaluations)

@@ -213,12 +213,12 @@ def test_criterion_10_critical_parameter_bounds():
     base = ref_params(n=2, m_d=0.5)
     res_d = thresholds.find_threshold(base, "delta")
     floor_d = RMAX - MU  # n*mu/2 at n=2
-    assert abs(res_d.lambda_at_value) <= 1e-4
+    assert abs(res_d.lambda_at_value) <= 1e-12
     assert res_d.value > floor_d, f"delta_crit {res_d.value} vs floor {floor_d}"
 
     res_m = thresholds.find_threshold(ref_params(n=2, delta=0.1), "m_D")
     floor_m = 4.0 * (RMAX - MU)
-    assert abs(res_m.lambda_at_value) <= 1e-4
+    assert abs(res_m.lambda_at_value) <= 1e-12
     assert res_m.value > floor_m, f"m_D_crit {res_m.value} vs floor {floor_m}"
     print(f"criterion 10: PASS delta_crit={res_d.value:.6g} > {floor_d:.6g} "
           f"(|lambda|={abs(res_d.lambda_at_value):.2g}); "
@@ -247,7 +247,7 @@ def test_criterion_11_desk_scale_phase_diagram():
     mismatches_ibm = []
     for i, delta in enumerate(deltas):
         for j, md in enumerate(mds):
-            params = cli.to_model_params(config, delta=max(delta, 1e-9), m_d=float(md))
+            params = cli.to_model_params(config, delta=float(delta), m_d=float(md))
             lam = eigen.lambda_of(params)
 
             state0 = cli.initial_state(config, params)

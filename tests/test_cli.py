@@ -470,7 +470,17 @@ def test_main_threshold_roundtrip(tmp_path, capsys):
     assert header == "parameter,lo,hi,value,lambda_at_value,iterations"
     row = data[0].split(",")
     assert row[0] == "delta"
-    assert abs(float(row[4])) <= 1e-4
+    assert abs(float(row[4])) <= 1e-12
+
+
+def test_main_threshold_mu_extinct_at_every_mu_exits_1(tmp_path, capsys):
+    # lambda >= delta - rmax - delta^2/m_D = 0.072 at every mu, so no mu
+    # persists; the search used to exit 2 when the Hermite basis ran out
+    path = write_config(tmp_path, "n = 2\nrmax1 = 0.12\nrmax2 = 0.12\nm_D = 1.2\n"
+                                  "delta = 0.24\nthreshold_param = mu\n")
+    assert cli.main(["threshold", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "no critical mu" in capsys.readouterr().err
+    assert not (tmp_path / "threshold.csv").exists()
 
 
 def test_main_solve_with_overrides(tmp_path, capsys):

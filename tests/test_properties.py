@@ -8,7 +8,9 @@ and a failure names the set. The identities are exact up to rounding:
 - raising rmax by c lowers lambda by c;
 - n traits add (n - 1) mu / 2 to the one-trait lambda;
 - at m_D = 0 the PDE mass from the basis-width bump grows at -lambda exactly;
-- mirror runs give N1 == N2 bitwise.
+- mirror runs give N1 == N2 bitwise;
+- a delta, m_D or mu search either finds no crossing or lands on one to
+  |lambda| <= 1e-12, inside a bracket whose ends straddle it.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from twopatch import eigen, model, pde
+from twopatch import eigen, model, pde, thresholds
 from twopatch.grid import build_grid
 from twopatch.pde import Bump, InitialData
 
@@ -70,3 +72,17 @@ def test_pde_growth_rate_and_mirror_masses(p):
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
     np.testing.assert_array_equal(final.u2, final.u1[::-1])
+
+
+@pytest.mark.parametrize("which", ["delta", "m_D", "mu"])
+@pytest.mark.parametrize("p", PARAMS, ids=IDS)
+def test_threshold_search_lands_on_the_crossing(p, which):
+    # ThresholdError (no crossing) is an answer; EigenError is not
+    try:
+        res = thresholds.find_threshold(p, which)
+    except thresholds.ThresholdError:
+        return
+    assert abs(res.lambda_at_value) <= 1e-12
+    assert res.lo <= res.value <= res.hi
+    assert eigen.lambda_of(thresholds._with_value(p, which, res.lo)) < 0
+    assert eigen.lambda_of(thresholds._with_value(p, which, res.hi)) >= 0

@@ -25,18 +25,22 @@ def test_classify_computes_lambda_when_not_given():
     assert thresholds.classify(base_params(mu=0.3)) == thresholds.EXTINCT
 
 
+def assert_straddles(p, res):
+    # the reported bracket really does straddle the sign change
+    assert res.lo <= res.value <= res.hi
+    assert eigen.lambda_of(thresholds._with_value(p, res.parameter, res.lo)) < 0
+    assert eigen.lambda_of(thresholds._with_value(p, res.parameter, res.hi)) >= 0
+
+
 def test_delta_threshold_properties():
     p = base_params()
     res = thresholds.find_threshold(p, "delta")
     assert res.parameter == "delta"
-    assert abs(res.lambda_at_value) <= 1e-4
-    assert res.lo <= res.value <= res.hi
+    assert abs(res.lambda_at_value) <= 1e-12
     assert res.iterations <= 40
     # certified side: the crossing lies above rmax - mu*n/2
     assert res.value > p.rmax1 - 0.5 * p.mu * p.n
-    # both sides of the final bracket really do straddle the sign change
-    assert eigen.lambda_of(thresholds._with_value(p, "delta", res.lo)) < 0
-    assert eigen.lambda_of(thresholds._with_value(p, "delta", res.hi)) >= 0
+    assert_straddles(p, res)
     at_value = thresholds._with_value(p, "delta", res.value)
     assert thresholds.classify(at_value, tol=1e-3) == thresholds.CRITICAL
 
@@ -44,8 +48,9 @@ def test_delta_threshold_properties():
 def test_m_d_threshold_properties():
     p = base_params()
     res = thresholds.find_threshold(p, "m_D")
-    assert abs(res.lambda_at_value) <= 1e-4
+    assert abs(res.lambda_at_value) <= 1e-12
     assert res.value > 4.0 * (p.rmax1 - 0.5 * p.mu * p.n)
+    assert_straddles(p, res)
     # more habitat divergence than the crossing: extinct; less: persists
     assert thresholds.classify(p.with_m_D(4.0 * res.value)) == thresholds.EXTINCT
     assert thresholds.classify(p.with_m_D(0.25 * res.value)) == thresholds.PERSIST
@@ -54,8 +59,9 @@ def test_m_d_threshold_properties():
 def test_mu_threshold_properties():
     p = base_params()
     res = thresholds.find_threshold(p, "mu")
-    assert abs(res.lambda_at_value) <= 1e-4
+    assert abs(res.lambda_at_value) <= 1e-12
     assert 0.0 < res.value < 2.0 * p.rmax1 / p.n
+    assert_straddles(p, res)
 
 
 def test_rmax_threshold_matches_unit_slope_identity():
@@ -65,7 +71,7 @@ def test_rmax_threshold_matches_unit_slope_identity():
     r0 = 0.2
     lam0 = eigen.lambda_of(thresholds._with_value(p, "rmax", r0))
     res = thresholds.find_threshold(p, "rmax")
-    assert abs(res.lambda_at_value) <= 1e-4
+    assert abs(res.lambda_at_value) <= 1e-12
     assert res.value == pytest.approx(r0 + lam0, abs=1.5e-4)
 
 
@@ -81,6 +87,14 @@ def test_evaluations_count_every_eigen_solve(which, monkeypatch):
     res = thresholds.find_threshold(base_params(), which)
     assert res.evaluations == len(calls)
     assert res.evaluations >= res.iterations + 2
+
+
+def test_lambda_jump_fails_the_acceptance_bar(monkeypatch):
+    # lambda changes sign at delta = 0.03 but is never near 0 there
+    monkeypatch.setattr(thresholds, "lambda_of",
+                        lambda params, **kwargs: -1.0 if params.migration.delta < 0.03 else 1.0)
+    with pytest.raises(thresholds.ThresholdError, match="tol_lambda"):
+        thresholds.find_threshold(base_params(), "delta")
 
 
 def test_explicit_bracket_is_used():
@@ -121,6 +135,15 @@ def test_no_m_d_threshold_cases():
 def test_no_mu_threshold_for_nonpositive_peak():
     with pytest.raises(thresholds.ThresholdError, match="requires rmax > 0"):
         thresholds.find_threshold(base_params(rmax=-0.1), "mu")
+
+
+def test_no_mu_threshold_when_migration_fitness_bound_is_nonnegative():
+    # lambda >= delta - rmax - delta^2/m_D = 0.072 at every mu; the search
+    # used to halve mu until the Hermite basis ran out (EigenError)
+    p = model.ModelParams(n=2, mu=0.1, rmax1=0.12, rmax2=0.12, beta=math.sqrt(0.6),
+                          migration=model.Symmetric(0.24))
+    with pytest.raises(thresholds.ThresholdError, match="extinct at every mutation scale"):
+        thresholds.find_threshold(p, "mu")
 
 
 def test_threshold_requires_mirror_symmetric_model():
