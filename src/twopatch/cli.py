@@ -191,6 +191,12 @@ def validate_config(config: ExperimentConfig) -> None:
         errors.append(f"sweep_steps entries must be >= 2, got {config.sweep_steps!r}")
     if config.rungs < 2:
         errors.append(f"rungs must be >= 2 (two rungs certify the ladder), got {config.rungs}")
+    if config.h_target is not None and not 0 < config.h_target < math.inf:
+        errors.append(f"h_target must be auto or finite and > 0, got {config.h_target}")
+    if not 0 <= config.tol_domain < math.inf:
+        errors.append(f"tol_domain must be finite and >= 0, got {config.tol_domain}")
+    if not 0 < config.threshold_tol < math.inf:
+        errors.append(f"threshold_tol must be finite and > 0, got {config.threshold_tol}")
     if config.m is not None and (config.m < 3 or config.m % 2 == 0):
         errors.append(f"m must be odd and >= 3, got {config.m}")
     if config.threshold_param not in ("delta", "m_D", "mu", "rmax"):

@@ -559,13 +559,28 @@ def test_main_numerical_failure_exits_2(tmp_path, capsys):
 
 
 def test_main_eigen_unconverged_ladder_exits_2(tmp_path, capsys):
-    # a tol_domain below the ladder's roundoff: no two rungs agree, so its
-    # lambda is not certified and eigen.csv is not written
+    # tol_domain = 0: no two rungs satisfy |change| < 0, so its lambda is
+    # not certified and eigen.csv is not written
     path = write_config(tmp_path, "n = 1\nmu = 0.01\nm_D = 0.5\ndelta = 0.5\nh_target = 0.25\n"
-                                  "rungs = 2\ntol_domain = 1e-18\n")
+                                  "rungs = 2\ntol_domain = 0\n")
     assert cli.main(["eigen", "--config", path, "--out", str(tmp_path)]) == 2
     assert "box ladder" in capsys.readouterr().err
     assert not (tmp_path / "eigen.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["h_target = 0", "h_target = -0.5", "h_target = nan",
+                                  "tol_domain = nan", "tol_domain = -1",
+                                  "threshold_tol = -1", "threshold_tol = nan"])
+def test_main_bad_ladder_or_threshold_tolerance_exits_1(tmp_path, capsys, line):
+    # each is a ConfigError naming its key, raised before any solve
+    key = line.split(" =")[0]
+    path = write_config(tmp_path, "n = 1\n" + line + "\n")
+    command = "threshold" if key == "threshold_tol" else "eigen"
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_solve_overflow_exits_2(tmp_path, capsys):

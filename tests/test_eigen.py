@@ -161,7 +161,7 @@ def test_nonsymmetric_operator_matches_dense_spectrum(d12, d21):
     (model.General(0.05, 0.02, 0.05, 0.03), 0.8 * FIG_RMAX),  # full, biased
 ], ids=["reduced", "full_symmetric", "full_biased"])
 def test_smallest_grids_match_dense_spectrum(m, migration, rmax2):
-    # on three and five nodes ARPACK's Krylov space (ncv = min(10, n)) is the whole space
+    # the smallest boxes: three and five nodes, half-bandwidth 2 on six to ten unknowns
     p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=rmax2, beta=0.5,
                           migration=migration)
     g = build_grid(1, 2.0, m)
@@ -173,8 +173,80 @@ def test_smallest_grids_match_dense_spectrum(m, migration, rmax2):
     assert pair.vector.min() >= 0.0
 
 
+RUNG_CASES = {
+    "mirror": (model.Symmetric(0.05), FIG_RMAX),
+    "mirror_delta_0": (model.Symmetric(0.0), FIG_RMAX),
+    "biased": (model.General(0.05, 0.02, 0.05, 0.03), 0.8 * FIG_RMAX),
+    "one_way_d12_0": (model.General(0.05, 0.0, 0.05, 0.03), 0.8 * FIG_RMAX),
+    "one_way_d21_0": (model.General(0.05, 0.02, 0.0, 0.03), 0.8 * FIG_RMAX),
+    # equal peaks, one-way: a double eigenvalue with a single eigenvector
+    "one_way_mirror_tie": (model.General(0.05, 0.03, 0.0, 0.05), FIG_RMAX),
+    "no_migration": (model.General(0.05, 0.0, 0.0, 0.03), 0.8 * FIG_RMAX),
+}
+
+
+@pytest.mark.parametrize("m", [3, 5, 61])
+@pytest.mark.parametrize("case", sorted(RUNG_CASES))
+def test_rung_solve_matches_dense_spectrum_with_evidence(case, m):
+    # the symmetric twin's value, the nonnegative vector from inverse
+    # iteration, and the evidence each solve carries, on both assemblies of
+    # mirror habitats and on the full one otherwise
+    migration, rmax2 = RUNG_CASES[case]
+    p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=rmax2, beta=0.5,
+                          migration=migration)
+    g = build_grid(1, 3.0, m)
+    mirror = isinstance(migration, model.Symmetric)
+    for assemble in ([eigen.assemble_symmetric_reduced] if mirror else []) + [eigen.assemble_full]:
+        op = assemble(p, g)
+        pair = eigen.principal_eigenpair(op)
+        dense = scipy.linalg.eigvals(op.matrix.toarray()).real.min()
+        assert pair.value == pytest.approx(dense, abs=1e-10)
+        assert pair.vector.min() >= 0.0
+        assert pair.residual <= 1e-8
+        assert pair.value >= op.lower_bound
+        assert pair.iterations <= 3
+
+
+def test_rung_solve_with_unstored_diagonal_entries():
+    # a zero diagonal is not stored: the LU takes the general shift route.
+    # -(path adjacency) on nine nodes: lambda_0 = -2 cos(pi / 10), sine vector
+    e = np.ones(8)
+    op = eigen.Operator(matrix=sp.diags([-e, -e], [-1, 1], format="csr"), symmetric=True,
+                        lower_bound=-2.0)
+    assert op.matrix.diagonal().size == 9 and op.matrix.nnz == 16
+    pair = eigen.principal_eigenpair(op)
+    assert pair.value == pytest.approx(-2.0 * math.cos(math.pi / 10), abs=1e-14)
+    want = np.sin(np.pi * np.arange(1, 10) / 10)
+    np.testing.assert_allclose(pair.vector, want / want.max(), rtol=0, atol=1e-12)
+    assert pair.residual <= 1e-14 and pair.iterations <= 3
+
+
+def evidence_operator(kind):
+    if kind == "sign_change":
+        # positive couplings: the smallest eigenvector alternates in sign
+        e = np.ones(9)
+        return eigen.Operator(matrix=sp.diags([e[1:], 2.0 * e, e[1:]], [-1, 0, 1]).tocsr(),
+                              symmetric=True, lower_bound=0.0)
+    if kind == "below_bound":
+        e = np.ones(9)
+        return eigen.Operator(matrix=sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]).tocsr(),
+                              symmetric=True, lower_bound=1.0)
+    # a three-cycle whose coupling ratios multiply to 64: no diagonal scaling
+    # symmetrises it, so the twin's value 1 is not A's value 0.75
+    circ = scipy.linalg.circulant([2.0, -0.25, -1.0])
+    return eigen.Operator(matrix=sp.csr_matrix(circ), symmetric=False, lower_bound=0.75)
+
+
+@pytest.mark.parametrize("kind, match", [("sign_change", "sign-changing"),
+                                         ("below_bound", "below the certified bound"),
+                                         ("not_symmetrisable", "residual")])
+def test_rung_solve_raises_without_evidence(kind, match):
+    with pytest.raises(eigen.EigenError, match=match):
+        eigen.principal_eigenpair(evidence_operator(kind))
+
+
 def test_eigenpair_and_eigen_csv_are_reproducible(tmp_path):
-    # ARPACK starts from a fixed vector, so repeated solves agree bit for bit
+    # inverse iteration starts from a fixed vector, so repeated solves agree bit for bit
     p = ref_params()
     op = eigen.assemble_symmetric_reduced(p, build_grid(1, 4.0, 97))
     first, second = eigen.principal_eigenpair(op), eigen.principal_eigenpair(op)
