@@ -208,7 +208,7 @@ def test_rung_solve_matches_dense_spectrum_with_evidence(case, m):
 
 
 def test_rung_solve_with_unstored_diagonal_entries():
-    # a zero diagonal is not stored: the LU takes the general shift route.
+    # a zero diagonal is not stored, so the shift adds new entries.
     # -(path adjacency) on nine nodes: lambda_0 = -2 cos(pi / 10), sine vector
     e = np.ones(8)
     op = eigen.Operator(matrix=sp.diags([-e, -e], [-1, 1], format="csr"), symmetric=True,
@@ -219,6 +219,43 @@ def test_rung_solve_with_unstored_diagonal_entries():
     want = np.sin(np.pi * np.arange(1, 10) / 10)
     np.testing.assert_allclose(pair.vector, want / want.max(), rtol=0, atol=1e-12)
     assert pair.residual <= 1e-14 and pair.iterations <= 3
+
+
+def test_rung_solve_pairs_couplings_past_int32_keys():
+    # 46,400 unknowns with int32 indices: the pair key col * size + row of the
+    # last coupling exceeds 2^31. A unit diagonal plus the 2 x 2 block
+    # [[1, -0.5], [-2, 1]] at the highest indices, whose twin coupling is
+    # -sqrt(0.5 * 2) = -1, so lambda_0 = 0 with vector (0.5, 1) on the block.
+    n = 46_400
+    rows = np.r_[np.arange(n), n - 2, n - 1]
+    cols = np.r_[np.arange(n), n - 1, n - 2]
+    mat = sp.csr_matrix((np.r_[np.ones(n), -0.5, -2.0], (rows, cols)), shape=(n, n))
+    assert mat.indices.dtype == np.int32
+    pair = eigen.principal_eigenpair(eigen.Operator(matrix=mat, symmetric=False, lower_bound=-1.0))
+    assert pair.value == pytest.approx(0.0, abs=1e-14)
+    np.testing.assert_allclose(pair.vector[-2:], [0.5, 1.0], rtol=0, atol=1e-14)
+    assert pair.vector[:-2].max() <= 1e-14 and pair.residual <= 1e-14
+
+
+@pytest.mark.parametrize("fmt", ["csc", "coo", "csr_with_duplicates"])
+def test_rung_solve_takes_any_sparse_format_and_leaves_it_unchanged(fmt):
+    # a biased full operator, so a transposed read would give the left vector
+    p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX, beta=0.5,
+                          migration=model.General(0.05, 0.02, 0.05, 0.03))
+    op = eigen.assemble_full(p, build_grid(1, 3.0, 61))
+    want = eigen.principal_eigenpair(op)
+    if fmt == "csr_with_duplicates":  # each entry stored as two halves
+        csr = op.matrix
+        data = np.repeat(0.5 * csr.data, 2)
+        mat = sp.csr_matrix((data, np.repeat(csr.indices, 2), 2 * csr.indptr), shape=csr.shape)
+    else:
+        mat = op.matrix.asformat(fmt)
+    before = (mat.format, mat.nnz)
+    pair = eigen.principal_eigenpair(dataclasses.replace(op, matrix=mat))
+    assert (mat.format, mat.nnz) == before
+    assert pair.value == pytest.approx(want.value, abs=1e-14)
+    np.testing.assert_allclose(pair.vector, want.vector, rtol=0, atol=1e-12)
+    assert pair.residual <= 1e-14
 
 
 def evidence_operator(kind):
