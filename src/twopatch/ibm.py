@@ -12,23 +12,36 @@ Non-overlapping generations. Each generation applies, in order:
 
 The diffusive scale of the density model is recovered as mu^2 = U * lambda_var.
 
-Each stage draws only what changes. Mutation thins the Poisson(U) count:
-an individual mutates with probability p = 1 - exp(-U), so the M ~
-Binomial(N, p) mutants are a uniform subset, each with a zero-truncated
-Poisson(U) number of mutations K, and only they draw a displacement.
-Migration moves its movers to the tail of their array in place and builds
-each new habitat with one concatenation.
+Each stage draws only what changes. Reproduction draws one total per
+habitat: independent Poisson(lambda_j) offspring counts have the law of one
+Poisson(sum lambda) total whose offspring pick their parents i.i.d. with
+probability lambda_j / sum lambda (the colouring theorem; J. F. C. Kingman,
+Poisson Processes, 1993, section 5.1). Each parent is drawn by rejection
+from uniform proposals: j uniform in [0, N), accepted when u * max lambda <
+lambda_j (L. Devroye, Non-Uniform Random Variate Generation, 1986, section
+II.3), so a habitat takes N * max lambda / sum lambda proposals per
+offspring and N * max lambda <= N * exp(rmax) per generation in
+expectation. Mutation thins the Poisson(U) count: an individual mutates
+with probability p = 1 - exp(-U), so the M ~ Binomial(N, p) mutants are a
+uniform subset, each with a zero-truncated Poisson(U) number of mutations
+K, and only they draw a displacement. Migration moves its movers to the
+tail of their array in place and builds each new habitat with one
+concatenation.
 
 Populations are stored as (N_i, n) float arrays; row order carries no
-meaning. All draws come from one numpy Generator in a fixed order
-(offspring counts of habitat 1, then of habitat 2; then per habitat the
-mutant count, the mutant indices, their K and their displacements; then the
-mover count and the movers of habitat 1, then of habitat 2), so a run is
-bit-reproducible given its seed.
+meaning. Rows are gathered with ``take`` and written through a 1-D view of
+the rows as opaque records, which numpy moves far faster than 2-D row
+fancy indexing. All draws come from one numpy Generator in a fixed order
+(the offspring totals of habitat 1 and 2; then the parent proposals of
+habitat 1, then of habitat 2, each chunk its indices then its uniforms;
+then per habitat the mutant count, the mutant indices, their K and their
+displacements; then the mover count and the movers of habitat 1, then of
+habitat 2), so a run is bit-reproducible given its seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,31 +137,74 @@ def init_clonal(params: IbmParams, seed=0) -> IbmState:
     )
 
 
+# Largest batch of parent proposals drawn at once, so that a large habitat
+# needs no proposal temporaries of its own size.
+_PROPOSAL_CHUNK = 1 << 16
+
+
+def _records(pop: np.ndarray) -> np.ndarray:
+    """1-D view of the rows of ``pop`` as opaque records of n floats.
+
+    ``pop``'s last axis must be contiguous (the stages pass C-ordered arrays).
+    Moving rows through this view costs a fraction of 2-D row indexing.
+    """
+    return pop.view(np.dtype((np.void, pop.itemsize * pop.shape[1])))[:, 0]
+
+
+def _parents(rng: np.random.Generator, lam: np.ndarray, total: int) -> np.ndarray:
+    """``total`` i.i.d. parent indices, j drawn with probability lam[j] / sum(lam).
+
+    Rejection from uniform proposals: j uniform in [0, N) is accepted when a
+    uniform u satisfies u < lam[j] / max(lam). Proposals come in chunks sized
+    to the expected need, at most _PROPOSAL_CHUNK. ``lam`` is overwritten
+    with lam / max(lam).
+    """
+    parents = np.empty(total, dtype=np.intp)
+    if total == 0:
+        return parents
+    lam /= lam.max()
+    acceptance = float(lam.mean())
+    filled = 0
+    while filled < total:
+        need = total - filled
+        size = min(_PROPOSAL_CHUNK, math.ceil(need / acceptance))
+        j = rng.integers(lam.size, size=size)
+        j = np.compress(rng.random(size) < lam.take(j), j)[:need]
+        parents[filled:filled + j.size] = j
+        filled += j.size
+    return parents
+
+
 def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) -> None:
     """Replace each habitat by its offspring, Poisson(exp(r)) per parent.
 
-    ``fitness`` is the pair of per-individual fitness arrays of the current
-    populations; it is computed here when not given. Raises IbmOverflowError,
-    leaving the state untouched, when the offspring would exceed ``cap``.
+    Drawn as one Poisson(sum exp(r)) total per habitat whose offspring copy
+    i.i.d. parents picked with probability proportional to exp(r), so the
+    offspring rows come in random order. ``fitness`` is the pair of
+    per-individual fitness arrays of the current populations; it is computed
+    here when not given. Raises IbmOverflowError, leaving the state
+    untouched, when the offspring would exceed ``cap``.
     """
     if fitness is None:
         fitness = _fitnesses(params, state)
-    counts = [state.rng.poisson(np.exp(f)) for f in fitness]
-    total = int(counts[0].sum()) + int(counts[1].sum())
+    lams = [np.exp(f) for f in fitness]
+    totals = [int(state.rng.poisson(lam.sum())) for lam in lams]
+    total = totals[0] + totals[1]
     if total > params.cap:
         raise IbmOverflowError(
             f"population {total} exceeds cap {params.cap} at generation {state.generation}")
-    state.pop1 = np.repeat(state.pop1, counts[0], axis=0)
-    state.pop2 = np.repeat(state.pop2, counts[1], axis=0)
+    state.pop1 = state.pop1.take(_parents(state.rng, lams[0], totals[0]), axis=0)
+    state.pop2 = state.pop2.take(_parents(state.rng, lams[1], totals[1]), axis=0)
 
 
+@functools.cache
 def _truncated_poisson_cdf(U: float) -> np.ndarray:
     """CDF of Poisson(U) conditioned on K >= 1, at K = 1, 2, ...
 
     The table stops once the remaining upper tail is below 2**-53 (bounded
     by the geometric series of the pmf ratio U / (k + 1) < 1), and is
     normalised so that its last entry is exactly 1. The pmf runs in log
-    space, so any finite U > 0 works.
+    space, so any finite U > 0 works. Cached per U and read-only.
     """
     log_pk = math.log(U) - U - math.log(-math.expm1(-U))  # k = 1
     pmf = []
@@ -162,7 +218,9 @@ def _truncated_poisson_cdf(U: float) -> np.ndarray:
         k += 1
         log_pk += math.log(U / k)
     cdf = np.cumsum(pmf)
-    return cdf / cdf[-1]
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 def mutation(state: IbmState, params: IbmParams) -> None:
@@ -172,14 +230,17 @@ def mutation(state: IbmState, params: IbmParams) -> None:
     N(0, K lambda_var I) displacement, drawn as sqrt(K lambda_var) * N(0, I).
     Only the individuals with K > 0 are drawn: M ~ Binomial(N, 1 - exp(-U))
     uniform mutants, each with K from the zero-truncated Poisson(U) by the
-    inverse CDF of one uniform.
+    inverse CDF of one uniform. The mutants' rows are written in place; a
+    habitat array that is not C-ordered is first replaced by a C-ordered copy.
     """
     if params.U == 0:
         return
     p_mutant = -math.expm1(-params.U)
     cdf = _truncated_poisson_cdf(params.U)
     rng = state.rng
-    for pop in (state.pop1, state.pop2):
+    pops = [np.ascontiguousarray(state.pop1), np.ascontiguousarray(state.pop2)]
+    state.pop1, state.pop2 = pops
+    for pop in pops:
         n_ind = pop.shape[0]
         if n_ind == 0:
             continue
@@ -188,8 +249,10 @@ def mutation(state: IbmState, params: IbmParams) -> None:
             continue
         idx = rng.choice(n_ind, m, replace=False, shuffle=False)
         k = np.searchsorted(cdf, rng.random(m), side="right") + 1
-        disp = rng.standard_normal((m, params.n))
-        pop[idx] += disp * np.sqrt(k * params.lambda_var)[:, None]
+        rows = rng.standard_normal((m, params.n))
+        rows *= np.sqrt(k * params.lambda_var)[:, None]
+        rows += pop.take(idx, axis=0)
+        _records(pop)[idx] = _records(rows)
 
 
 def _movers_to_tail(rng: np.random.Generator, pop: np.ndarray, rate: float) -> int:
@@ -213,7 +276,8 @@ def _movers_to_tail(rng: np.random.Generator, pop: np.ndarray, rate: float) -> i
     stayers_in_tail[idx[in_tail] - head] = False
     src = idx[~in_tail]
     dst = np.flatnonzero(stayers_in_tail) + head
-    pop[src], pop[dst] = pop[dst], pop[src]
+    rows = _records(pop)
+    rows[src], rows[dst] = rows[dst], rows[src]
     return m
 
 
@@ -223,10 +287,10 @@ def migration(state: IbmState, params: IbmParams) -> None:
     Draw sizes are capped at the current population; totals are conserved
     exactly.
     """
-    n1, n2 = state.pop1.shape[0], state.pop2.shape[0]
-    m1 = _movers_to_tail(state.rng, state.pop1, params.delta)
-    m2 = _movers_to_tail(state.rng, state.pop2, params.delta)
-    pop1, pop2 = state.pop1, state.pop2
+    pop1, pop2 = np.ascontiguousarray(state.pop1), np.ascontiguousarray(state.pop2)
+    n1, n2 = pop1.shape[0], pop2.shape[0]
+    m1 = _movers_to_tail(state.rng, pop1, params.delta)
+    m2 = _movers_to_tail(state.rng, pop2, params.delta)
     state.pop1 = np.concatenate([pop1[:n1 - m1], pop2[n2 - m2:]], axis=0)
     state.pop2 = np.concatenate([pop2[:n2 - m2], pop1[n1 - m1:]], axis=0)
 

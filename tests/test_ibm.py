@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from twopatch import ibm
+from twopatch import cli, eigen, ibm
 
 
 def params(**overrides):
@@ -62,6 +63,106 @@ def test_offspring_mean_matches_poisson_intensity():
     got = s.pop1.shape[0] / n_ind
     se = math.sqrt(want / n_ind)
     assert abs(got - want) <= 3.0 * se
+
+
+def test_offspring_per_parent_follow_their_own_poisson_law():
+    # Two fitness classes in habitat 1: class a at the optimum (lambda_a =
+    # exp(rmax)), class b one unit of fitness below (lambda_b = lambda_a / e).
+    # Every parent carries a distinct trait-2 tag of at most 1e-4, which moves
+    # r by under 1e-8, so each offspring names its parent. Per class, the
+    # share of parents with k = 0..3 offspring must match Poisson(lambda)
+    # within 4 SE, and the offspring ratio between the classes lambda_a /
+    # lambda_b within 4 SE. Uniform parents give both classes Poisson(mean
+    # lambda); rejection against the mean lambda instead of the max gives a
+    # ratio near 1.86 in place of e.
+    per_class = 50_000
+    p = params(N0=1, T=0)
+    tags = np.arange(2 * per_class) * (1e-4 / (2 * per_class))
+    x1 = np.where(np.arange(2 * per_class) < per_class, -p.beta, -p.beta + math.sqrt(2.0))
+    s = ibm.IbmState(pop1=np.column_stack([x1, tags]), pop2=np.zeros((0, 2)),
+                     generation=0, rng=np.random.default_rng(31))
+    ibm.reproduction_selection(s, p)
+    parent = np.searchsorted(tags, s.pop1[:, 1])
+    np.testing.assert_array_equal(tags[parent], s.pop1[:, 1])
+    np.testing.assert_array_equal(x1[parent], s.pop1[:, 0])
+    counts = np.bincount(parent, minlength=2 * per_class)
+    lam = {"a": math.exp(p.rmax), "b": math.exp(p.rmax - 1.0)}
+    for label, cls in (("a", counts[:per_class]), ("b", counts[per_class:])):
+        for k in range(4):
+            want = math.exp(-lam[label]) * lam[label] ** k / math.factorial(k)
+            got = np.count_nonzero(cls == k) / per_class
+            se = math.sqrt(want * (1.0 - want) / per_class)
+            assert abs(got - want) <= 4.0 * se, (label, k, got, want, se)
+    n_a, n_b = int(counts[:per_class].sum()), int(counts[per_class:].sum())
+    ratio_se = math.e * math.sqrt(1.0 / n_a + 1.0 / n_b)
+    assert abs(n_a / n_b - math.e) <= 4.0 * ratio_se, (n_a / n_b, ratio_se)
+
+
+def test_reproduction_rejection_worst_case_and_empty_habitats():
+    # one parent at the optimum among 1e5 at r = -40: about 1e5 proposals per
+    # offspring, and every offspring copies the fit parent
+    p = params(rmax=2.0, N0=1, T=0)
+    far = -p.beta + math.sqrt(2.0 * (p.rmax + 40.0))
+    pop1 = np.tile([far, 0.0], (100_001, 1))
+    pop1[50_000] = [-p.beta, 0.0]
+    s = ibm.IbmState(pop1=pop1, pop2=np.zeros((0, 2)), generation=0,
+                     rng=np.random.default_rng(4))
+    start = time.perf_counter()
+    ibm.reproduction_selection(s, p)
+    assert time.perf_counter() - start < 5.0
+    assert s.pop1.shape[0] > 0
+    np.testing.assert_array_equal(s.pop1, np.tile([-p.beta, 0.0], (s.pop1.shape[0], 1)))
+    assert s.pop2.shape == (0, 2) and s.pop2.dtype == np.float64  # empty habitat
+
+    # five parents at r < -60 draw a zero total
+    dying = np.tile([p.beta + math.sqrt(2.0 * (p.rmax + 60.0)), 0.0], (5, 1))
+    s = ibm.IbmState(pop1=dying, pop2=np.zeros((0, 2)), generation=0,
+                     rng=np.random.default_rng(4))
+    ibm.reproduction_selection(s, p)
+    for pop in (s.pop1, s.pop2):
+        assert pop.shape == (0, 2) and pop.dtype == np.float64
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_moves_for_any_dimension_and_layout(n, order):
+    # migration and mutation move rows through a 1-D record view; that view
+    # needs C-ordered rows, so a caller-built Fortran-ordered state and a
+    # zero-row habitat must work too
+    n_ind = 20_000
+    p = params(n=n, delta=0.3, N0=1)
+    rng = np.random.default_rng(40 + n)
+    for n2 in (0, 300):
+        rows = rng.normal(size=(n_ind + n2, n))
+        s = ibm.IbmState(pop1=np.array(rows[:n_ind], order=order),
+                         pop2=np.array(rows[n_ind:], order=order),
+                         generation=0, rng=np.random.default_rng(n))
+        ibm.migration(s, p)
+        assert s.pop1.shape[1] == s.pop2.shape[1] == n
+        np.testing.assert_array_equal(_sorted_rows(np.concatenate([s.pop1, s.pop2])),
+                                      _sorted_rows(rows))
+
+    s = ibm.IbmState(pop1=np.zeros((n_ind, n), order=order), pop2=np.zeros((0, n), order=order),
+                     generation=0, rng=np.random.default_rng(n))
+    ibm.mutation(s, p)
+    assert s.pop2.shape == (0, n)
+    moved = np.any(s.pop1 != 0.0, axis=1)
+    frac = -math.expm1(-p.U)
+    assert abs(moved.mean() - frac) <= 4.0 * math.sqrt(frac * (1.0 - frac) / n_ind)
+
+
+def test_mutation_table_is_built_once_per_rate():
+    p = params(N0=50)
+    s = ibm.init_clonal(p, seed=3)
+    ibm.mutation(s, p)
+    table = ibm._truncated_poisson_cdf(p.U)
+    ibm.mutation(s, p)
+    assert ibm._truncated_poisson_cdf(p.U) is table
+    assert not table.flags.writeable
 
 
 def test_mutation_displacement_variance():
@@ -190,3 +291,17 @@ def test_run_replicates_mean_and_reproducibility():
     np.testing.assert_allclose(a.n_total_mean, stacked.mean(axis=0))
     with pytest.raises(ValueError, match="at least one seed"):
         ibm.run_replicates(p, [])
+
+
+@pytest.mark.parametrize("delta,m_d", [(0.05, 0.0), (0.1, 0.8)])
+def test_ibm_growth_sign_matches_lambda(delta, m_d):
+    # a fast stand-in for criterion 11's IBM check: one persisting cell and
+    # one extinct cell of its sweep, at N0 = 200, T = 60 and 3 replicates
+    start = time.perf_counter()
+    config = cli.ExperimentConfig(N0=200, T=60, replicates=3)
+    lam = eigen.lambda_of(cli.to_model_params(config, delta=delta, m_d=m_d))
+    summary = ibm.run_replicates(cli.ibm_params(config, delta=delta, m_d=m_d),
+                                 [[config.seed, k] for k in range(config.replicates)])
+    growth = summary.n_total_mean[-1] - summary.n_total_mean[0]
+    assert (growth > 0) == (lam < 0), (lam, summary.n_total_mean[[0, -1]])
+    assert time.perf_counter() - start < 2.0
