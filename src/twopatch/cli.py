@@ -84,8 +84,6 @@ class ExperimentConfig:
     phase_ibm: bool = True
     # threshold search
     threshold_param: str = "delta"
-    threshold_lo: float | None = None
-    threshold_hi: float | None = None
     threshold_tol: float = 1e-4  # largest accepted |lambda| at the crossing found
     # run control
     seed: int = 0
@@ -201,8 +199,6 @@ def validate_config(config: ExperimentConfig) -> None:
         errors.append(f"m must be odd and >= 3, got {config.m}")
     if config.threshold_param not in ("delta", "m_D", "mu", "rmax"):
         errors.append(f"threshold_param must be delta, m_D, mu or rmax, got {config.threshold_param!r}")
-    if (config.threshold_lo is None) != (config.threshold_hi is None):
-        errors.append("threshold_lo and threshold_hi must be given together")
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -408,11 +404,7 @@ def cmd_ibm(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
 
 def cmd_threshold(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Find the requested critical parameter; write threshold.csv."""
-    params = to_model_params(config)
-    bracket = None
-    if config.threshold_lo is not None and config.threshold_hi is not None:
-        bracket = (config.threshold_lo, config.threshold_hi)
-    result = find_threshold(params, config.threshold_param, bracket,
+    result = find_threshold(to_model_params(config), config.threshold_param,
                             tol_lambda=config.threshold_tol)
     path = os.path.join(out_dir, "threshold.csv")
     _write_csv(path, "parameter,lo,hi,value,lambda_at_value,iterations",
@@ -476,16 +468,20 @@ def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
 def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> dict[str, str]:
     """Sweep the (delta, m_D) plane; write phase.csv (and phase.svg).
 
-    General migration (no delta to sweep), a config that to_model_params,
-    solver_config or initial_state rejects and, with phase_ibm on, one that
-    ibm_params rejects raise before any cell (exit 1)."""
+    General migration (no delta to sweep), a config that solver_config
+    rejects, and a sweep corner that to_model_params or initial_state or,
+    with phase_ibm on, ibm_params rejects raise before any cell (exit 1).
+    The valid delta and m_D values are intervals, so valid corners make
+    every cell valid."""
     if config.migration != "symmetric":
         raise ConfigError("phase sweeps the symmetric migration rate delta: "
                           "it needs migration = symmetric")
-    initial_state(config, to_model_params(config))
     solver_config(config)
-    if config.phase_ibm:
-        ibm_params(config)
+    for delta in (config.sweep_min[0], config.sweep_max[0]):
+        for m_d in (config.sweep_min[1], config.sweep_max[1]):
+            initial_state(config, to_model_params(config, delta=delta, m_d=m_d))
+            if config.phase_ibm:
+                ibm_params(config, delta=delta, m_d=m_d)
     cells = phase_cells(config)
     path = os.path.join(out_dir, "phase.csv")
     _write_csv(path, "delta,m_D,lambda,classification,N_total_pde,N_total_ibm_mean,error",
@@ -501,7 +497,11 @@ def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> d
 
 
 def phase_svg(config: ExperimentConfig, cells: list[PhaseCell]) -> str:
-    """Hand-emitted heat map of the sweep (no plotting dependency)."""
+    """Hand-emitted heat map of the sweep (no plotting dependency).
+
+    Cell k of the delta-major sweep is drawn at column i, row j = divmod(k, n_m):
+    delta runs left to right and m_D bottom to top, each from its sweep_min
+    to its sweep_max."""
     n_d, n_m = config.sweep_steps
     cell_px, margin = 64, 70
     width = margin + n_d * cell_px + 20
@@ -514,19 +514,17 @@ def phase_svg(config: ExperimentConfig, cells: list[PhaseCell]) -> str:
         '<style>text{font-family:sans-serif;font-size:12px}</style>',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    by_key = {(round(c.delta, 12), round(c.m_D, 12)): c for c in cells}
-    deltas = sorted({round(c.delta, 12) for c in cells})
-    mds = sorted({round(c.m_D, 12) for c in cells})
-    for i, d in enumerate(deltas):
-        for j, md in enumerate(mds):
-            c = by_key[(d, md)]
-            x = margin + i * cell_px
-            y = margin + (n_m - 1 - j) * cell_px
-            fill = colors.get(c.classification, "#777777")
-            title = f"delta={d}, m_D={md}, lambda={c.lam:.6g}"
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px - 2}" height="{cell_px - 2}" '
-                f'fill="{fill}"><title>{title}</title></rect>')
+    deltas = [round(c.delta, 12) for c in cells[::n_m]]
+    mds = [round(c.m_D, 12) for c in cells[:n_m]]
+    for k, c in enumerate(cells):
+        i, j = divmod(k, n_m)
+        x = margin + i * cell_px
+        y = margin + (n_m - 1 - j) * cell_px
+        fill = colors.get(c.classification, "#777777")
+        title = f"delta={deltas[i]}, m_D={mds[j]}, lambda={c.lam:.6g}"
+        parts.append(
+            f'<rect x="{x}" y="{y}" width="{cell_px - 2}" height="{cell_px - 2}" '
+            f'fill="{fill}"><title>{title}</title></rect>')
     for i, d in enumerate(deltas):
         x = margin + i * cell_px + cell_px // 2 - 12
         parts.append(f'<text x="{x}" y="{margin + n_m * cell_px + 18}">{d:.3g}</text>')

@@ -44,21 +44,16 @@ class SolverConfig:
     Attributes:
         t_end: final time (>= 0; zero records initial diagnostics only).
         record_every: cadence of trajectory records.
-        extinction_rel: relative total-mass threshold below which the run
-            is flagged extinct and stopped early.
     """
 
     t_end: float
     record_every: float = 0.5
-    extinction_rel: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.t_end >= 0):
             raise ValueError(f"t_end must be >= 0, got {self.t_end!r}")
         if not (self.record_every > 0):
             raise ValueError(f"record_every must be > 0, got {self.record_every!r}")
-        if not (0 < self.extinction_rel < 1):
-            raise ValueError(f"extinction_rel must be in (0, 1), got {self.extinction_rel!r}")
 
 
 @dataclass
@@ -168,6 +163,9 @@ _MAX_SIZE = 1024
 # Relative roundoff of a final state: values below -_ROUNDOFF times its height
 # raise, values below +_ROUNDOFF times it are set to exactly 0.
 _ROUNDOFF = 1e-12
+# A run whose total mass falls below _EXTINCT times its initial mass is
+# flagged extinct and stopped at that record.
+_EXTINCT = 1e-12
 
 
 def _bump_norm2(bumps: tuple[Bump, ...]) -> float:
@@ -248,7 +246,7 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
     height raise SolverError; values below +1e-12 times it carry no digit of
     the density, which is positive, and are set to exactly 0. The grid only
     samples the state; the run does not depend on it. The run stops early,
-    with trajectory.extinct set, at the first record below extinction_rel
+    with trajectory.extinct set, at the first record below _EXTINCT = 1e-12
     times the initial mass, in that record's state. Record 0 holds the input's
     masses, and the t_end = 0 final state is the input at the nodes.
 
@@ -317,7 +315,7 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
                 q, state = _symmetrised(hermite.with_constant(params, lam), vecs, scale, obs, y0,
                                         rec, logistic)
         q[0] = q0
-        low = np.flatnonzero(q[:, 0] + q[:, 1] < config.extinction_rel * (q0[0] + q0[1]))
+        low = np.flatnonzero(q[:, 0] + q[:, 1] < _EXTINCT * (q0[0] + q0[1]))
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
         coef = np.column_stack([c1, c2]) if end == 0 else state(end).reshape(size, -1)

@@ -24,6 +24,9 @@ CRITICAL = "critical"
 
 _PARAMETERS = ("delta", "m_D", "mu", "rmax")
 
+# |lambda| at or below this classifies as critical.
+CRITICAL_BAND = 1e-6
+
 
 class ThresholdError(ValueError):
     """No threshold exists (an existence inequality fails) or none was found."""
@@ -40,9 +43,9 @@ class ThresholdResult:
     evaluations: int  # eigenvalue solves (lambda_of calls) the search made
 
 
-def classify(params: model.ModelParams, *, tol: float = 1e-6,
-             lam: float | None = None, **eigen_opts) -> str:
-    """Persist / extinct / critical by the sign of lambda with a dead band.
+def classify(params: model.ModelParams, *, lam: float | None = None, **eigen_opts) -> str:
+    """Persist / extinct / critical by the sign of lambda, with the dead band
+    |lambda| <= CRITICAL_BAND.
 
     Pass lam to reuse an eigenvalue computed elsewhere. eigen_opts are
     forwarded to lambda_of, whose box-ladder keywords do not change its
@@ -50,9 +53,9 @@ def classify(params: model.ModelParams, *, tol: float = 1e-6,
     """
     if lam is None:
         lam = lambda_of(params, **eigen_opts)
-    if lam < -tol:
+    if lam < -CRITICAL_BAND:
         return PERSIST
-    if lam > tol:
+    if lam > CRITICAL_BAND:
         return EXTINCT
     return CRITICAL
 
@@ -117,11 +120,12 @@ def _check_existence(params: model.ModelParams, which: str) -> tuple[float, floa
     raise ValueError(f"unknown threshold parameter {which!r}; expected one of {_PARAMETERS}")
 
 
-def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
+def find_threshold(params: model.ModelParams, which: str, *,
                    tol_lambda: float = 1e-4) -> ThresholdResult:
     """Find the parameter value where lambda crosses zero.
 
-    delta, m_D and mu: lo is halved while lambda(lo) >= 0 and hi doubled
+    delta, m_D and mu: starting from the (lo, hi) of the existence
+    inequalities, lo is halved while lambda(lo) >= 0 and hi doubled
     while lambda(hi) < 0, then false position narrows [lo, hi] to 1e-14 and
     returns its end of smaller |lambda|. The result's lo, hi are that last
     bracket, lambda(lo) < 0 <= lambda(hi); iterations counts the lambda
@@ -134,8 +138,6 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         params: baseline model; the searched parameter's entry is ignored
             (rmax reads it as the reference height).
         which: one of "delta", "m_D", "mu", "rmax".
-        bracket: optional (lo, hi) to start from; defaults to the bracket
-            from the existence inequalities.
         tol_lambda: acceptance bar: |lambda(value)| above it (lambda jumps
             there rather than crossing) is an error, not a threshold.
 
@@ -150,10 +152,7 @@ def find_threshold(params: model.ModelParams, which: str, bracket=None, *,
         f_value = lambda_of(_with_value(params, which, value))
         return ThresholdResult(parameter=which, lo=value, hi=value, value=value,
                                lambda_at_value=f_value, iterations=0, evaluations=2)
-    lo_cert, hi0 = _check_existence(params, which)
-    lo, hi = bracket if bracket is not None else (lo_cert, hi0)
-    if not (lo > 0 and hi > 0):
-        raise ValueError(f"bracket must be positive, got ({lo!r}, {hi!r})")
+    lo, hi = _check_existence(params, which)
 
     @functools.cache
     def lam_at(v: float) -> float:

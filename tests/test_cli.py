@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -38,12 +39,19 @@ def test_non_default_config_round_trips():
         h_target=0.05, rungs=3, richardson=False,
         U=0.25, lambda_var=0.002, N0=77, T=12, replicates=3,
         sweep_min=(0.01, 0.125), sweep_max=(0.09, 0.875), sweep_steps=(3, 4),
-        phase_ibm=False, threshold_param="rmax", threshold_lo=0.01,
-        threshold_hi=0.2, seed=42, threads=3, out_dir="runs")
+        phase_ibm=False, threshold_param="rmax", seed=42, threads=3, out_dir="runs")
     text = emit_config(c)
     assert parse_config(text) == c
     # floats survive with full precision (repr emit, float parse)
     assert parse_config(text).mu == 1.0 / 3.0
+
+
+def test_readme_example_config_parses():
+    # the README's exp.cfg block names only keys that exist, at their defaults
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(# exp\.cfg\n.*?)```", readme, re.S)
+    assert block is not None
+    assert parse_config(block.group(1)) == ExperimentConfig()
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -71,13 +79,12 @@ def test_parse_collects_all_errors_with_line_numbers():
 
 def test_validate_collects_all_errors():
     c = ExperimentConfig(migration="teleport", initial="everywhere", threads=0,
-                         sweep_steps=(1, 6), m=10, threshold_lo=0.1)
+                         sweep_steps=(1, 6), m=10)
     with pytest.raises(cli.ConfigError) as exc:
         cli.validate_config(c)
     msg = str(exc.value)
     for fragment in ("migration must be", "initial must be", "threads must be",
-                     "sweep_steps entries must be", "m must be odd",
-                     "must be given together"):
+                     "sweep_steps entries must be", "m must be odd"):
         assert fragment in msg
 
 
@@ -409,6 +416,15 @@ def test_cmd_phase_svg(tmp_path):
     assert svg.startswith("<svg ")
     assert svg.count("<rect") >= 5  # 4 cells + background + legend
     assert "persist" in svg and "extinct" in svg
+    # a sweep with equal ends draws every cell of phase.csv, at its sweep index
+    cfg = quick_phase_config(phase_ibm=False, t_end=2.0, sweep_min=(0.05, 0.0),
+                             sweep_max=(0.05, 1.0))
+    written = cli.cmd_phase(cfg, str(tmp_path), svg=True)
+    _, data, _ = read_csv(written["phase"])
+    svg = open(written["phase_svg"]).read()
+    assert len(data) == 4
+    assert svg.count("</title></rect>") == len(data)
+    assert len(set(re.findall(r'<rect x="(\d+)" y="(\d+)" width="62"', svg))) == len(data)
 
 
 def test_cmd_phase_cell_failure_lands_in_error_column(tmp_path):
@@ -530,11 +546,14 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("phase", "phase_ibm = false\nrecord_every = 0\n", "record_every must be > 0"),
     ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
     ("phase", "phase_ibm = false\ninitial_variance = 0\n", "bump variance must be > 0"),
+    # a sweep corner no cell can take
+    ("phase", "sweep_min = -0.1, -0.5\n", "m_D must be >= 0"),
+    ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
     # one rung has nothing to agree with: its lambda is never certified
     ("eigen", "rungs = 1\n", "rungs must be >= 2"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_record_every", "phase_mu", "phase_initial_variance",
-        "eigen_one_rung"])
+        "phase_negative_sweep", "phase_negative_delta_corner", "eigen_one_rung"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
     out_dir = tmp_path / "out"
@@ -591,7 +610,8 @@ def test_main_solve_overflow_exits_2(tmp_path, capsys):
 
 
 def test_main_removed_solver_keys_exit_1(tmp_path, capsys):
-    for line in ("rel_tol = 1e-6", "sweep_params = delta,m_D"):
+    for line in ("rel_tol = 1e-6", "sweep_params = delta,m_D", "threshold_lo = 0.1",
+                 "threshold_hi = 0.2"):
         path = write_config(tmp_path, line + "\n")
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
         key = line.split(" =")[0]

@@ -303,11 +303,11 @@ def test_extinction_flag_on_decaying_run():
     p = small_params(delta=0.05, rmax=-2.0)
     g = build_grid(1, 4.0, 81)
     bump = (Bump(0.0, 0.1, 1.0),)
-    cfg = pde.SolverConfig(t_end=50.0, record_every=1.0, extinction_rel=1e-6)
+    cfg = pde.SolverConfig(t_end=50.0, record_every=1.0)
     traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
-    assert traj.n_total()[-1] < 1e-6 * 2.0
+    assert traj.n_total()[-1] < 1e-12 * 2.0  # the extinction floor times the initial mass
     # the run stops on the extinct record itself: its state is the final state
     assert traj.N1.min() >= 0.0 and traj.N2.min() >= 0.0
     mass = integrate(g, final.u1) + integrate(g, final.u2)
@@ -317,7 +317,7 @@ def test_extinction_flag_on_decaying_run():
                           migration=model.General(0.1, 0.05, 0.2, 0.3))
     g = build_grid(1, 3.0, 41)
     bump = (Bump(0.0, 0.2, 1.0),)
-    cfg = pde.SolverConfig(t_end=50.0, record_every=0.1, extinction_rel=1e-6)
+    cfg = pde.SolverConfig(t_end=50.0, record_every=0.1)
     traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert final.u1.min() >= 0.0 and final.u2.min() >= 0.0
@@ -376,8 +376,6 @@ def test_solver_config_validation():
         pde.SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError, match="record_every"):
         pde.SolverConfig(t_end=1.0, record_every=0.0)
-    with pytest.raises(ValueError, match="extinction_rel"):
-        pde.SolverConfig(t_end=1.0, extinction_rel=2.0)
 
 
 def test_growth_rate_approaches_principal_eigenvalue():

@@ -16,7 +16,11 @@ def test_classify_sign_rule_with_dead_band():
     assert thresholds.classify(p, lam=0.01) == thresholds.EXTINCT
     assert thresholds.classify(p, lam=3e-7) == thresholds.CRITICAL
     assert thresholds.classify(p, lam=-3e-7) == thresholds.CRITICAL
-    assert thresholds.classify(p, lam=3e-7, tol=1e-8) == thresholds.EXTINCT
+    band = thresholds.CRITICAL_BAND
+    assert thresholds.classify(p, lam=band) == thresholds.CRITICAL
+    assert thresholds.classify(p, lam=-band) == thresholds.CRITICAL
+    assert thresholds.classify(p, lam=math.nextafter(band, 1.0)) == thresholds.EXTINCT
+    assert thresholds.classify(p, lam=math.nextafter(-band, -1.0)) == thresholds.PERSIST
 
 
 def test_classify_computes_lambda_when_not_given():
@@ -42,7 +46,7 @@ def test_delta_threshold_properties():
     assert res.value > p.rmax1 - 0.5 * p.mu * p.n
     assert_straddles(p, res)
     at_value = thresholds._with_value(p, "delta", res.value)
-    assert thresholds.classify(at_value, tol=1e-3) == thresholds.CRITICAL
+    assert thresholds.classify(at_value) == thresholds.CRITICAL
 
 
 def test_m_d_threshold_properties():
@@ -95,17 +99,6 @@ def test_lambda_jump_fails_the_acceptance_bar(monkeypatch):
                         lambda params, **kwargs: -1.0 if params.migration.delta < 0.03 else 1.0)
     with pytest.raises(thresholds.ThresholdError, match="tol_lambda"):
         thresholds.find_threshold(base_params(), "delta")
-
-
-def test_explicit_bracket_is_used():
-    p = base_params()
-    auto = thresholds.find_threshold(p, "delta")
-    lo = auto.value * 0.5
-    hi = auto.value * 2.0
-    res = thresholds.find_threshold(p, "delta", bracket=(lo, hi))
-    assert res.value == pytest.approx(auto.value, rel=5e-2)
-    with pytest.raises(ValueError, match="bracket must be positive"):
-        thresholds.find_threshold(p, "delta", bracket=(-1.0, 1.0))
 
 
 def test_no_delta_threshold_without_habitat_difference():
