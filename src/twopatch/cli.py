@@ -178,6 +178,8 @@ def validate_config(config: ExperimentConfig) -> None:
         errors.append(f"initial must be 'origin' or 'spread', got {config.initial!r}")
     if config.threads < 1:
         errors.append(f"threads must be >= 1, got {config.threads}")
+    if config.seed < 0:
+        errors.append(f"seed must be >= 0, got {config.seed}")
     if config.replicates < 1:
         errors.append(f"replicates must be >= 1, got {config.replicates}")
     if config.m_D < 0:

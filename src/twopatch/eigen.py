@@ -303,11 +303,12 @@ def lambda_of(params: model.ModelParams, *, h_target: float | None = None,
 
     The smallest eigenvalue of hermite.galerkin's banded matrix in the
     Hermite functions of width sqrt(mu): tridiagonal for mirror habitats,
-    pentadiagonal with the habitats' modes interleaved otherwise (the same
-    matrix pde.integrate_to decomposes), plus the constant -max(rmax_i) +
-    (n - 1) mu / 2 (hermite.with_constant). Galerkin values decrease with the basis
-    size K; K doubles from 32 until two values agree to 1e-13 times the
-    largest diagonal entry, and EigenError is raised past K = 8192.
+    pentadiagonal with the habitats' modes interleaved otherwise (similar to
+    the matrix pde.integrate_to propagates, so of the same spectrum), plus the
+    constant -max(rmax_i) + (n - 1) mu / 2 (hermite.with_constant). Galerkin
+    values decrease with the basis size K; K doubles from 32 until two values
+    agree to 1e-13 times the largest diagonal entry, and EigenError is raised
+    past K = 8192.
 
     h_target, rungs, tol_domain and richardson set the box ladder only and do
     not change the value; the benchmark passes them with each config's ladder

@@ -13,11 +13,11 @@ Hermite-function basis of width sqrt(mu) where eigen.lambda_of finds that
 eigenvalue (hermite.galerkin): quadratic selection makes A a K x K
 tridiagonal for mirror-symmetric runs and a 2K-wide pentadiagonal otherwise.
 The solve is exact in time, with no step: the matrix exponential from one
-eigendecomposition of the (diagonally symmetrised) Galerkin matrix, or expm
-under one-way migration. Masses and mean fitnesses are exact integrals of the
-basis, and the initial data are Gaussian bumps (Bump, InitialData), whose
-coefficients follow from an exact recurrence. The grid only says where the
-final state is sampled.
+eigendecomposition of the tridiagonal for mirror-symmetric runs, and expm of
+the 2K matrix for every other run. Masses and mean fitnesses are exact
+integrals of the basis, and the initial data are Gaussian bumps (Bump,
+InitialData), whose coefficients follow from an exact recurrence. The grid
+only says where the final state is sampled.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from . import hermite, model
 # laplacian and integrate stay module attributes for bench/tracing.py, which wraps them here.
@@ -42,16 +42,16 @@ class SolverConfig:
     """Solve settings; the solve is exact in time, so there is no step to set.
 
     Attributes:
-        t_end: final time (>= 0; zero records initial diagnostics only).
-        record_every: cadence of trajectory records.
+        t_end: final time (finite and >= 0; zero records initial diagnostics only).
+        record_every: cadence of trajectory records (inf records the two ends).
     """
 
     t_end: float
     record_every: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.t_end >= 0):
-            raise ValueError(f"t_end must be >= 0, got {self.t_end!r}")
+        if not (0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be >= 0 and finite, got {self.t_end!r}")
         if not (self.record_every > 0):
             raise ValueError(f"record_every must be > 0, got {self.record_every!r}")
 
@@ -102,14 +102,14 @@ class InitialData:
     u2: tuple[Bump, ...]
 
 
-def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):
-    """(records, state) of du/dt = -a u by expm, for one-way migration.
+def _propagate(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):
+    """(records, state) of du/dt = -a u by expm, for every run off the mirror half.
 
-    a is block triangular then, and defective for mirror habitats, so it has
-    no eigenbasis. One expm for the cadence, one more for a remainder to
-    t_end that differs from it beyond rec's 1e-9 roundoff, then one mat-vec
-    per record. records holds the raw rows (N1, N2, int r1 u1, int r2 u2) at
-    the record times; state(k) is the state at record k.
+    a needs no eigenbasis: it may be unsymmetric, and defective under one-way
+    migration between mirror habitats. One expm for the cadence, one more for
+    a remainder to t_end that differs from it beyond rec's 1e-9 roundoff, then
+    one mat-vec per record. records holds the raw rows (N1, N2, int r1 u1, int
+    r2 u2) at the record times; state(k) is the state at record k.
     """
     ys = np.empty((rec.size, y0.size))
     ys[0] = y0
@@ -123,20 +123,18 @@ def _one_way(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, ev
     return ys @ obs.T, ys.__getitem__
 
 
-def _symmetrised(lam: np.ndarray, basis: np.ndarray, scale: np.ndarray, obs: np.ndarray,
-                 y0: np.ndarray, rec: np.ndarray, logistic: bool):
-    """(records, state) as _one_way returns them, from the eigenpairs of D^-1 a D.
+def _eigenbasis(lam: np.ndarray, basis: np.ndarray, obs: np.ndarray, y0: np.ndarray,
+                rec: np.ndarray, logistic: bool):
+    """(records, state) as _propagate returns them, from the eigenpairs of a symmetric a.
 
-    scale is the diagonal of D, which makes D^-1 a D symmetric, and (lam,
-    basis) are its eigenvalues and orthonormal eigenvectors Q. The Malthusian
-    state is D Q (e^(-lam t) c), c = Q^T D^-1 y0. The logistic state divides
-    it by 1 + int_0^t N_v1, which is sum_j b_j c_j (1 - e^(-lam_j t)) / lam_j
-    with b the N1 row of obs D Q. e^(-shift t) is factored out of both, shift
-    = min(lam_0, 0), so no logistic term overflows when the Malthusian
-    solution does.
+    (lam, basis) are a's eigenvalues and orthonormal eigenvectors Q. The
+    Malthusian state is Q (e^(-lam t) c), c = Q^T y0. The logistic state
+    divides it by 1 + int_0^t N_v1, which is sum_j b_j c_j (1 - e^(-lam_j
+    t)) / lam_j with b the N1 row of obs Q. e^(-shift t) is factored out of
+    both, shift = min(lam_0, 0), so no logistic term overflows when the
+    Malthusian solution does.
     """
-    c = basis.T @ (y0 / scale)
-    basis = basis * scale[:, None]  # back-transform: y = basis @ coefficients
+    c = basis.T @ y0
     obs_eig = obs @ basis
     shift = min(float(lam[0]), 0.0)
 
@@ -157,8 +155,8 @@ def _symmetrised(lam: np.ndarray, basis: np.ndarray, scale: np.ndarray, obs: np.
     return observe(rec, obs_eig), lambda k: observe(rec[k:k + 1], basis)[0]
 
 
-# Largest Hermite basis integrate_to decomposes: the non-mirror route holds a
-# dense 2K x 2K eigenvector matrix (32 MB at this cap).
+# Largest Hermite basis integrate_to solves in: expm works on dense 2K x 2K
+# matrices, and peaks at 320 MB RSS at this cap (scipy 1.17, one BLAS thread).
 _MAX_SIZE = 1024
 # Relative roundoff of a final state: values below -_ROUNDOFF times its height
 # raise, values below +_ROUNDOFF times it are set to exactly 0.
@@ -228,16 +226,16 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
       those of u1 reversed to 1e-12) stay on the habitat-swap-even half: one
       eigh_tridiagonal of the K x K matrix, and the final state is (u, rev u),
       so N1 == N2, rbar1 == rbar2 and u2 == rev u1 bitwise from record 1 on;
-    - other runs with d12 d21 > 0 or d12 = d21 = 0 decompose the 2K
-      pentadiagonal, symmetrised by D = diag(1, sqrt(d21 / d12)) per mode;
-    - one-way migration, whose matrix is block triangular and, for mirror
-      habitats, defective, takes expm of the 2K matrix.
+    - every other run (unequal peaks, General migration at any rates, or
+      mirror parameters with unmirrored data) takes expm of the 2K matrix,
+      which needs no eigenbasis: one-way migration makes it block
+      triangular and, for mirror habitats, defective.
 
-    Every record is exp(-lambda t) times the initial coefficients, observed
-    through exact integrals of the basis (hermite.moments). Logistic growth
-    (Symmetric migration, rmax1 = rmax2) needs mirror data, so N1 = N2 and u
-    = v / (1 + int_0^t N_v1) with v the Malthusian solution; the integral is
-    closed form in the eigenbasis.
+    Every record is the propagator applied to the initial coefficients,
+    observed through exact integrals of the basis (hermite.moments). Logistic
+    growth (Symmetric migration, rmax1 = rmax2) needs mirror data, so N1 = N2
+    and u = v / (1 + int_0^t N_v1) with v the Malthusian solution; the
+    integral is closed form in the eigenbasis.
 
     The final state is the sum of the basis at the grid's nodes. Its height is
     the larger of its maximum at the nodes and its L2 norm times mu^(-1/4),
@@ -297,23 +295,18 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
             # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
             # with the reflection P = diag((-1)^k)
             lam, vecs = eigh_tridiagonal(band[0], band[1, :-1], check_finite=False)
-            q, state = _symmetrised(hermite.with_constant(params, lam), vecs, np.ones(size),
-                                    obs[:, :size] + obs[:, size:] * sign,
-                                    0.5 * (c1 + sign * c2), rec, logistic)
+            q, state = _eigenbasis(hermite.with_constant(params, lam), vecs,
+                                   obs[:, :size] + obs[:, size:] * sign,
+                                   0.5 * (c1 + sign * c2), rec, logistic)
         else:
-            # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones
+            # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
+            # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
             obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
-            y0 = np.ravel([c1, c2], order="F")
-            if (d12 == 0) != (d21 == 0):
-                a = _dense(band) + hermite.with_constant(params, 0.0) * np.eye(2 * size)
-                k = np.arange(size)
-                a[2 * k, 2 * k + 1], a[2 * k + 1, 2 * k] = -d12, -d21
-                q, state = _one_way(a, obs, y0, rec, config.record_every)
-            else:
-                lam, vecs = eig_banded(band, lower=True, check_finite=False)
-                scale = np.tile([1.0, math.sqrt(d21 / d12) if d12 > 0 else 1.0], size)
-                q, state = _symmetrised(hermite.with_constant(params, lam), vecs, scale, obs, y0,
-                                        rec, logistic)
+            a = _dense(band) + hermite.with_constant(params, 0.0) * np.eye(2 * size)
+            k = np.arange(size)
+            a[2 * k, 2 * k + 1], a[2 * k + 1, 2 * k] = -d12, -d21
+            q, state = _propagate(a, obs, np.ravel([c1, c2], order="F"), rec,
+                                  config.record_every)
         q[0] = q0
         low = np.flatnonzero(q[:, 0] + q[:, 1] < _EXTINCT * (q0[0] + q0[1]))
         end = int(low[0]) if low.size else rec.size - 1

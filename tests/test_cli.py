@@ -79,12 +79,12 @@ def test_parse_collects_all_errors_with_line_numbers():
 
 def test_validate_collects_all_errors():
     c = ExperimentConfig(migration="teleport", initial="everywhere", threads=0,
-                         sweep_steps=(1, 6), m=10)
+                         sweep_steps=(1, 6), m=10, seed=-1)
     with pytest.raises(cli.ConfigError) as exc:
         cli.validate_config(c)
     msg = str(exc.value)
     for fragment in ("migration must be", "initial must be", "threads must be",
-                     "sweep_steps entries must be", "m must be odd"):
+                     "sweep_steps entries must be", "m must be odd", "seed must be >= 0"):
         assert fragment in msg
 
 
@@ -543,6 +543,7 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # keys every phase cell would reject, without the IBM's own check
     ("phase", "phase_ibm = false\ninitial_mass = -1\n", "bump mass must be > 0"),
     ("phase", "phase_ibm = false\nt_end = -1\n", "t_end must be >= 0"),
+    ("phase", "phase_ibm = false\nt_end = inf\n", "t_end must be >= 0 and finite"),
     ("phase", "phase_ibm = false\nrecord_every = 0\n", "record_every must be > 0"),
     ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
     ("phase", "phase_ibm = false\ninitial_variance = 0\n", "bump variance must be > 0"),
@@ -551,9 +552,13 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
     # one rung has nothing to agree with: its lambda is never certified
     ("eigen", "rungs = 1\n", "rungs must be >= 2"),
+    # numpy's seed sequences take no negative entropy
+    ("phase", "seed = -1\n", "seed must be >= 0"),
+    ("ibm", "seed = -1\n", "seed must be >= 0"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
-        "phase_t_end", "phase_record_every", "phase_mu", "phase_initial_variance",
-        "phase_negative_sweep", "phase_negative_delta_corner", "eigen_one_rung"])
+        "phase_t_end", "phase_infinite_t_end", "phase_record_every", "phase_mu",
+        "phase_initial_variance", "phase_negative_sweep", "phase_negative_delta_corner",
+        "eigen_one_rung", "phase_negative_seed", "ibm_negative_seed"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
     out_dir = tmp_path / "out"

@@ -95,12 +95,15 @@ def assert_matches_exact_propagator(p, g, s0, cfg):
 
 
 @pytest.mark.parametrize("migration", [
-    model.Symmetric(0.3),                  # eigh on the symmetric operator
-    model.General(0.3, 0.05, 0.2, 0.7),    # d12 != d21: eigh after diagonal scaling
+    model.Symmetric(0.3),                  # Symmetric rates with unequal peaks: expm
+    model.General(0.3, 0.05, 0.2, 0.7),    # d12 != d21: expm
     model.General(0.3, 0.0, 0.2, 0.7),     # one-way, d12 = 0: expm
     model.General(0.3, 0.05, 0.0, 0.7),    # one-way, d21 = 0: expm
-    model.General(0.0, 0.0, 0.0, 0.0),     # uncoupled habitats
-], ids=["symmetric", "general", "one_way_d12_0", "one_way_d21_0", "uncoupled"])
+    model.General(0.0, 0.0, 0.0, 0.0),     # uncoupled habitats: expm
+    model.General(0.3, 1e-20, 0.2, 0.7),   # d12 / d21 = 5e-20: expm
+    model.General(0.3, 1e-30, 0.2, 0.7),   # d12 / d21 = 5e-30: expm
+], ids=["symmetric", "general", "one_way_d12_0", "one_way_d21_0", "uncoupled",
+        "ratio_5e-20", "ratio_5e-30"])
 def test_integrate_to_matches_exact_propagator_with_general_migration(migration):
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5, migration=migration)
     g = build_grid(1, 3.0, 41)
@@ -110,17 +113,25 @@ def test_integrate_to_matches_exact_propagator_with_general_migration(migration)
     assert np.abs(coef[-1] - coef[0]).max() > 0.5 * np.abs(coef[0]).max()  # far from its start
 
 
-def spy_on_symmetrised(monkeypatch):
-    """The sizes of the eigenbases integrate_to hands to _symmetrised."""
+def spy_on_eigenbasis(monkeypatch):
+    """The sizes of the eigenbases integrate_to hands to _eigenbasis."""
     sizes = []
-    inner = pde._symmetrised
+    inner = pde._eigenbasis
 
     def spy(lam, basis, *args):
         sizes.append(basis.shape[0])
         return inner(lam, basis, *args)
 
-    monkeypatch.setattr(pde, "_symmetrised", spy)
+    monkeypatch.setattr(pde, "_eigenbasis", spy)
     return sizes
+
+
+def spy_on_expm(monkeypatch):
+    """The shapes of the matrices integrate_to hands to expm."""
+    shapes = []
+    inner = pde.expm
+    monkeypatch.setattr(pde, "expm", lambda a: shapes.append(a.shape) or inner(a))
+    return shapes
 
 
 def basis_size(p, s0):
@@ -139,10 +150,11 @@ def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
     if initial == "spread":  # three bumps: u2's coefficients are u1's reversed up to roundoff
         bumps += (Bump(-p.beta, 0.1, 1.0), Bump(p.beta, 0.1, 1.0))
     s0 = InitialData(bumps, bumps)
-    sizes = spy_on_symmetrised(monkeypatch)
+    sizes = spy_on_eigenbasis(monkeypatch)
+    shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
     traj, final, _ = assert_matches_exact_propagator(p, g, s0, cfg)
-    assert sizes == [basis_size(p, s0)]
+    assert sizes == [basis_size(p, s0)] and shapes == []
     assert abs(traj.N1[-1] / traj.N1[0] - 1) > 0.1  # far from its start
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
@@ -153,10 +165,11 @@ def test_equal_peaks_with_unmirrored_data_take_the_full_route(monkeypatch):
     p = small_params(delta=0.3)
     g = build_grid(1, 3.0, 41)
     s0 = InitialData((Bump(-0.5, 0.1, 1.0),), (Bump(0.5, 0.1, 2.0),))
-    sizes = spy_on_symmetrised(monkeypatch)
+    shapes = spy_on_expm(monkeypatch)
     traj, _, _ = assert_matches_exact_propagator(
         p, g, s0, pde.SolverConfig(t_end=10.0, record_every=0.5))
-    assert sizes == [2 * basis_size(p, s0)]
+    size = 2 * basis_size(p, s0)
+    assert shapes == [(size, size)]
     assert abs(traj.N2[-1] - traj.N1[-1]) > 1e-3 * traj.N1[-1]
 
 
@@ -167,13 +180,11 @@ def test_one_way_remainder_within_roundoff_reuses_the_cadence_propagator(monkeyp
                           migration=model.General(0.3, 0.0, 0.2, 0.7))
     g = build_grid(1, 3.0, 41)
     bump = (Bump(0.0, 0.1, 1.0),)
-    calls = []
-    inner = pde.expm
-    monkeypatch.setattr(pde, "expm", lambda a: calls.append(a) or inner(a))
+    shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=1.0, record_every=0.1)
     traj, _, _ = assert_matches_exact_propagator(p, g, InitialData(bump, bump), cfg)
     assert len(traj.t) == 11 and traj.t[-1] - traj.t[-2] != 0.1
-    assert len(calls) == 1
+    assert len(shapes) == 1
 
 
 def test_logistic_run_matches_high_order_integration():
@@ -372,8 +383,11 @@ def test_initial_state_validation():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError, match="t_end"):
-        pde.SolverConfig(t_end=-1.0)
+    for t_end in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            pde.SolverConfig(t_end=t_end)
+    # an infinite cadence records the two ends only
+    assert pde.SolverConfig(t_end=1.0, record_every=math.inf).record_every == math.inf
     with pytest.raises(ValueError, match="record_every"):
         pde.SolverConfig(t_end=1.0, record_every=0.0)
 
@@ -409,9 +423,9 @@ def test_late_log_mass_slope_matches_lambda_to_1e6():
     assert slope == pytest.approx(-lam, rel=1e-6)
 
 
-def default_solve(monkeypatch=None, factor=1):
-    """The CLI's default solve, with the basis enlarged by factor."""
-    config = cli.ExperimentConfig()
+def default_solve(monkeypatch=None, factor=1, config=cli.ExperimentConfig()):
+    """The CLI's solve of config (the default one unless given), with the
+    basis enlarged by factor."""
     params = cli.to_model_params(config)
     if monkeypatch is not None:
         inner = hermite.smallest
@@ -428,6 +442,19 @@ def test_default_solve_agrees_across_two_basis_doublings(monkeypatch):
         wide, wide_final = default_solve(monkeypatch, factor)
         np.testing.assert_allclose(wide.n_total(), traj.n_total(), rtol=1e-12, atol=0)
         np.testing.assert_allclose(wide_final.u1, final.u1, rtol=0, atol=1e-12 * final.u1.max())
+
+
+def test_general_solve_decaying_far_below_its_start_converges_in_the_basis(monkeypatch):
+    # unequal General rates and peaks at mu = 5e-3, m_D = 1: the mass falls
+    # from 2e4 to 8e-3 by t = 100, and the final masses still hold 12 digits
+    # at twice the basis
+    config = cli.ExperimentConfig(mu=5e-3, m_D=1.0, rmax2=0.8 / 18.0, t_end=100.0,
+                                  migration="general", d11=0.05, d12=0.02, d21=0.05, d22=0.03)
+    traj, _ = default_solve(config=config)
+    wide, _ = default_solve(monkeypatch, 2, config)
+    assert traj.n_total()[-1] < 1e-6 * traj.n_total()[0]
+    np.testing.assert_allclose([wide.N1[-1], wide.N2[-1]], [traj.N1[-1], traj.N2[-1]],
+                               rtol=1e-12, atol=0)
 
 
 def test_final_state_below_the_roundoff_floor_is_exactly_zero():
