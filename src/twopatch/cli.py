@@ -474,7 +474,9 @@ def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> d
     rejects, and a sweep corner that to_model_params or initial_state or,
     with phase_ibm on, ibm_params rejects raise before any cell (exit 1).
     The valid delta and m_D values are intervals, so valid corners make
-    every cell valid."""
+    every cell valid. With phase_ibm on, the PDE's mu and the IBM's
+    sqrt(U * lambda_var) must agree to rounding (relative 1e-12 in mu^2),
+    or the two columns would describe two models."""
     if config.migration != "symmetric":
         raise ConfigError("phase sweeps the symmetric migration rate delta: "
                           "it needs migration = symmetric")
@@ -484,6 +486,12 @@ def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> d
             initial_state(config, to_model_params(config, delta=delta, m_d=m_d))
             if config.phase_ibm:
                 ibm_params(config, delta=delta, m_d=m_d)
+    variance = config.U * config.lambda_var
+    if config.phase_ibm and not abs(config.mu ** 2 - variance) <= 1e-12 * variance:
+        raise ConfigError(
+            f"phase_ibm runs the PDE at mu and the IBM at sqrt(U * lambda_var), but "
+            f"mu^2 = {config.mu ** 2:.6g} and U * lambda_var = {variance:.6g}; "
+            "set lambda_var = mu^2 / U or phase_ibm = false")
     cells = phase_cells(config)
     path = os.path.join(out_dir, "phase.csv")
     _write_csv(path, "delta,m_D,lambda,classification,N_total_pde,N_total_ibm_mean,error",

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvals_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -178,15 +177,17 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     symmetric: each coupled pair becomes its geometric mean -sqrt(a_ij a_ji),
     0 under one-way migration (A block triangular, same spectrum). Reverse
     Cuthill-McKee order makes that twin banded (half-bandwidth 2 for both
-    assembled forms); one eigvals_banded call gives its smallest eigenvalue
-    theta. Inverse iteration from ones on one sparse LU of A - sigma I,
-    sigma = theta - 1e-10 ||A||_inf, gives the vector; below lambda_0,
-    A - sigma I is an M-matrix with a nonnegative inverse (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, 1994). It stops at a
-    residual of 64 ulps of ||A||_inf, or after three steps (iterations).
+    assembled forms); one hermite.lowest call gives its smallest eigenvalue
+    theta, by LAPACK's dsbevx at every band width (a delta = 0 twin is
+    tridiagonal and keeps that routine). Inverse iteration from ones on one
+    sparse LU of A - sigma I, sigma = theta - 1e-10 ||A||_inf, gives the
+    vector; below lambda_0, A - sigma I is an M-matrix with a nonnegative
+    inverse (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, 1994). It stops at a residual of 64 ulps of ||A||_inf, or after
+    three steps (iterations).
     Raises EigenError if |A v - theta v| > 1e-8 max(1, |theta|), if theta is
     below operator.lower_bound, or if v changes sign. Any sparse format works
-    and is left unchanged. eigvals_banded costs O(size^2), about 6 ms at 1,090
+    and is left unchanged. dsbevx costs O(size^2), about 6 ms at 1,090
     unknowns and 0.7 s at 12,000 on one x86 core; ARPACK's cost was linear.
     """
     mat = operator.matrix.tocsr(copy=True)
@@ -202,7 +203,7 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     pos = np.argsort(reverse_cuthill_mckee(graph, symmetric_mode=True))
     band = np.zeros((1 + np.abs(pos[r] - pos[c]).max(), size))  # S_ij at (i - j, j), i >= j
     band[np.abs(pos[r] - pos[c]), np.minimum(pos[r], pos[c])] = s
-    value = float(eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0])
+    value = hermite.lowest(band)
     if value < operator.lower_bound:
         raise EigenError(f"lambda {value:.12g} below the certified bound {operator.lower_bound:.12g}")
     norm = np.bincount(rows, np.abs(mat.data), size).max()

@@ -115,11 +115,19 @@ class IbmState:
 
 
 def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
+    """rmax - |x - optimum|^2 / 2 per row, in 1-D buffers. The transverse
+    squares are summed first, in column order, as a sum over the columns is."""
     opt1 = -params.beta if habitat == 1 else params.beta
-    sq = np.square(pop[:, 0] - opt1)
+    sq = np.subtract(pop[:, 0], opt1)
+    np.square(sq, out=sq)
     if params.n > 1:
-        sq = sq + np.sum(np.square(pop[:, 1:]), axis=1)
-    return params.rmax - 0.5 * sq
+        load = np.square(pop[:, 1])
+        for j in range(2, params.n):
+            load += np.square(pop[:, j])
+        sq += load
+    sq *= -0.5
+    sq += params.rmax
+    return sq
 
 
 def _fitnesses(params: IbmParams, state: IbmState) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from twopatch import cli, pde, thresholds
+from twopatch import cli, hermite, pde, thresholds
 from twopatch.cli import ExperimentConfig, emit_config, parse_config
 
 
@@ -368,7 +368,8 @@ def test_ibm_params_requires_mirror_peaks():
 
 
 def quick_phase_config(**overrides):
-    base = dict(n=1, mu=0.1, L=4.0, m=65, t_end=10.0, record_every=0.5,
+    # lambda_var = mu^2 / U at the default U = 1/6: the IBM runs at the PDE's mu
+    base = dict(n=1, mu=0.1, lambda_var=0.06, L=4.0, m=65, t_end=10.0, record_every=0.5,
                 initial_mass=100.0, sweep_min=(0.0, 0.0),
                 sweep_max=(0.1, 0.5), sweep_steps=(2, 2),
                 N0=50, T=10, replicates=2)
@@ -567,6 +568,17 @@ def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, t
     assert not list(out_dir.glob("*.csv"))
 
 
+def test_main_phase_with_ibm_needs_one_mutation_scale(tmp_path, capsys):
+    # the PDE runs at mu and the IBM at sqrt(U * lambda_var): with the IBM on,
+    # a row of phase.csv must describe one model
+    path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\nmu = 0.05\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["phase", "--config", path, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "mu^2 = 0.0025" in err and "U * lambda_var = 0.000555556" in err
+    assert not list(out_dir.glob("*.csv"))
+
+
 def test_every_config_field_has_a_kind():
     # the parse/emit kinds are read off ExperimentConfig's annotations
     assert list(cli._KINDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -580,6 +592,18 @@ def test_main_numerical_failure_exits_2(tmp_path, capsys):
         "n = 1\nrmax1 = 2.0\nrmax2 = 2.0\nN0 = 1000\nT = 50\ncap = 5000\nreplicates = 1\n")
     assert cli.main(["ibm", "--config", path, "--out", str(tmp_path)]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_main_threshold_lapack_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a LAPACK convergence failure in the eigenvalue is numerical, not a bad config
+    def failing(d, e, *args):
+        return 1, np.zeros_like(d), None, None, 1
+
+    monkeypatch.setattr(hermite, "dstebz", failing)
+    path = write_config(tmp_path, "n = 1\nmu = 0.1\ndelta = 0.02\n")
+    assert cli.main(["threshold", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "numerical failure: LAPACK dstebz failed" in capsys.readouterr().err
+    assert not (tmp_path / "threshold.csv").exists()
 
 
 def test_main_eigen_unconverged_ladder_exits_2(tmp_path, capsys):

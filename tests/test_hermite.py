@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, eigvals_banded
 
 import oracle
 from twopatch import eigen, hermite, model, pde
@@ -78,6 +79,99 @@ def test_galerkin_band_is_the_block_operator(migration, rmax2):
     if hermite.is_mirror(p):
         half = block[:size, :size] - d11 * np.diag((-1.0) ** np.arange(size))
         np.testing.assert_allclose(pde._dense(hermite.galerkin(p, size)), half, rtol=0, atol=1e-15)
+
+
+def _scipy_band(params, size):
+    """galerkin's band with its per-index factors from np.arange and np.sqrt."""
+    mu, beta = params.mu, params.beta
+    d11, d12, d21, d22 = params.migration.rates
+    k = np.arange(size)
+    diag = mu * (k + 0.5) + 0.5 * beta * beta
+    off = beta * math.sqrt(0.5 * mu) * np.sqrt(k[1:])
+    if hermite.is_mirror(params):
+        diag[1::2] += 2.0 * d11
+        return np.array([diag, np.append(off, 0.0)])
+    top = max(params.rmax1, params.rmax2)
+    band = np.zeros((3, 2 * size))
+    band[0, 0::2] = diag + (top - params.rmax1) + d11
+    band[0, 1::2] = diag + (top - params.rmax2) + d22
+    band[1, 0::2] = -math.sqrt(d12 * d21)
+    band[2, 0:-2:2] = off
+    band[2, 1:-2:2] = -off
+    return band
+
+
+def _scipy_smallest(params):
+    """smallest's K-doubling through scipy's eigh_tridiagonal / eigvals_banded."""
+    prev = math.inf
+    for size in hermite.SIZES:
+        band = _scipy_band(params, size)
+        if band.shape[0] == 2:
+            lam = eigh_tridiagonal(band[0], band[1, :-1], eigvals_only=True, select="i",
+                                   select_range=(0, 0), check_finite=False)[0]
+        else:
+            lam = eigvals_banded(band, lower=True, select="i", select_range=(0, 0),
+                                 check_finite=False)[0]
+        if abs(lam - prev) <= 1e-13 * np.abs(band[0]).max():
+            return float(lam), size
+        prev = lam
+    raise AssertionError("not converged")
+
+
+def _direct_route_sets(count=240):
+    """Seeded sets cycling mirror, unequal peaks, General and one-way General,
+    n = 1..3, mu log-uniform on [1e-3, 0.5], beta^2 / mu <= 40."""
+    rng = np.random.default_rng(20261019)
+    sets = []
+    for k in range(count):
+        mu = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.5))))
+        rmax1 = float(rng.uniform(-0.1, 0.3))
+        rmax2 = rmax1 if k % 4 == 0 else float(rng.uniform(-0.1, 0.3))
+        d11, d12, d21, d22 = (float(x) for x in rng.uniform(0.0, 0.5, 4))
+        migration = (model.Symmetric(d11) if k % 4 < 2 else
+                     model.General(d11, d12, d21, d22) if k % 4 == 2 else
+                     model.General(d11, d12, 0.0, d22) if k % 8 == 3 else
+                     model.General(d11, 0.0, d21, d22))
+        sets.append(model.ModelParams(n=int(rng.integers(1, 4)), mu=mu, rmax1=rmax1,
+                                      rmax2=rmax2, beta=float(rng.uniform(0.0, math.sqrt(40 * mu))),
+                                      migration=migration))
+    return sets
+
+
+def test_smallest_is_bit_identical_to_scipy():
+    # lowest passes LAPACK the arguments of scipy's wrappers, and galerkin's
+    # per-index tables the values arange and sqrt give: (value, K) match exactly
+    sets = _direct_route_sets()
+    assert {hermite.is_mirror(p) for p in sets} == {True, False}
+    for p in sets:
+        assert hermite.smallest(p) == _scipy_smallest(p), p
+        assert np.array_equal(hermite.galerkin(p, 64), _scipy_band(p, 64)), p
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4])
+def test_lowest_is_bit_identical_to_scipy_at_any_band_width(rows):
+    rng = np.random.default_rng(rows)
+    for size in (3, 10, 161):
+        band = rng.uniform(-1.0, 1.0, (rows, size))
+        want = eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
+        assert hermite.lowest(band) == want
+        if rows == 2:
+            want = eigh_tridiagonal(band[0], band[1, :-1], eigvals_only=True, select="i",
+                                    select_range=(0, 0))[0]
+            assert hermite.lowest(band, tridiagonal=True) == want
+
+
+@pytest.mark.parametrize("tridiagonal", [True, False])
+@pytest.mark.parametrize("outcome", ["info", "count", "nan"])
+def test_lowest_raises_eigen_error_on_a_lapack_failure(monkeypatch, tridiagonal, outcome):
+    def fake(*args, **kwargs):
+        w = np.array([math.nan if outcome == "nan" else 1.0])
+        info, count = (2 if outcome == "info" else 0), (0 if outcome == "count" else 1)
+        return (count, w, None, None, info) if tridiagonal else (w, None, count, None, info)
+
+    monkeypatch.setattr(hermite, "dstebz" if tridiagonal else "dsbevx", fake)
+    with pytest.raises(hermite.EigenError, match="dstebz" if tridiagonal else "dsbevx"):
+        hermite.lowest(np.ones((2, 4)), tridiagonal=tridiagonal)
 
 
 def test_smallest_is_lambda_of_less_its_constant():

@@ -19,6 +19,22 @@ def test_mu2_links_to_density_model():
     assert p.U * p.lambda_var == pytest.approx(1.0 / 1800.0, rel=1e-15)  # mu^2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fitness_is_bitwise_the_two_dimensional_expression(n):
+    # the 1-D buffers of _fitness against the expression with the (N, n - 1)
+    # square of the transverse columns and its sum over them
+    p = params(n=n, beta=0.37, rmax=0.055)
+    rng = np.random.default_rng(n)
+    pop = np.concatenate([rng.normal(0.0, 0.3, (5000, n)), rng.normal(0.0, 30.0, (5000, n)),
+                          np.zeros((1, n)), np.full((1, n), -0.0)])
+    for habitat, opt in ((1, -p.beta), (2, p.beta)):
+        sq = np.square(pop[:, 0] - opt)
+        if n > 1:
+            sq = sq + np.sum(np.square(pop[:, 1:]), axis=1)
+        want = p.rmax - 0.5 * sq
+        assert ibm._fitness(p, habitat, pop).tobytes() == want.tobytes()
+
+
 def test_validation_collects_every_failure():
     with pytest.raises(ValueError) as exc:
         ibm.IbmParams(n=0, U=-1.0, lambda_var=0.0, delta=-0.1, rmax=math.inf,
