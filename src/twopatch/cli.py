@@ -191,6 +191,8 @@ def validate_config(config: ExperimentConfig) -> None:
         errors.append(f"sweep_steps entries must be >= 2, got {config.sweep_steps!r}")
     if config.rungs < 2:
         errors.append(f"rungs must be >= 2 (two rungs certify the ladder), got {config.rungs}")
+    if config.L is not None and not 0 < config.L < math.inf:
+        errors.append(f"L must be auto or finite and > 0, got {config.L}")
     if config.h_target is not None and not 0 < config.h_target < math.inf:
         errors.append(f"h_target must be auto or finite and > 0, got {config.h_target}")
     if not 0 <= config.tol_domain < math.inf:
@@ -220,7 +222,7 @@ def to_model_params(config: ExperimentConfig, *, delta: float | None = None,
 
 def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
     """The config's L and m, else the default box max(4 beta, 6 sqrt(mu)) + 2
-    at spacing ~1/16: the nodes where solve and phase sample the final state."""
+    at spacing ~1/16: the nodes where solve samples the final state."""
     length = config.L
     if length is None:
         length = max(4.0 * params.beta, 6.0 * math.sqrt(params.mu)) + 2.0
@@ -318,8 +320,8 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
         raise ConfigError(
             f"final_state.txt would hold m^n = {grid.m}^{grid.n} = {rows} rows, more than "
             f"{_FINAL_STATE_ROWS}; set a smaller m")
-    traj, final = integrate_to(params, grid, initial_state(config, params),
-                               solver_config(config))
+    traj, final = integrate_to(params, initial_state(config, params), solver_config(config))
+    u1, u2 = final.sample(grid.axis())
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     _write_float_csv(traj_path, "t,N1,N2,rbar1,rbar2",
@@ -339,9 +341,9 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
     factors, which = np.unique(np.prod(phi[idx], axis=1), return_inverse=True)
     mids = ["".join("," + xs[k] for k in node) + "," for node in idx.tolist()]
-    keys = [u.view(np.uint64).tolist() for u in (final.u1, final.u2)]
+    keys = [u.view(np.uint64).tolist() for u in (u1, u2)]
     texts: dict[int, list[str]] = {}
-    for key, a in zip(keys[0] + keys[1], final.u1.tolist() + final.u2.tolist()):
+    for key, a in zip(keys[0] + keys[1], u1.tolist() + u2.tolist()):
         if key not in texts:
             texts[key] = ["%.15g" % v for v in (a * factors).tolist()]
     with open(state_path, "w") as fh:
@@ -435,8 +437,7 @@ def _phase_cell(args) -> PhaseCell:
         lam = lambda_of(params)
         classification = classify(params, lam=lam)
 
-        traj, _ = integrate_to(params, grid_for(config, params), initial_state(config, params),
-                               solver_config(config))
+        traj, _ = integrate_to(params, initial_state(config, params), solver_config(config))
         n_pde = float(traj.N1[-1] + traj.N2[-1])
 
         n_ibm = math.nan

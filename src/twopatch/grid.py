@@ -1,9 +1,9 @@
 """The x1 axis of the truncated phenotype box [-L, L]^n, for any n >= 1.
 
 The transverse traits factor out of every solve (eigen.fitness_fields), so
-fields live on the x1 axis alone. The grid holds the nodes where
-pde.integrate_to samples its final state and the box of eigen's
-finite-difference ladder (twopatch eigen). That box is a computational
+fields live on the x1 axis alone. The grid holds the nodes where the solve
+command samples pde.integrate_to's final state (pde.FinalState.sample) and
+the box of eigen's finite-difference ladder (twopatch eigen). That box is a computational
 truncation: solutions of interest decay super-exponentially, so homogeneous
 Dirichlet conditions (zero ghost nodes) are imposed at both ends. The node count is
 odd so that x1 = 0 is an exact node and the habitat-swap reflection

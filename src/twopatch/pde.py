@@ -8,29 +8,25 @@ through migration. Masses and mean fitnesses of the profile are those of the
 n-trait density, which is the profile times N(0, mu I_{n-1}).
 
 The system is du/dt = -A u with A the growth operator whose smallest
-eigenvalue eigen computes. integrate_to solves it in free space, in the
-Hermite-function basis of width sqrt(mu) where eigen.lambda_of finds that
-eigenvalue (hermite.galerkin): quadratic selection makes A a K x K
-tridiagonal for mirror-symmetric runs and a 2K-wide pentadiagonal otherwise.
-The solve is exact in time, with no step: the matrix exponential from one
-eigendecomposition of the tridiagonal for mirror-symmetric runs, and expm of
-the 2K matrix for every other run. Masses and mean fitnesses are exact
-integrals of the basis, and the initial data are Gaussian bumps (Bump,
-InitialData), whose coefficients follow from an exact recurrence. The grid
-only says where the final state is sampled.
+eigenvalue eigen computes. integrate_to solves it exactly in time, in free
+space, in the Hermite-function basis of width sqrt(mu) where eigen.lambda_of
+finds that eigenvalue (hermite.galerkin), from Gaussian bumps (Bump,
+InitialData) whose coefficients follow from an exact recurrence. No grid
+enters the solve: FinalState.sample evaluates its final state at points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
 
 from . import hermite, model
 # laplacian and integrate stay module attributes for bench/tracing.py, which wraps them here.
-from .grid import Field2, Grid, integrate, laplacian  # noqa: F401
+from .grid import integrate, laplacian  # noqa: F401
 
 
 class SolverError(RuntimeError):
@@ -74,6 +70,24 @@ class Trajectory:
 
     def n_total(self) -> np.ndarray:
         return self.N1 + self.N2
+
+
+@dataclass(frozen=True)
+class FinalState:
+    """integrate_to's last state: (K, 2) coefficients of u1 and u2 in hermite's phi_k."""
+
+    mu: float
+    coef: np.ndarray
+    mirror: bool  # the run stayed on the habitat-swap-even half: u2 is u1 reflected
+
+    def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u1, u2) at points x, symmetric about 0 on mirror runs (as Grid.axis is), where
+        u2 is u1 reversed bit for bit; values below 1e-12 times the height (integrate_to) are 0."""
+        coef = self.coef[:, :1] if self.mirror else self.coef
+        u = hermite.basis(coef.shape[0], x / math.sqrt(self.mu)) @ coef * self.mu ** -0.25
+        u = np.column_stack([u[:, 0], u[::-1, 0]]) if self.mirror else u
+        u[u < _ROUNDOFF * max(u.max(), np.linalg.norm(coef) * self.mu ** -0.25)] = 0.0
+        return u[:, 0].copy(), u[:, 1].copy()
 
 
 @dataclass(frozen=True)
@@ -200,18 +214,18 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
                      f"sqrt(mu) = {math.sqrt(mu):.3g} (a bump much narrower than that?)")
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The symmetric matrix of a lower band."""
-    n = band.shape[1]
-    a = np.zeros((n, n))
-    for j, row in enumerate(band):
-        idx = np.arange(n - j)
-        a[idx + j, idx] = a[idx, idx + j] = row[:n - j]
-    return a
+@functools.cache
+def _check_basis(size: int) -> np.ndarray:
+    """psi_k, k < K, at the 2K Gauss-Hermite nodes (Shen, Tang and Wang, 2011, 7.1), the
+    Jacobi matrix's eigenvalues made symmetric, so u1 covers u2 on mirror runs."""
+    nodes = eigvalsh_tridiagonal(np.zeros(2 * size), np.sqrt(0.5 * np.arange(1, 2 * size)))
+    psi = hermite.basis(size, 0.5 * (nodes - nodes[::-1]))
+    psi.flags.writeable = False  # one array per K, shared by every solve
+    return psi
 
 
-def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
-                 config: SolverConfig) -> tuple[Trajectory, Field2]:
+def integrate_to(params: model.ModelParams, state0: InitialData,
+                 config: SolverConfig) -> tuple[Trajectory, FinalState]:
     """Solve from state0 to t_end exactly in time, recording every record_every.
 
     The solve runs in free space, in the basis phi_k(x) = mu^(-1/4)
@@ -224,29 +238,24 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
 
     - mirror runs (Symmetric migration, rmax1 = rmax2, u2's coefficients
       those of u1 reversed to 1e-12) stay on the habitat-swap-even half: one
-      eigh_tridiagonal of the K x K matrix, and the final state is (u, rev u),
-      so N1 == N2, rbar1 == rbar2 and u2 == rev u1 bitwise from record 1 on;
+      eigh_tridiagonal of the K x K matrix, and the final state is (v, v reflected),
+      so N1 == N2 and rbar1 == rbar2 bitwise from record 1 on;
     - every other run (unequal peaks, General migration at any rates, or
-      mirror parameters with unmirrored data) takes expm of the 2K matrix,
-      which needs no eigenbasis: one-way migration makes it block
-      triangular and, for mirror habitats, defective.
+      mirror parameters with unmirrored data) takes expm of the 2K matrix
+      (_propagate), which needs no eigenbasis.
 
     Every record is the propagator applied to the initial coefficients,
     observed through exact integrals of the basis (hermite.moments). Logistic
-    growth (Symmetric migration, rmax1 = rmax2) needs mirror data, so N1 = N2
-    and u = v / (1 + int_0^t N_v1) with v the Malthusian solution; the
-    integral is closed form in the eigenbasis.
+    growth needs mirror data, so N1 = N2 and u = v / (1 + int_0^t N_v1) with
+    v the Malthusian solution, closed form in the eigenbasis (_eigenbasis).
 
-    The final state is the sum of the basis at the grid's nodes. Its height is
-    the larger of its maximum at the nodes and its L2 norm times mu^(-1/4),
-    the height of a bump of that norm and width sqrt(mu), which nodes outside
-    the state's bulk do not underestimate. Values below -1e-12 times the
-    height raise SolverError; values below +1e-12 times it carry no digit of
-    the density, which is positive, and are set to exactly 0. The grid only
-    samples the state; the run does not depend on it. The run stops early,
+    The final state (FinalState) is checked at nodes fixed by K alone, the 2K
+    Gauss-Hermite nodes (_check_basis): values below -1e-12 times its height,
+    the larger of its maximum there and its L2 norm times mu^(-1/4) (a bump
+    of that norm and width sqrt(mu)), raise SolverError. The run stops early,
     with trajectory.extinct set, at the first record below _EXTINCT = 1e-12
-    times the initial mass, in that record's state. Record 0 holds the input's
-    masses, and the t_end = 0 final state is the input at the nodes.
+    times the initial mass, in that record's state. Record 0 holds the
+    input's masses; the t_end = 0 final state is the input.
 
     Raises:
         TypeError: state0 is not InitialData.
@@ -302,9 +311,10 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
             # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
             # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
             obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
-            a = _dense(band) + hermite.with_constant(params, 0.0) * np.eye(2 * size)
-            k = np.arange(size)
-            a[2 * k, 2 * k + 1], a[2 * k + 1, 2 * k] = -d12, -d21
+            a = np.diag(band[0] + hermite.with_constant(params, 0.0))
+            for diagonal, value in ((a[2:, :-2], band[2, :-2]), (a[:-2, 2:], band[2, :-2]),
+                                    (a[1::2, ::2], -d21), (a[::2, 1::2], -d12)):
+                np.fill_diagonal(diagonal, value)
             q, state = _propagate(a, obs, np.ravel([c1, c2], order="F"), rec,
                                   config.record_every)
         q[0] = q0
@@ -312,16 +322,15 @@ def integrate_to(params: model.ModelParams, grid: Grid, state0: InitialData,
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
         coef = np.column_stack([c1, c2]) if end == 0 else state(end).reshape(size, -1)
-        u = hermite.basis(size, grid.axis() / math.sqrt(mu)) @ coef * mu ** -0.25
-        if mirror and end > 0:
-            u = np.column_stack([u[:, 0], u[::-1, 0]])
+        u = _check_basis(size) @ coef * mu ** -0.25
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
     top = max(u.max(), np.linalg.norm(coef) * mu ** -0.25)
     if u.min() < -_ROUNDOFF * top:
         raise SolverError(f"final state dips to {u.min():.3g} (height {top:.3g}), beyond roundoff")
-    u[u < _ROUNDOFF * top] = 0.0
     # rows (N1, N2, rbar1, rbar2) from (N1, N2, int r1 u1, int r2 u2)
     q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
     traj = Trajectory(rec[:end + 1].copy(), *q.T.copy(), extinct=low.size > 0)
-    return traj, Field2(u[:, 0].copy(), u[:, 1].copy())
+    if mirror and end > 0:  # u2's coefficients are u1's times (-1)^k
+        return traj, FinalState(mu, np.column_stack([coef[:, 0], sign * coef[:, 0]]), True)
+    return traj, FinalState(mu, coef, False)

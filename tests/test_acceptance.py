@@ -136,13 +136,12 @@ def test_criterion_05_eigenfunction_mirror_structure_and_asymmetry():
 
 def test_criterion_06_growth_rate_matches_eigenvalue():
     # ln N slope over t in [30, 60] vs -lambda, within 5%, both signs
-    g = build_grid(1, 5.0, 161)
     bump = (pde.Bump(0.0, 0.25, 1.0),)
     cfg = pde.SolverConfig(t_end=60.0, record_every=0.5)
     for label, rmax in (("persisting", 0.5), ("extinguishing", 0.1)):
         p = ref_params(n=1, delta=0.05, m_d=0.5, rmax=rmax, mu=0.25)
         lam = eigen.lambda_of(p)
-        traj, _ = pde.integrate_to(p, g, pde.InitialData(bump, bump), cfg)
+        traj, _ = pde.integrate_to(p, pde.InitialData(bump, bump), cfg)
         sel = traj.t >= 30.0
         slope = np.polyfit(traj.t[sel], np.log(traj.n_total()[sel]), 1)[0]
         rel = abs(slope - (-lam)) / abs(lam)
@@ -158,12 +157,11 @@ def test_criterion_07_growth_law_correspondence():
     # max relative error <= 1e-4 over [0, 50], identical initial data
     p_mal = ref_params(n=1, delta=0.05, m_d=0.5)
     p_log = ref_params(n=1, delta=0.05, m_d=0.5, growth=model.GROWTH_LOGISTIC)
-    g = build_grid(1, 4.0, 129)
     bump = (pde.Bump(0.0, MU, 1.0),)
     dt = 0.125
     cfg = pde.SolverConfig(t_end=50.0, record_every=dt)
-    mal, _ = pde.integrate_to(p_mal, g, pde.InitialData(bump, bump), cfg)
-    log, _ = pde.integrate_to(p_log, g, pde.InitialData(bump, bump), cfg)
+    mal, _ = pde.integrate_to(p_mal, pde.InitialData(bump, bump), cfg)
+    log, _ = pde.integrate_to(p_log, pde.InitialData(bump, bump), cfg)
     cum = np.concatenate([[0.0], np.cumsum((mal.N1[1:] + mal.N1[:-1]) * 0.5 * dt)])
     predicted = mal.N1 / (1.0 + cum)
     rel = float(np.max(np.abs(log.N1 - predicted) / predicted))
@@ -177,10 +175,9 @@ def test_criterion_08_logistic_plateau_report():
     p = ref_params(n=1, delta=0.01, m_d=0.5, growth=model.GROWTH_LOGISTIC)
     lam = eigen.lambda_of(ref_params(n=1, delta=0.01, m_d=0.5))
     assert lam < 0
-    g = build_grid(1, 4.0, 129)
     bump = (pde.Bump(0.0, MU, 0.02),)
     cfg = pde.SolverConfig(t_end=200.0, record_every=1.0)
-    traj, _ = pde.integrate_to(p, g, pde.InitialData(bump, bump), cfg)
+    traj, _ = pde.integrate_to(p, pde.InitialData(bump, bump), cfg)
     n_end = float(traj.N1[-1])
     rel = (n_end - (-lam)) / (-lam)
     if abs(rel) <= 0.15:
@@ -201,8 +198,9 @@ def test_criterion_09_density_merging_at_large_migration():
     gaps = {}
     for delta in (1.0, 10.0, 100.0):
         p = ref_params(n=1, delta=delta, m_d=0.5, mu=0.1)
-        _, final = pde.integrate_to(p, g, data, cfg)
-        gaps[delta] = float(np.max(np.abs(final.u1 - final.u2)))
+        _, final = pde.integrate_to(p, data, cfg)
+        u1, u2 = final.sample(g.axis())
+        gaps[delta] = float(np.max(np.abs(u1 - u2)))
     assert gaps[1.0] > gaps[10.0] > gaps[100.0], f"gaps {gaps}"
     assert gaps[100.0] <= gaps[1.0] / 10.0, f"gaps {gaps}"
     print(f"criterion 9: PASS gaps {gaps[1.0]:.4g} > {gaps[10.0]:.4g} > "
@@ -238,8 +236,6 @@ def test_criterion_11_desk_scale_phase_diagram():
     config = cli.ExperimentConfig(initial="spread", initial_mass=1e4,
                                   t_end=150.0, record_every=150.0,
                                   N0=1000, T=150, replicates=10)
-    # the CLI's default grid for the widest cell: it only samples the final states
-    g = cli.grid_for(config, cli.to_model_params(config, m_d=float(mds[-1])))
     solver_cfg = cli.solver_config(config)
 
     pde_agree = ibm_agree = 0
@@ -251,7 +247,7 @@ def test_criterion_11_desk_scale_phase_diagram():
             lam = eigen.lambda_of(params)
 
             state0 = cli.initial_state(config, params)
-            traj, _ = pde.integrate_to(params, g, state0, solver_cfg)
+            traj, _ = pde.integrate_to(params, state0, solver_cfg)
             pde_persists = traj.n_total()[-1] > traj.n_total()[0]
             if pde_persists == (lam < 0):
                 pde_agree += 1

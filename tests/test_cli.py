@@ -175,13 +175,16 @@ def test_cmd_solve_rewrite_is_bit_identical(tmp_path):
     assert (a / "final_state.txt").read_bytes() == (b / "final_state.txt").read_bytes()
 
 
+SAMPLE = pde.FinalState.sample  # unpatched, for signed_zero_sample
+
+
 def savetxt_outputs(cfg):
     """The solve's trajectory and final_state.txt as np.savetxt wrote it over the
     np.indices of all m^n nodes: the reference for cmd_solve's writers."""
     params = cli.to_model_params(cfg)
     grid = cli.grid_for(cfg, params)
-    traj, final = cli.integrate_to(params, grid, cli.initial_state(cfg, params),
-                                   cli.solver_config(cfg))
+    traj, final = cli.integrate_to(params, cli.initial_state(cfg, params), cli.solver_config(cfg))
+    u1, u2 = final.sample(grid.axis())
     buf = io.StringIO()
     buf.write(f"# n={grid.n} L={cli._fmt(grid.L)} m={grid.m} h={cli._fmt(grid.h)}\n")
     buf.write(f"# t={cli._fmt(traj.t[-1])} extinct={traj.extinct}\n")
@@ -190,25 +193,24 @@ def savetxt_outputs(cfg):
     idx = np.indices((grid.m,) * grid.n).reshape(grid.n, -1).T
     phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
     transverse = np.prod(phi[idx[:, 1:]], axis=1)
-    np.savetxt(buf, np.column_stack([ax[idx], final.u1[idx[:, 0]] * transverse,
-                                     final.u2[idx[:, 0]] * transverse]),
+    np.savetxt(buf, np.column_stack([ax[idx], u1[idx[:, 0]] * transverse,
+                                     u2[idx[:, 0]] * transverse]),
                fmt="%.15g", delimiter=",")
     return traj, buf.getvalue()
 
 
-def signed_zero_solve(*args):
-    """pde.integrate_to with 0.0 in u1 and -0.0 at its mirrored node in u2,
+def signed_zero_sample(final, x):
+    """FinalState.sample with 0.0 in u1 and -0.0 at its mirrored node in u2,
     and one value of u1 repeated at another node of u2: a writer that caches
     formatted values by float equality prints one zero for both."""
-    traj, final = pde.integrate_to(*args)
-    u1, u2 = final.u1.copy(), final.u2.copy()
+    u1, u2 = SAMPLE(final, x)
     k = u1.size // 4
     u1[k], u2[-1 - k] = 0.0, -0.0
     u2[k] = u1[u1.size // 2]
-    return traj, pde.Field2(u1, u2)
+    return u1, u2
 
 
-@pytest.mark.parametrize("overrides, solve", [
+@pytest.mark.parametrize("overrides, sampler", [
     (dict(), None),
     (dict(n=2, L=3.0, m=25), None),
     (dict(n=3, L=2.0, m=9, t_end=1.0), None),
@@ -216,7 +218,7 @@ def signed_zero_solve(*args):
     (dict(n=2, mu=0.005, L=4.0, m=33, rmax1=-1.0, rmax2=-1.0, t_end=60.0), None),
     # u2 is not u1 reversed
     (dict(n=2, L=3.0, m=25, migration="general", d11=0.05, d12=0.05, d21=0.02, d22=0.02), None),
-    (dict(n=2, L=3.0, m=25), signed_zero_solve),
+    (dict(n=2, L=3.0, m=25), signed_zero_sample),
     # the criterion-7 logistic run: a mirror run, so N2 repeats N1 bitwise
     (dict(mu=ExperimentConfig().mu, L=4.0, m=129, t_end=50.0, record_every=0.125,
           initial_mass=1.0, growth="logistic"), None),
@@ -224,9 +226,10 @@ def signed_zero_solve(*args):
     (dict(n=2, L=3.0, m=25, t_end=2.3, record_every=0.5), None),
 ], ids=["n1", "n2", "n3", "extinct", "general_n2", "signed_zero", "logistic_n1",
         "record_every_remainder"])
-def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, overrides, solve):
-    if solve is not None:
-        monkeypatch.setattr(cli, "integrate_to", solve)
+def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, overrides,
+                                                       sampler):
+    if sampler is not None:
+        monkeypatch.setattr(pde.FinalState, "sample", sampler)
     cfg = quick_solve_config(**overrides)
     traj, want = savetxt_outputs(cfg)
     cli.cmd_solve(cfg, str(tmp_path))
@@ -237,12 +240,36 @@ def test_cmd_solve_outputs_match_savetxt_byte_for_byte(tmp_path, monkeypatch, ov
     if overrides.get("rmax1") == -1.0:
         assert traj.extinct
         assert ",0,0\n" in want
-    if solve is not None:  # u1 prints a 0 and u2 a -0
+    if sampler is not None:  # u1 prints a 0 and u2 a -0
         assert re.search(r",0,[^,\n]+\n", want) and ",-0\n" in want
     if overrides.get("growth") == "logistic":
         assert np.array_equal(traj.N1, traj.N2) and np.array_equal(traj.rbar1, traj.rbar2)
     if overrides.get("t_end") == 2.3:
         assert traj.t[-2:].tolist() == [2.0, 2.3]
+
+
+def test_solve_outcome_does_not_depend_on_the_sampling_grid(tmp_path, monkeypatch):
+    # at mu = 2e-3 the state at the extinction record keeps few digits; the
+    # positivity check runs at nodes fixed by the basis, so m = 9, whose
+    # nodes miss the state's negative tail, passes or fails with the others
+    trajectories, messages = [], []
+    inner = cli.integrate_to
+
+    def spy(*args):
+        traj, final = inner(*args)
+        trajectories.append(traj)
+        return traj, final
+
+    monkeypatch.setattr(cli, "integrate_to", spy)
+    for m in (9, 33, 129):
+        cli.cmd_solve(ExperimentConfig(mu=2e-3, m_D=0.5, m=m), str(tmp_path))
+        with pytest.raises(pde.SolverError, match="final state dips") as failure:
+            cli.cmd_solve(ExperimentConfig(mu=2e-3, m_D=1.0, m=m), str(tmp_path))
+        messages.append(str(failure.value))
+    assert len(set(messages)) == 1
+    for traj in trajectories[1:]:
+        for name in ("t", "N1", "N2", "rbar1", "rbar2", "extinct"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(trajectories[0], name))
 
 
 def test_float_csv_matches_write_csv(tmp_path):
@@ -410,6 +437,22 @@ def test_cmd_phase_parallel_matches_serial(tmp_path):
     assert (a / "phase.csv").read_bytes() == (b / "phase.csv").read_bytes()
 
 
+def test_cmd_phase_does_not_depend_on_the_sampling_grid(tmp_path, monkeypatch):
+    # phase never samples a final state: it builds no grid, so phase.csv is
+    # the same at m = 3 and at an m whose axis would not fit in memory
+    def refuse(*args):
+        raise AssertionError("cmd_phase built a sampling grid")
+
+    monkeypatch.setattr(cli, "grid_for", refuse)
+    written = []
+    for m in (3, 99999999999):
+        out = tmp_path / str(m)
+        out.mkdir()
+        written.append(pathlib.Path(cli.cmd_phase(quick_phase_config(phase_ibm=False, m=m),
+                                                  str(out))["phase"]).read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cmd_phase_svg(tmp_path):
     cfg = quick_phase_config(phase_ibm=False, t_end=2.0)
     written = cli.cmd_phase(cfg, str(tmp_path), svg=True)
@@ -553,13 +596,19 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
     # one rung has nothing to agree with: its lambda is never certified
     ("eigen", "rungs = 1\n", "rungs must be >= 2"),
+    # the sampling box's half-width: auto, or finite and positive
+    ("solve", "L = inf\n", "L must be auto or finite and > 0, got inf"),
+    ("solve", "L = nan\n", "L must be auto or finite and > 0, got nan"),
+    ("phase", "phase_ibm = false\nL = inf\n", "L must be auto or finite and > 0, got inf"),
+    ("phase", "phase_ibm = false\nL = nan\n", "L must be auto or finite and > 0, got nan"),
     # numpy's seed sequences take no negative entropy
     ("phase", "seed = -1\n", "seed must be >= 0"),
     ("ibm", "seed = -1\n", "seed must be >= 0"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "phase_mu",
         "phase_initial_variance", "phase_negative_sweep", "phase_negative_delta_corner",
-        "eigen_one_rung", "phase_negative_seed", "ibm_negative_seed"])
+        "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
+        "phase_negative_seed", "ibm_negative_seed"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
     out_dir = tmp_path / "out"

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvals_banded
 
 import oracle
-from twopatch import eigen, hermite, model, pde
+from twopatch import eigen, hermite, model
 
 MU = 0.2
 
@@ -59,6 +59,14 @@ def test_gaussian_coefficients_match_quadrature(center, variance):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def dense(band):
+    """The symmetric matrix of a lower band."""
+    a = np.diag(band[0])
+    for j in range(1, band.shape[0]):
+        a += np.diag(band[j, :-j], -j) + np.diag(band[j, :-j], j)
+    return a
+
+
 @pytest.mark.parametrize("migration, rmax2", [
     (model.Symmetric(0.3), 0.3),
     (model.Symmetric(0.3), 0.1),
@@ -75,10 +83,10 @@ def test_galerkin_band_is_the_block_operator(migration, rmax2):
     want = block * np.outer(1.0 / scale, scale)
     order = np.ravel([np.arange(size), size + np.arange(size)], order="F")
     full = hermite.galerkin(p, size, even_half=False)
-    np.testing.assert_allclose(pde._dense(full), want[np.ix_(order, order)], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense(full), want[np.ix_(order, order)], rtol=0, atol=1e-15)
     if hermite.is_mirror(p):
         half = block[:size, :size] - d11 * np.diag((-1.0) ** np.arange(size))
-        np.testing.assert_allclose(pde._dense(hermite.galerkin(p, size)), half, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense(hermite.galerkin(p, size)), half, rtol=0, atol=1e-15)
 
 
 def _scipy_band(params, size):

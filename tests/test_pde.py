@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,12 @@ from twopatch.pde import Bump, InitialData
 def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
     return model.ModelParams(n=n, mu=0.2, rmax1=rmax, rmax2=rmax, beta=0.5,
                              migration=model.Symmetric(delta), growth=growth)
+
+
+def solve(p, g, s0, cfg):
+    """integrate_to's trajectory and its final state sampled on g's axis."""
+    traj, final = pde.integrate_to(p, s0, cfg)
+    return traj, Field2(*final.sample(g.axis()))
 
 
 def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN, n=1):
@@ -43,7 +50,7 @@ def test_bump_outside_the_sampling_box_keeps_its_mass():
     p = small_params()
     g = build_grid(1, 2.0, 21)
     far = (Bump(5.0, p.mu, 1.0),)
-    traj, final = pde.integrate_to(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
+    traj, final = solve(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
     assert traj.N1[0] == pytest.approx(1.0, rel=1e-12)
     assert final.u1.max() < 1e-9
 
@@ -82,7 +89,7 @@ def assert_matches_exact_propagator(p, g, s0, cfg):
     """integrate_to against the oracle's dense expm of the Galerkin matrix,
     the exact propagator of the Malthusian system in the Hermite basis;
     returns the run and the oracle's coefficients at the record times."""
-    traj, final = pde.integrate_to(p, g, s0, cfg)
+    traj, final = solve(p, g, s0, cfg)
     exact = oracle.Solve(p, s0)
     coef = exact.trajectory(traj.t)
     want = np.array([exact.observe(c) for c in coef])
@@ -187,6 +194,22 @@ def test_one_way_remainder_within_roundoff_reuses_the_cadence_propagator(monkeyp
     assert len(shapes) == 1
 
 
+def test_final_state_is_in_coefficients_and_sampled_apart():
+    # a mirror run's u2 has u1's coefficients times (-1)^k, exactly, and
+    # FinalState.sample reverses u1 for it on a symmetric axis
+    p, g, s0 = small_setup(delta=0.3)
+    _, final = pde.integrate_to(p, s0, pde.SolverConfig(t_end=5.0))
+    sign = (-1.0) ** np.arange(final.coef.shape[0])
+    assert final.mirror and final.mu == p.mu
+    np.testing.assert_array_equal(final.coef[:, 1], sign * final.coef[:, 0])
+    u1, u2 = final.sample(g.axis())
+    np.testing.assert_array_equal(u2, u1[::-1])
+    assert u1.min() == 0.0 and u1.max() > 0.0
+    # the positivity check's nodes are symmetric about 0, so u1 there covers u2
+    check = pde._check_basis(sign.size)
+    np.testing.assert_array_equal(check[::-1], check * sign)
+
+
 def test_logistic_run_matches_high_order_integration():
     # the eigenbasis rescaling against a tight general-purpose integration
     # of the logistic right-hand side, in the oracle's coefficients (stiff:
@@ -194,7 +217,7 @@ def test_logistic_run_matches_high_order_integration():
     from scipy.integrate import solve_ivp
     p, g, s0 = small_setup(delta=0.3, growth=model.GROWTH_LOGISTIC)
     cfg = pde.SolverConfig(t_end=20.0, record_every=1.0)
-    traj, final = pde.integrate_to(p, g, s0, cfg)
+    traj, final = solve(p, g, s0, cfg)
     exact = oracle.Solve(p, s0)
     size = exact.size
 
@@ -221,7 +244,7 @@ def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow():
     p, g, s0 = small_setup(delta=0.3, growth=model.GROWTH_LOGISTIC)
     lam0 = eigen.lambda_of(p)
     assert -lam0 * 10000.0 > 710.0  # exp(-lambda t_end) is beyond float64
-    traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=500.0))
+    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=500.0))
     assert traj.N1[-1] == pytest.approx(-lam0, rel=1e-9)
     assert traj.N2[-1] == pytest.approx(-lam0, rel=1e-9)
     assert np.isfinite(final.u1).all() and final.u1.max() > 0
@@ -231,20 +254,19 @@ def test_logistic_needs_mirror_symmetric_data():
     p, g, s0 = small_setup(growth=model.GROWTH_LOGISTIC)
     half = (Bump(0.0, 0.1, 0.5),)
     with pytest.raises(ValueError, match="mirror"):
-        pde.integrate_to(p, g, InitialData(s0.u1, half), pde.SolverConfig(t_end=1.0))
+        pde.integrate_to(p, InitialData(s0.u1, half), pde.SolverConfig(t_end=1.0))
 
 
 def test_float64_overflow_raises_solver_error():
     p = small_params(rmax=50.0)
-    g = build_grid(1, 4.0, 81)
     bump = (Bump(0.0, 0.1, 1.0),)
     with pytest.raises(pde.SolverError, match="overflow"):
-        pde.integrate_to(p, g, InitialData(bump, bump), pde.SolverConfig(t_end=300.0))
+        pde.integrate_to(p, InitialData(bump, bump), pde.SolverConfig(t_end=300.0))
 
 
 def test_integrate_to_records_on_cadence():
     p, g, s0 = small_setup()
-    traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=2.0, record_every=0.5))
+    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=2.0, record_every=0.5))
     np.testing.assert_allclose(traj.t, [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-12)
     assert final.u1.shape == g.shape
     assert not traj.extinct
@@ -254,7 +276,7 @@ def test_integrate_to_records_on_cadence():
 def test_integrate_to_t_end_zero_records_initial_row_only():
     # the final state is the input's bumps at the nodes, to the roundoff floor
     p, g, s0 = small_setup()
-    traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=0.0))
+    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=0.0))
     assert list(traj.t) == [0.0]
     u = oracle.gaussian(g.axis(), s0.u1)
     np.testing.assert_allclose(final.u1, u, rtol=0, atol=1e-12 * u.max())
@@ -265,7 +287,7 @@ def test_mass_balance_matches_mean_fitness():
     # d(N1+N2)/dt = rbar1*N1 + rbar2*N2 (free space: nothing leaks)
     p, g, s0 = small_setup(delta=0.4)
     cfg = pde.SolverConfig(t_end=3.0, record_every=0.25)
-    traj, _ = pde.integrate_to(p, g, s0, cfg)
+    traj, _ = pde.integrate_to(p, s0, cfg)
     n = traj.n_total()
     growth = traj.rbar1 * traj.N1 + traj.rbar2 * traj.N2
     dt = 0.25
@@ -276,7 +298,7 @@ def test_mass_balance_matches_mean_fitness():
 
 def test_mirror_symmetry_is_preserved():
     p, g, s0 = small_setup(delta=0.3)
-    traj, final = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=5.0, record_every=1.0))
+    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=5.0, record_every=1.0))
     np.testing.assert_allclose(traj.N1, traj.N2, rtol=1e-9)
     from twopatch.grid import reflect_field
     np.testing.assert_allclose(final.u2, reflect_field(g, final.u1),
@@ -284,8 +306,8 @@ def test_mirror_symmetry_is_preserved():
 
 
 def test_logistic_mass_stays_bounded():
-    p, g, s0 = small_setup(growth=model.GROWTH_LOGISTIC)
-    traj, _ = pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=40.0, record_every=2.0))
+    p, _, s0 = small_setup(growth=model.GROWTH_LOGISTIC)
+    traj, _ = pde.integrate_to(p, s0, pde.SolverConfig(t_end=40.0, record_every=2.0))
     # per-habitat mass obeys N' <= (rmax - N) N, so it can never pass rmax
     bound = max(traj.N1[0], traj.N2[0], p.rmax1) * (1 + 1e-6)
     assert traj.N1.max() <= bound
@@ -298,13 +320,13 @@ def test_logistic_rescaling_of_malthusian_run():
     # habitat by habitat when the setup is mirror-symmetric; the transverse
     # factor keeps this exact in any trait dimension
     for n in (1, 2):
-        p, g, s0 = small_setup(delta=0.1, n=n)
+        p, _, s0 = small_setup(delta=0.1, n=n)
         cfg = pde.SolverConfig(t_end=6.0, record_every=0.05)
-        mal, _ = pde.integrate_to(p, g, s0, cfg)
+        mal, _ = pde.integrate_to(p, s0, cfg)
         p_log = model.ModelParams(n=p.n, mu=p.mu, rmax1=p.rmax1, rmax2=p.rmax2,
                                   beta=p.beta, migration=p.migration,
                                   growth=model.GROWTH_LOGISTIC)
-        log, _ = pde.integrate_to(p_log, g, s0, cfg)
+        log, _ = pde.integrate_to(p_log, s0, cfg)
         cum = np.concatenate([[0.0], np.cumsum((mal.N1[1:] + mal.N1[:-1]) * 0.5 * 0.05)])
         predicted = mal.N1 / (1.0 + cum)
         np.testing.assert_allclose(log.N1, predicted, rtol=2e-4)
@@ -315,7 +337,7 @@ def test_extinction_flag_on_decaying_run():
     g = build_grid(1, 4.0, 81)
     bump = (Bump(0.0, 0.1, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=1.0)
-    traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
+    traj, final = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
     assert traj.n_total()[-1] < 1e-12 * 2.0  # the extinction floor times the initial mass
@@ -329,7 +351,7 @@ def test_extinction_flag_on_decaying_run():
     g = build_grid(1, 3.0, 41)
     bump = (Bump(0.0, 0.2, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=0.1)
-    traj, final = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
+    traj, final = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert final.u1.min() >= 0.0 and final.u2.min() >= 0.0
 
@@ -339,7 +361,7 @@ def test_step_sequence_does_not_depend_on_record_cadence():
     # depend on the cadence
     for growth in (model.GROWTH_MALTHUSIAN, model.GROWTH_LOGISTIC):
         p, g, s0 = small_setup(delta=0.1, growth=growth)
-        runs = [pde.integrate_to(p, g, s0, pde.SolverConfig(t_end=6.0, record_every=every))
+        runs = [solve(p, g, s0, pde.SolverConfig(t_end=6.0, record_every=every))
                 for every in (0.05, 6.0)]
         (fine, fine_end), (coarse, coarse_end) = runs
         assert len(fine.t) == 121 and len(coarse.t) == 2
@@ -366,20 +388,20 @@ def test_initial_state_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         InitialData((Bump(0.0, 0.1, -1.0),), s0.u2)
     with pytest.raises(ValueError, match="positive in each habitat"):
-        pde.integrate_to(p, g, InitialData((), s0.u2), cfg)
+        pde.integrate_to(p, InitialData((), s0.u2), cfg)
     # a bump far narrower than the basis width sqrt(mu) needs too many modes
     needle = (Bump(0.0, 1e-6, 1.0),)
     with pytest.raises(ValueError, match="Hermite modes"):
-        pde.integrate_to(p, g, InitialData(needle, needle), cfg)
+        pde.integrate_to(p, InitialData(needle, needle), cfg)
     # grid samples are not initial data: the solve takes only analytic bumps
     u = oracle.gaussian(g.axis(), s0.u1)
     with pytest.raises(TypeError, match="InitialData"):
-        pde.integrate_to(p, g, Field2(u, u.copy()), cfg)
+        pde.integrate_to(p, Field2(u, u.copy()), cfg)
     # optima 57 basis widths apart need 2048 modes, above the solve's cap
     far = model.ModelParams(n=1, mu=0.01, rmax1=0.1, rmax2=0.1, beta=math.sqrt(8.0),
                             migration=model.Symmetric(0.05))
     with pytest.raises(pde.SolverError, match="2048 Hermite modes"):
-        pde.integrate_to(far, g, s0, cfg)
+        pde.integrate_to(far, s0, cfg)
 
 
 def test_solver_config_validation():
@@ -396,10 +418,9 @@ def test_growth_rate_approaches_principal_eigenvalue():
     # late-time Malthusian growth of ln N should settle at -lambda
     p = small_params(delta=0.3)
     lam = eigen.lambda_of(p)
-    g = build_grid(1, 5.0, 161)
     bump = (Bump(0.0, p.mu, 1.0),)
     cfg = pde.SolverConfig(t_end=30.0, record_every=1.0)
-    traj, _ = pde.integrate_to(p, g, InitialData(bump, bump), cfg)
+    traj, _ = pde.integrate_to(p, InitialData(bump, bump), cfg)
     tail = traj.t >= 15.0
     slope = np.polyfit(traj.t[tail], np.log(traj.n_total()[tail]), 1)[0]
     assert slope == pytest.approx(-lam, rel=2e-3)
@@ -417,7 +438,7 @@ def test_late_log_mass_slope_matches_lambda_to_1e6():
     t_from = 30.0 / gap
     bump = (Bump(0.3, 0.1, 1.0),)  # off-centre: every even mode starts excited
     cfg = pde.SolverConfig(t_end=2.0 * t_from, record_every=t_from / 20.0)
-    traj, _ = pde.integrate_to(p, build_grid(1, 4.0, 81), InitialData(bump, bump[::-1]), cfg)
+    traj, _ = pde.integrate_to(p, InitialData(bump, bump[::-1]), cfg)
     tail = traj.t >= t_from
     slope = np.polyfit(traj.t[tail], np.log(traj.n_total()[tail]), 1)[0]
     assert slope == pytest.approx(-lam, rel=1e-6)
@@ -431,8 +452,8 @@ def default_solve(monkeypatch=None, factor=1, config=cli.ExperimentConfig()):
         inner = hermite.smallest
         monkeypatch.setattr(hermite, "smallest",
                             lambda p: (inner(p)[0], factor * inner(p)[1]))
-    return pde.integrate_to(params, cli.grid_for(config, params),
-                            cli.initial_state(config, params), cli.solver_config(config))
+    return solve(params, cli.grid_for(config, params), cli.initial_state(config, params),
+                 cli.solver_config(config))
 
 
 def test_default_solve_agrees_across_two_basis_doublings(monkeypatch):
@@ -469,22 +490,20 @@ def test_final_state_below_the_roundoff_floor_is_exactly_zero():
 
 
 def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
-    # the grid only samples the final state: a 4097-node axis costs no m x m
-    # matrix, and the box's finite-difference operators live in eigen alone
+    # the solve takes no grid, and sampling its final state on a 4097-node
+    # axis costs no m x m matrix: the box's finite-difference operators live
+    # in eigen alone
     def refuse(*args, **kwargs):
         raise AssertionError("integrate_to assembled a finite-difference operator")
 
     for name in ("assemble_full", "assemble_symmetric_reduced"):
         monkeypatch.setattr(eigen, name, refuse)
     for name in ("two_habitat_operator", "reduced_operator", "neg_laplacian_matrix",
-                 "reflection_permutation"):
+                 "reflection_permutation", "Grid", "Field2"):
         assert not hasattr(pde, name)
-    config = cli.ExperimentConfig(m=4097)
-    params = cli.to_model_params(config)
-    traj, final = pde.integrate_to(params, cli.grid_for(config, params),
-                                   cli.initial_state(config, params), cli.solver_config(config))
+    assert list(inspect.signature(pde.integrate_to).parameters) == ["params", "state0", "config"]
+    _, final = default_solve(config=cli.ExperimentConfig(m=4097))
     assert final.u1.shape == (4097,)
-    assert traj.n_total()[-1] == pytest.approx(default_solve()[0].n_total()[-1], rel=1e-14)
 
 
 def fd_total_mass(p, bumps, t, h, L=4.0):
@@ -501,7 +520,7 @@ def test_finite_difference_solve_converges_to_the_hermite_solve_at_second_order(
     config = cli.ExperimentConfig(t_end=20.0, record_every=20.0)
     p = cli.to_model_params(config)
     data = cli.initial_state(config, p)
-    traj, _ = pde.integrate_to(p, cli.grid_for(config, p), data, cli.solver_config(config))
+    traj, _ = pde.integrate_to(p, data, cli.solver_config(config))
     errors = [abs(fd_total_mass(p, data.u1, 20.0, h) - traj.n_total()[-1])
               for h in (1 / 16, 1 / 32, 1 / 64)]
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]

@@ -93,7 +93,7 @@ def test_two_trait_malthusian_masses_factor_through_the_axis(kind):
     mass = basis.T @ w
     mass_t = oracle.phi(p.mu, modes, x).T @ w
     cfg = pde.SolverConfig(t_end=4.0, record_every=1.0)
-    traj, _ = pde.integrate_to(p, build_grid(2, L, M), data, cfg)
+    traj, _ = pde.integrate_to(p, data, cfg)
     for k, t in enumerate(traj.t):
         c = (scipy.linalg.expm(-t * a_2d) @ np.kron(c_axis, transverse)).reshape(2, size, modes)
         for i, n_axis in ((0, traj.N1[k]), (1, traj.N2[k])):
