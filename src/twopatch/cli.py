@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -463,6 +462,8 @@ def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
     jobs = [(config, i, j, float(d), float(md))
             for i, d in enumerate(deltas) for j, md in enumerate(mds)]
     if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             return list(pool.map(_phase_cell, jobs))
     return [_phase_cell(job) for job in jobs]

@@ -32,29 +32,40 @@ at the default spacing, and the eigenfunction on the finest grid. Each
 rung is one principal_eigenpair solve: one banded eigenvalue of the
 operator's diagonally symmetrised twin, then inverse iteration on one LU.
 assemble_full and assemble_symmetric_reduced build the box's three-point
-operators (Dirichlet zero ghosts), each as one sparse matrix.
+operators (Dirichlet zero ghosts), each as one sparse matrix. scipy.sparse,
+its csgraph and its linalg load on the first ladder solve, inside the
+functions that use them, so a process that never climbs the ladder (every
+command but twopatch eigen) does not import them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from . import hermite, model
 from .grid import Field2, Grid, build_grid, reflect_field
 from .hermite import EigenError
+
+if TYPE_CHECKING:
+    import scipy.sparse
+
+
+def splu(a):
+    """scipy.sparse.linalg.splu, imported on the first call (one LU per ladder rung)."""
+    from scipy.sparse.linalg import splu as sparse_lu
+
+    return sparse_lu(a)
 
 
 @dataclass(frozen=True)
 class Operator:
     """Assembled sparse operator plus the metadata the solvers need."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     symmetric: bool  # d12 == d21; lets dense checks pick a symmetric solver
     lower_bound: float
 
@@ -134,6 +145,8 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     if not hermite.is_mirror(params):
         raise ValueError("reduced assembly requires Symmetric migration and rmax1 == rmax2 "
                          "(mirror habitats)")
+    import scipy.sparse as sp
+
     r1, _ = fitness_fields(params, grid)
     delta, m = params.migration.delta, grid.m
     stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
@@ -156,6 +169,8 @@ def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
     entries (a block's edge, absent migration) are not stored. Symmetric
     whenever d12 == d21.
     """
+    import scipy.sparse as sp
+
     r1, r2 = fitness_fields(params, grid)
     d11, d12, d21, d22 = params.migration.rates
     m = grid.m
@@ -190,6 +205,9 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     and is left unchanged. dsbevx costs O(size^2), about 6 ms at 1,090
     unknowns and 0.7 s at 12,000 on one x86 core; ARPACK's cost was linear.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     mat = operator.matrix.tocsr(copy=True)
     mat.sum_duplicates()  # sorted row-major keys; a no-op on assembled operators
     size, cols = mat.shape[0], mat.indices.astype(np.int64)  # keys reach size^2

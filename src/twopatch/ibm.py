@@ -31,12 +31,18 @@ concatenation.
 Populations are stored as (N_i, n) float arrays; row order carries no
 meaning. Rows are gathered with ``take`` and written through a 1-D view of
 the rows as opaque records, which numpy moves far faster than 2-D row
-fancy indexing. All draws come from one numpy Generator in a fixed order
-(the offspring totals of habitat 1 and 2; then the parent proposals of
-habitat 1, then of habitat 2, each chunk its indices then its uniforms;
-then per habitat the mutant count, the mutant indices, their K and their
-displacements; then the mover count and the movers of habitat 1, then of
-habitat 2), so a run is bit-reproducible given its seed.
+fancy indexing. Reproduction turns each habitat's fitness array into its
+lambda in place and gathers each proposal chunk's accepted rows straight
+into the preallocated offspring array, so a generation holds about
+8 (2n + 1) bytes per individual at its peak: the old row, the offspring's
+row and one lambda (40 bytes for n = 2, 2.5 times the rows themselves),
+plus proposal-chunk temporaries of fixed size. All draws come from one
+numpy Generator in a fixed order (the offspring totals of habitat 1 and 2;
+then the parent proposals of habitat 1, then of habitat 2, each chunk its
+indices then its uniforms; then per habitat the mutant count, the mutant
+indices, their K and their displacements; then the mover count and the
+movers of habitat 1, then of habitat 2), so a run is bit-reproducible
+given its seed.
 """
 
 from __future__ import annotations
@@ -130,8 +136,8 @@ def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _fitnesses(params: IbmParams, state: IbmState) -> tuple[np.ndarray, np.ndarray]:
-    return _fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)
+def _fitnesses(params: IbmParams, state: IbmState) -> list[np.ndarray]:
+    return [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
 
 
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
@@ -159,17 +165,21 @@ def _records(pop: np.ndarray) -> np.ndarray:
     return pop.view(np.dtype((np.void, pop.itemsize * pop.shape[1])))[:, 0]
 
 
-def _parents(rng: np.random.Generator, lam: np.ndarray, total: int) -> np.ndarray:
-    """``total`` i.i.d. parent indices, j drawn with probability lam[j] / sum(lam).
+def _offspring(rng: np.random.Generator, pop: np.ndarray, lam: np.ndarray,
+               total: int) -> np.ndarray:
+    """``total`` rows of ``pop``, each an i.i.d. parent j drawn with probability
+    lam[j] / sum(lam), as a new C-ordered (total, n) array.
 
     Rejection from uniform proposals: j uniform in [0, N) is accepted when a
     uniform u satisfies u < lam[j] / max(lam). Proposals come in chunks sized
-    to the expected need, at most _PROPOSAL_CHUNK. ``lam`` is overwritten
-    with lam / max(lam).
+    to the expected need, at most _PROPOSAL_CHUNK, and each chunk's accepted
+    rows are gathered straight into the new array. ``lam`` is overwritten
+    with lam / max(lam); ``pop`` is first copied to C order if it is not.
     """
-    parents = np.empty(total, dtype=np.intp)
+    new = np.empty((total, pop.shape[1]), dtype=pop.dtype)
     if total == 0:
-        return parents
+        return new
+    rows, dest = _records(np.ascontiguousarray(pop)), _records(new)
     lam /= lam.max()
     acceptance = float(lam.mean())
     filled = 0
@@ -178,9 +188,10 @@ def _parents(rng: np.random.Generator, lam: np.ndarray, total: int) -> np.ndarra
         size = min(_PROPOSAL_CHUNK, math.ceil(need / acceptance))
         j = rng.integers(lam.size, size=size)
         j = np.compress(rng.random(size) < lam.take(j), j)[:need]
-        parents[filled:filled + j.size] = j
+        # j is in range; mode="raise" would buffer the whole output chunk
+        rows.take(j, out=dest[filled:filled + j.size], mode="clip")
         filled += j.size
-    return parents
+    return new
 
 
 def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) -> None:
@@ -188,21 +199,24 @@ def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) 
 
     Drawn as one Poisson(sum exp(r)) total per habitat whose offspring copy
     i.i.d. parents picked with probability proportional to exp(r), so the
-    offspring rows come in random order. ``fitness`` is the pair of
-    per-individual fitness arrays of the current populations; it is computed
-    here when not given. Raises IbmOverflowError, leaving the state
-    untouched, when the offspring would exceed ``cap``.
+    offspring rows come in random order. ``fitness`` is the list of the two
+    per-individual fitness arrays of the current populations, computed here
+    when not given. It is consumed: each array is turned into exp(r) in
+    place and leaves the list when its habitat's parents are drawn, so no
+    exp(r) array outlives reproduction. Raises IbmOverflowError,
+    leaving the populations untouched, when the offspring would exceed
+    ``cap``.
     """
-    if fitness is None:
-        fitness = _fitnesses(params, state)
-    lams = [np.exp(f) for f in fitness]
+    lams = _fitnesses(params, state) if fitness is None else fitness
+    for lam in lams:
+        np.exp(lam, out=lam)
     totals = [int(state.rng.poisson(lam.sum())) for lam in lams]
     total = totals[0] + totals[1]
     if total > params.cap:
         raise IbmOverflowError(
             f"population {total} exceeds cap {params.cap} at generation {state.generation}")
-    state.pop1 = state.pop1.take(_parents(state.rng, lams[0], totals[0]), axis=0)
-    state.pop2 = state.pop2.take(_parents(state.rng, lams[1], totals[1]), axis=0)
+    state.pop1 = _offspring(state.rng, state.pop1, lams.pop(0), totals[0])
+    state.pop2 = _offspring(state.rng, state.pop2, lams.pop(0), totals[1])
 
 
 @functools.cache
@@ -311,7 +325,8 @@ def _record(state: IbmState, fitness):
 
 
 def step(state: IbmState, params: IbmParams, *, fitness=None) -> None:
-    """Advance one generation in place; ``fitness`` as in reproduction_selection."""
+    """Advance one generation in place; ``fitness`` as in reproduction_selection,
+    which consumes it."""
     reproduction_selection(state, params, fitness=fitness)
     mutation(state, params)
     migration(state, params)
@@ -324,7 +339,9 @@ def run(params: IbmParams, seed=0) -> Trajectory:
     Returns a Trajectory sampled once per generation (t = 0 ... T); rbar is
     the population mean fitness, nan once a habitat is empty. An extinct
     population stays extinct and keeps recording zeros. Fitness is
-    evaluated once per generation, for the record and the next reproduction.
+    evaluated once per generation, for the record and the next reproduction,
+    which consumes the list it is handed: no fitness or lambda array is held
+    through mutation and migration.
     """
     state = init_clonal(params, seed)
     fitness = _fitnesses(params, state)

@@ -33,13 +33,21 @@ class SolverError(RuntimeError):
     """Numerical failure of a solve: overflow or a state below roundoff of zero."""
 
 
+# Most trajectory records a solve keeps. A solve holds about 2K floats per
+# record (its states, or the mirror route's exponentials) for K Hermite
+# modes, 0.5 GB at this cap and K = 32; t_end = 1e12 is refused before
+# anything is allocated.
+_MAX_RECORDS = 10**6
+
+
 @dataclass
 class SolverConfig:
     """Solve settings; the solve is exact in time, so there is no step to set.
 
     Attributes:
         t_end: final time (finite and >= 0; zero records initial diagnostics only).
-        record_every: cadence of trajectory records (inf records the two ends).
+        record_every: cadence of trajectory records (inf records the two ends);
+            t_end / record_every may not exceed _MAX_RECORDS.
     """
 
     t_end: float
@@ -50,6 +58,10 @@ class SolverConfig:
             raise ValueError(f"t_end must be >= 0 and finite, got {self.t_end!r}")
         if not (self.record_every > 0):
             raise ValueError(f"record_every must be > 0, got {self.record_every!r}")
+        if self.t_end / self.record_every > _MAX_RECORDS:
+            raise ValueError(f"t_end = {self.t_end!r} and record_every = {self.record_every!r} "
+                             f"ask for more than {_MAX_RECORDS:.0e} records; raise "
+                             "record_every or lower t_end")
 
 
 @dataclass

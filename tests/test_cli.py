@@ -3,8 +3,11 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -589,6 +592,10 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("phase", "phase_ibm = false\nt_end = -1\n", "t_end must be >= 0"),
     ("phase", "phase_ibm = false\nt_end = inf\n", "t_end must be >= 0 and finite"),
     ("phase", "phase_ibm = false\nrecord_every = 0\n", "record_every must be > 0"),
+    # more trajectory records than any solve keeps (they used to be
+    # allocated first, a 14.6 TiB MemoryError traceback)
+    ("solve", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
+    ("phase", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
     ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
     ("phase", "phase_ibm = false\ninitial_variance = 0\n", "bump variance must be > 0"),
     # a sweep corner no cell can take
@@ -605,7 +612,8 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("phase", "seed = -1\n", "seed must be >= 0"),
     ("ibm", "seed = -1\n", "seed must be >= 0"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
-        "phase_t_end", "phase_infinite_t_end", "phase_record_every", "phase_mu",
+        "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
+        "phase_records", "phase_mu",
         "phase_initial_variance", "phase_negative_sweep", "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
         "phase_negative_seed", "ibm_negative_seed"])
@@ -738,6 +746,42 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
     # one tree: the root and one parser per subcommand
     assert built == ["twopatch"] + [f"twopatch {c}" for c in
                                     ("solve", "eigen", "ibm", "phase", "threshold")]
+
+
+_LOADS_SCRIPT = """
+import sys
+from twopatch import cli
+config, out = sys.argv[1:]
+def loaded():
+    return [m for m in ("scipy.sparse", "concurrent.futures.process") if m in sys.modules]
+for command in ("solve", "threshold", "phase"):
+    assert cli.main([command, "--config", config, "--out", out + "/" + command]) == 0
+print(loaded())
+assert cli.main(["eigen", "--config", config, "--out", out + "/eigen"]) == 0
+print(loaded())
+assert cli.main(["phase", "--config", config, "--out", out + "/pool", "--threads", "2"]) == 0
+print(loaded())
+"""
+
+
+def test_ladder_and_pool_modules_load_only_when_used(tmp_path):
+    # scipy.sparse serves only the box ladder behind twopatch eigen, and the
+    # process pool only phase at threads > 1: a fresh process that runs
+    # solve, threshold and phase at threads = 1 imports neither. Loaded on
+    # demand, eigen and the pooled phase write what they write in-process.
+    config = write_config(tmp_path, emit_config(
+        quick_phase_config(delta=0.02, h_target=0.25, t_end=2.0, N0=20, T=3)))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, config, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line.startswith("[")] == [
+        "[]", "['scipy.sparse']", "['scipy.sparse', 'concurrent.futures.process']"]
+    here = tmp_path / "here"
+    assert cli.main(["eigen", "--config", config, "--out", str(here)]) == 0
+    assert (tmp_path / "eigen" / "eigen.csv").read_bytes() == (here / "eigen.csv").read_bytes()
+    assert ((tmp_path / "pool" / "phase.csv").read_bytes()
+            == (tmp_path / "phase" / "phase.csv").read_bytes())
 
 
 def test_main_svg_flag_does_not_reach_the_next_call(tmp_path):

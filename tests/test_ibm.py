@@ -1,5 +1,7 @@
+import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +57,40 @@ def test_run_is_bit_reproducible():
     np.testing.assert_array_equal(a.rbar1, b.rbar1)
     c = ibm.run(p, seed=124)
     assert not np.array_equal(a.N1, c.N1)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the float64 bytes of N1, N2, rbar1, rbar2 from ibm.run,
+# then of pop1 and pop2 after T steps from the same founding state
+_STREAM_DIGESTS = {
+    "n2_persisting": (dict(rmax=0.3, N0=300, T=30), 2020, (
+        "8ec4d3c02d82d481", "388b9786c8b39b97", "ab52e6d98b0a01fe", "5f06f5041a02c3a7",
+        "3a09867f53e37573", "7c9965301c6836ef")),
+    "n3": (dict(n=3, N0=400, T=15, delta=0.1), 7, (
+        "33ff9a8b52b19a2e", "de20d5aad5c5e4f7", "32dc3fbdb03a550c", "fb722104e8aba3f3",
+        "0a0f521e2ed361c3", "6475d93c34848e19")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_DIGESTS))
+def test_run_stream_is_pinned(case):
+    # Pins the RNG stream and the arithmetic of every stage bit for bit: a
+    # change that alters any draw, its order or a row's value changes these
+    # digests and must say so. The n = 2 case persists with delta > 0 and
+    # beta > 0, so every stage runs and its last generations draw parent
+    # proposals in more than one chunk.
+    overrides, seed, want = _STREAM_DIGESTS[case]
+    p = params(**overrides)
+    traj = ibm.run(p, seed)
+    s = ibm.init_clonal(p, seed)
+    for _ in range(p.T):
+        ibm.step(s, p)
+    assert s.pop1.shape[0] == traj.N1[-1] and s.pop2.shape[0] == traj.N2[-1]
+    got = tuple(_sha256(a) for a in (traj.N1, traj.N2, traj.rbar1, traj.rbar2, s.pop1, s.pop2))
+    assert got == want
 
 
 def test_clonal_founding_state():
@@ -137,6 +173,49 @@ def test_reproduction_rejection_worst_case_and_empty_habitats():
     ibm.reproduction_selection(s, p)
     for pop in (s.pop1, s.pop2):
         assert pop.shape == (0, 2) and pop.dtype == np.float64
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_reproduction_peak_memory_is_rows_plus_one_lambda(order):
+    # Peak traced allocation of one reproduction step at 2e5 individuals per
+    # habitat, fitness handed over as run hands it. While habitat i draws its
+    # parents these must coexist: the old rows of every habitat not yet
+    # replaced, the new rows drawn so far (habitat i's included), the one
+    # lambda array of every habitat not yet drawn (the fitness array turned
+    # into lambda in place), and the proposal-chunk temporaries: indices,
+    # uniforms, lambda at the indices and the acceptance mask, at most 4 * 8
+    # bytes per proposal. A Fortran-ordered habitat is first copied to C order
+    # for the record-view gather: one more copy of its rows.
+    n, per = 2, 200_000
+    p = params(n=n, rmax=0.1, N0=1, cap=10**7)
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(12)
+        s = ibm.IbmState(pop1=np.array(rng.normal(-p.beta, 0.3, (per, n)), order=order),
+                         pop2=np.array(rng.normal(p.beta, 0.3, (per, n)), order=order),
+                         generation=0, rng=np.random.default_rng(13))
+        fitness = [ibm._fitness(p, 1, s.pop1), ibm._fitness(p, 2, s.pop2)]
+        tracemalloc.reset_peak()
+        ibm.reproduction_selection(s, p, fitness=fitness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row, lam = 8 * n, 8 * per
+    old, new1, new2 = row * per, row * s.pop1.shape[0], row * s.pop2.shape[0]
+    copy = old if order == "F" else 0
+    drawing_1 = 2 * old + 2 * lam + new1 + copy
+    drawing_2 = old + lam + new1 + new2 + copy
+    bound = max(drawing_1, drawing_2) + 4 * 8 * ibm._PROPOSAL_CHUNK
+    assert peak <= bound, (peak, bound, peak - bound)
+    assert s.pop1.flags.c_contiguous and s.pop2.flags.c_contiguous
+    if order == "F":  # the copy gathers the same rows as a C-ordered habitat
+        rng = np.random.default_rng(12)
+        c = ibm.IbmState(pop1=rng.normal(-p.beta, 0.3, (per, n)),
+                         pop2=rng.normal(p.beta, 0.3, (per, n)),
+                         generation=0, rng=np.random.default_rng(13))
+        ibm.reproduction_selection(c, p)
+        np.testing.assert_array_equal(c.pop1, s.pop1)
+        np.testing.assert_array_equal(c.pop2, s.pop2)
 
 
 def _sorted_rows(rows):
