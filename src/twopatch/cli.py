@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import model
+from . import hermite, model
 from .eigen import EigenError, default_schedules, lambda_limit, lambda_of
 from .grid import Grid, build_grid
 from .ibm import IbmOverflowError, IbmParams, run_replicates
@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; defaults mirror the reference scenario
-    (n=2, rmax=1/18, mu^2 = U*lambda_var = 1/1800, horizon 300)."""
+    (n=2, rmax=1/18, mu^2 = 1/1800, horizon 300). The IBM's lambda_var is mu^2 / U."""
 
     # model
     n: int = 2
@@ -61,7 +61,6 @@ class ExperimentConfig:
     record_every: float = 0.5
     # initial data
     initial: str = "origin"  # "origin" or "spread"
-    initial_variance: float | None = None  # None -> mu
     initial_mass: float = 1e4
     # box ladder of the eigen command (phase and threshold use the Hermite
     # route, which has no settings)
@@ -71,7 +70,6 @@ class ExperimentConfig:
     richardson: bool = True
     # ibm
     U: float = 1.0 / 6.0
-    lambda_var: float = 1.0 / 300.0
     N0: int = 10_000
     T: int = 300
     replicates: int = 50
@@ -242,31 +240,28 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams) -> Initia
     "origin": one Gaussian bump at the midpoint between the optima.
     "spread": equal-mass bumps at the midpoint and at both optima; same
     total mass, far smaller transient, which matters when classifying
-    persistence from a finite horizon. initial_variance (default mu) is the
-    x1 width; the transverse traits start at their stationary width mu.
+    persistence from a finite horizon. Every bump, and every transverse
+    trait, starts at the stationary width mu.
     """
-    variance = config.initial_variance if config.initial_variance is not None else params.mu
     if config.initial == "origin":
-        bumps = (Bump(0.0, variance, config.initial_mass),)
+        bumps = (Bump(0.0, params.mu, config.initial_mass),)
     else:
         third = config.initial_mass / 3.0
-        bumps = tuple(Bump(c, variance, third) for c in (0.0, -params.beta, params.beta))
+        bumps = tuple(Bump(c, params.mu, third) for c in (0.0, -params.beta, params.beta))
     return InitialData(bumps, bumps)
 
 
-def ibm_params(config: ExperimentConfig, *, delta: float | None = None,
-               m_d: float | None = None) -> IbmParams:
-    """IBM parameters from a config, optionally overriding delta / m_D. The IBM has
-    one migration rate and one peak height: any other config is a ConfigError."""
-    if config.migration != "symmetric":
-        raise ConfigError("the individual-based model needs migration = symmetric")
-    if config.rmax1 != config.rmax2:
-        raise ConfigError("the individual-based model needs rmax1 == rmax2")
+def ibm_params(config: ExperimentConfig, params: model.ModelParams) -> IbmParams:
+    """The IBM of params (to_model_params of config): mutations at rate U, each of
+    variance lambda_var = mu^2 / U. It needs mirror habitats and U > 0, else ConfigError."""
+    if not hermite.is_mirror(params):
+        raise ConfigError("the individual-based model needs migration = symmetric "
+                          "and rmax1 == rmax2")
+    if not config.U > 0:
+        raise ConfigError(f"the individual-based model needs U > 0, got {config.U!r}")
     return IbmParams(
-        n=config.n, U=config.U, lambda_var=config.lambda_var,
-        delta=config.delta if delta is None else delta,
-        rmax=config.rmax1,
-        beta=model.beta_of(config.m_D if m_d is None else m_d),
+        n=params.n, U=config.U, lambda_var=params.mu ** 2 / config.U,
+        delta=params.migration.delta, rmax=params.rmax1, beta=params.beta,
         N0=config.N0, T=config.T, cap=config.cap)
 
 
@@ -391,7 +386,7 @@ def cmd_eigen(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
 
 def cmd_ibm(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Run replicate stochastic simulations; write ibm.csv and ibm_mean.csv."""
-    params = ibm_params(config)
+    params = ibm_params(config, to_model_params(config))
     seeds = [[config.seed, k] for k in range(config.replicates)]
     summary = run_replicates(params, seeds)
 
@@ -441,7 +436,7 @@ def _phase_cell(args) -> PhaseCell:
 
         n_ibm = math.nan
         if config.phase_ibm:
-            ip = ibm_params(config, delta=delta, m_d=m_d)
+            ip = ibm_params(config, params)
             seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
             summary = run_replicates(ip, seeds)
             n_ibm = float(summary.n_total_mean[-1])
@@ -476,24 +471,17 @@ def cmd_phase(config: ExperimentConfig, out_dir: str, *, svg: bool = False) -> d
     rejects, and a sweep corner that to_model_params or initial_state or,
     with phase_ibm on, ibm_params rejects raise before any cell (exit 1).
     The valid delta and m_D values are intervals, so valid corners make
-    every cell valid. With phase_ibm on, the PDE's mu and the IBM's
-    sqrt(U * lambda_var) must agree to rounding (relative 1e-12 in mu^2),
-    or the two columns would describe two models."""
+    every cell valid."""
     if config.migration != "symmetric":
         raise ConfigError("phase sweeps the symmetric migration rate delta: "
                           "it needs migration = symmetric")
     solver_config(config)
     for delta in (config.sweep_min[0], config.sweep_max[0]):
         for m_d in (config.sweep_min[1], config.sweep_max[1]):
-            initial_state(config, to_model_params(config, delta=delta, m_d=m_d))
+            params = to_model_params(config, delta=delta, m_d=m_d)
+            initial_state(config, params)
             if config.phase_ibm:
-                ibm_params(config, delta=delta, m_d=m_d)
-    variance = config.U * config.lambda_var
-    if config.phase_ibm and not abs(config.mu ** 2 - variance) <= 1e-12 * variance:
-        raise ConfigError(
-            f"phase_ibm runs the PDE at mu and the IBM at sqrt(U * lambda_var), but "
-            f"mu^2 = {config.mu ** 2:.6g} and U * lambda_var = {variance:.6g}; "
-            "set lambda_var = mu^2 / U or phase_ibm = false")
+                ibm_params(config, params)
     cells = phase_cells(config)
     path = os.path.join(out_dir, "phase.csv")
     _write_csv(path, "delta,m_D,lambda,classification,N_total_pde,N_total_ibm_mean,error",

@@ -10,7 +10,7 @@ Non-overlapping generations. Each generation applies, in order:
    uniformly without replacement) move out of habitat i, both directions
    simultaneously.
 
-The diffusive scale of the density model is recovered as mu^2 = U * lambda_var.
+The density model's diffusive scale is mu^2 = U * lambda_var (cli.ibm_params: mu^2 / U).
 
 Each stage draws only what changes. Reproduction draws one total per
 habitat: independent Poisson(lambda_j) offspring counts have the law of one

@@ -98,7 +98,7 @@ class FinalState:
         coef = self.coef[:, :1] if self.mirror else self.coef
         u = hermite.basis(coef.shape[0], x / math.sqrt(self.mu)) @ coef * self.mu ** -0.25
         u = np.column_stack([u[:, 0], u[::-1, 0]]) if self.mirror else u
-        u[u < _ROUNDOFF * max(u.max(), np.linalg.norm(coef) * self.mu ** -0.25)] = 0.0
+        u[u < _ROUNDOFF * _height(u, coef, self.mu)] = 0.0
         return u[:, 0].copy(), u[:, 1].copy()
 
 
@@ -192,9 +192,17 @@ _ROUNDOFF = 1e-12
 _EXTINCT = 1e-12
 
 
-def _bump_norm2(bumps: tuple[Bump, ...]) -> float:
-    """Squared L2 norm of a sum of bumps: sum_ij M_i M_j N(c_i - c_j; 0, v_i + v_j)."""
-    return sum(p.mass * q.mass / math.sqrt(2.0 * math.pi * (p.variance + q.variance))
+def _height(u: np.ndarray, coef: np.ndarray, mu: float) -> float:
+    """A state's height: the larger of its maximum u and its L2 norm times mu^(-1/4), the
+    norm taken over a power of two (exact, so it keeps its bits and no square overflows)."""
+    scale = math.ldexp(1.0, math.frexp(np.abs(coef).max())[1])
+    return max(u.max(), float(np.linalg.norm(coef / scale)) * scale * mu ** -0.25)
+
+
+def _bump_norm2(bumps: tuple[Bump, ...], scale: float) -> float:
+    """A sum of bumps' squared L2 norm over scale^2: sum_ij M_i M_j N(c_i - c_j; 0, v_i + v_j)."""
+    return sum(p.mass / scale * (q.mass / scale)
+               / math.sqrt(2.0 * math.pi * (p.variance + q.variance))
                * math.exp(-0.5 * (p.center - q.center) ** 2 / (p.variance + q.variance))
                for p in bumps for q in bumps)
 
@@ -205,13 +213,16 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
     Each habitat's coefficients are computed to 2K; K is the first size at
     which the part beyond K is below 1e-13 of the whole (the data have
     decayed within the basis) and the whole holds the bumps' L2 norm to 1e-12
-    (Parseval, which catches coefficients that underflowed).
+    (Parseval, which catches coefficients that underflowed). Both run on the
+    data over a power of two near the largest mass, so they hold at any mass.
     """
     def decayed(bumps):
         c = sum(hermite.gaussian_coefficients(mu, b.center, b.variance, b.mass, 2 * size)
                 for b in bumps)
-        if (np.linalg.norm(c[size:]) <= 1e-13 * np.linalg.norm(c)
-                and abs(c @ c / _bump_norm2(bumps) - 1.0) <= 1e-12):
+        scale = math.ldexp(1.0, math.frexp(max(b.mass for b in bumps))[1])  # exact divisor
+        unit = c / scale
+        if (np.linalg.norm(unit[size:]) <= 1e-13 * np.linalg.norm(unit)
+                and abs(unit @ unit / _bump_norm2(bumps, scale) - 1.0) <= 1e-12):
             return c[:size]
         return None
 
@@ -337,7 +348,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         u = _check_basis(size) @ coef * mu ** -0.25
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
-    top = max(u.max(), np.linalg.norm(coef) * mu ** -0.25)
+    top = _height(u, coef, mu)
     if u.min() < -_ROUNDOFF * top:
         raise SolverError(f"final state dips to {u.min():.3g} (height {top:.3g}), beyond roundoff")
     # rows (N1, N2, rbar1, rbar2) from (N1, N2, int r1 u1, int r2 u2)

@@ -254,7 +254,7 @@ def test_criterion_11_desk_scale_phase_diagram():
             else:
                 mismatches_pde.append((round(float(delta), 3), round(float(md), 3)))
 
-            ip = cli.ibm_params(config, delta=float(delta), m_d=float(md))
+            ip = cli.ibm_params(config, params)
             seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
             summary = ibm.run_replicates(ip, seeds)
             t100 = int(np.searchsorted(summary.t, 100.0))

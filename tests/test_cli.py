@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ def test_non_default_config_round_trips():
         n=1, mu=1.0 / 3.0, rmax1=0.2, rmax2=0.2, m_D=0.125, delta=0.07,
         migration="general", d11=0.1, d12=0.3, d21=0.0, d22=0.25,
         L=3.5, m=129, t_end=12.5, record_every=0.25,
-        initial="spread", initial_variance=0.04, initial_mass=123.456,
+        initial="spread", initial_mass=123.456,
         h_target=0.05, rungs=3, richardson=False,
-        U=0.25, lambda_var=0.002, N0=77, T=12, replicates=3,
+        U=0.25, N0=77, T=12, replicates=3,
         sweep_min=(0.01, 0.125), sweep_max=(0.09, 0.875), sweep_steps=(3, 4),
         phase_ibm=False, threshold_param="rmax", seed=42, threads=3, out_dir="runs")
     text = emit_config(c)
@@ -92,8 +93,8 @@ def test_validate_collects_all_errors():
 
 
 def test_optional_fields_accept_auto_and_none():
-    c = parse_config("L = auto\nm = none\ninitial_variance = 0.5\n")
-    assert c.L is None and c.m is None and c.initial_variance == 0.5
+    c = parse_config("L = auto\nm = none\nh_target = 0.5\n")
+    assert c.L is None and c.m is None and c.h_target == 0.5
 
 
 def test_fmt_writes_at_least_12_significant_digits():
@@ -294,6 +295,23 @@ def test_float_csv_matches_write_csv(tmp_path):
         assert text.splitlines()[2] == "-0,-inf,0.000555555555555556" + tail
 
 
+@pytest.mark.parametrize("mass", [1e-200, 1e200])
+def test_solve_is_scale_free_in_the_initial_mass(tmp_path, mass):
+    # the data's decay and Parseval checks and the final state's height run on
+    # scaled coefficients: no mass float64 carries is too large or too small
+    trajectories = {}
+    for m in (1.0, mass):
+        path = write_config(tmp_path, f"initial_mass = {m!r}\nm = 65\n")
+        out_dir = tmp_path / repr(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
+        trajectories[m] = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    one, scaled = trajectories[1.0], trajectories[mass]
+    np.testing.assert_allclose(scaled[:, 1:3] / mass, one[:, 1:3], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(scaled[:, 3:], one[:, 3:], rtol=1e-12)
+
+
 def test_cmd_solve_zero_horizon_records_initial_row(tmp_path):
     cli.cmd_solve(quick_solve_config(t_end=0.0), str(tmp_path))
     _, data, _ = read_csv(str(tmp_path / "trajectory.csv"))
@@ -378,7 +396,7 @@ def test_cmd_ibm_matches_write_csv(tmp_path):
     # the float writer prints the replicate index as str does (below 2^53)
     cfg = quick_ibm_config(replicates=12)
     cli.cmd_ibm(cfg, str(tmp_path))
-    summary = cli.run_replicates(cli.ibm_params(cfg),
+    summary = cli.run_replicates(cli.ibm_params(cfg, cli.to_model_params(cfg)),
                                  [[cfg.seed, k] for k in range(cfg.replicates)])
     cli._write_csv(str(tmp_path / "want.csv"), "replicate,t,N1,N2",
                    [(rep, t, n1, n2) for rep, tr in enumerate(summary.trajectories)
@@ -390,16 +408,29 @@ def test_cmd_ibm_matches_write_csv(tmp_path):
 
 
 def test_ibm_params_requires_mirror_peaks():
+    cfg = quick_ibm_config(rmax1=0.1, rmax2=0.2)
     with pytest.raises(cli.ConfigError, match="rmax1 == rmax2"):
-        cli.ibm_params(quick_ibm_config(rmax1=0.1, rmax2=0.2))
+        cli.ibm_params(cfg, cli.to_model_params(cfg))
+
+
+@pytest.mark.parametrize("mu", [math.sqrt(1.0 / 1800.0), 0.05], ids=["default_mu", "mu_0.05"])
+def test_ibm_params_take_the_model_params(mu):
+    # the IBM runs the PDE's model: U * lambda_var = mu^2, and the overridden
+    # delta and m_D of the params, not the config's
+    cfg = ExperimentConfig(mu=mu, rmax1=0.04, rmax2=0.04, n=3)
+    params = cli.to_model_params(cfg, delta=0.02, m_d=0.3)
+    ip = cli.ibm_params(cfg, params)
+    assert ip.U * ip.lambda_var == pytest.approx(mu ** 2, rel=1e-15)
+    assert (ip.n, ip.rmax, ip.delta, ip.beta) == (3, 0.04, 0.02, params.beta)
+    if mu == ExperimentConfig().mu:
+        assert ip.lambda_var == 1.0 / 300.0  # the reference IBM keeps its bits
 
 
 # ---------------------------------------------------------------- phase
 
 
 def quick_phase_config(**overrides):
-    # lambda_var = mu^2 / U at the default U = 1/6: the IBM runs at the PDE's mu
-    base = dict(n=1, mu=0.1, lambda_var=0.06, L=4.0, m=65, t_end=10.0, record_every=0.5,
+    base = dict(n=1, mu=0.1, L=4.0, m=65, t_end=10.0, record_every=0.5,
                 initial_mass=100.0, sweep_min=(0.0, 0.0),
                 sweep_max=(0.1, 0.5), sweep_steps=(2, 2),
                 N0=50, T=10, replicates=2)
@@ -597,7 +628,9 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("solve", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
     ("phase", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
     ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
-    ("phase", "phase_ibm = false\ninitial_variance = 0\n", "bump variance must be > 0"),
+    # lambda_var = mu^2 / U: the IBM needs mutations
+    ("ibm", "U = 0\n", "needs U > 0, got 0.0"),
+    ("phase", "U = 0\n", "needs U > 0, got 0.0"),
     # a sweep corner no cell can take
     ("phase", "sweep_min = -0.1, -0.5\n", "m_D must be >= 0"),
     ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
@@ -614,7 +647,7 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu",
-        "phase_initial_variance", "phase_negative_sweep", "phase_negative_delta_corner",
+        "ibm_zero_U", "phase_zero_U", "phase_negative_sweep", "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
         "phase_negative_seed", "ibm_negative_seed"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
@@ -622,17 +655,6 @@ def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, t
     out_dir = tmp_path / "out"
     assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
-    assert not list(out_dir.glob("*.csv"))
-
-
-def test_main_phase_with_ibm_needs_one_mutation_scale(tmp_path, capsys):
-    # the PDE runs at mu and the IBM at sqrt(U * lambda_var): with the IBM on,
-    # a row of phase.csv must describe one model
-    path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\nmu = 0.05\n")
-    out_dir = tmp_path / "out"
-    assert cli.main(["phase", "--config", path, "--out", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert "mu^2 = 0.0025" in err and "U * lambda_var = 0.000555556" in err
     assert not list(out_dir.glob("*.csv"))
 
 
@@ -697,7 +719,7 @@ def test_main_solve_overflow_exits_2(tmp_path, capsys):
 
 def test_main_removed_solver_keys_exit_1(tmp_path, capsys):
     for line in ("rel_tol = 1e-6", "sweep_params = delta,m_D", "threshold_lo = 0.1",
-                 "threshold_hi = 0.2"):
+                 "threshold_hi = 0.2", "lambda_var = 0.1", "initial_variance = 0.5"):
         path = write_config(tmp_path, line + "\n")
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
         key = line.split(" =")[0]

@@ -394,8 +394,9 @@ def test_ibm_growth_sign_matches_lambda(delta, m_d):
     # one extinct cell of its sweep, at N0 = 200, T = 60 and 3 replicates
     start = time.perf_counter()
     config = cli.ExperimentConfig(N0=200, T=60, replicates=3)
-    lam = eigen.lambda_of(cli.to_model_params(config, delta=delta, m_d=m_d))
-    summary = ibm.run_replicates(cli.ibm_params(config, delta=delta, m_d=m_d),
+    params = cli.to_model_params(config, delta=delta, m_d=m_d)
+    lam = eigen.lambda_of(params)
+    summary = ibm.run_replicates(cli.ibm_params(config, params),
                                  [[config.seed, k] for k in range(config.replicates)])
     growth = summary.n_total_mean[-1] - summary.n_total_mean[0]
     assert (growth > 0) == (lam < 0), (lam, summary.n_total_mean[[0, -1]])
