@@ -5,8 +5,9 @@ lists are comma-separated). Every key maps to exactly one field of
 ExperimentConfig; unknown keys are reported all at once. All numeric CSV
 output carries at least 12 significant digits.
 
-Exit codes: 0 success, 1 usage error or invalid configuration or request,
-2 numerical failure (solver abort, unconverged eigensolve, IBM overflow).
+Exit codes: 0 success, 1 usage error or invalid configuration or request
+(including one too large to allocate), 2 numerical failure (solver abort,
+unconverged eigensolve, IBM overflow).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import hermite, model
+from . import model
 from .eigen import EigenError, default_schedules, lambda_limit, lambda_of
 from .grid import Grid, build_grid
 from .ibm import IbmOverflowError, IbmParams, run_replicates
@@ -252,17 +253,9 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams) -> Initia
 
 
 def ibm_params(config: ExperimentConfig, params: model.ModelParams) -> IbmParams:
-    """The IBM of params (to_model_params of config): mutations at rate U, each of
-    variance lambda_var = mu^2 / U. It needs mirror habitats and U > 0, else ConfigError."""
-    if not hermite.is_mirror(params):
-        raise ConfigError("the individual-based model needs migration = symmetric "
-                          "and rmax1 == rmax2")
-    if not config.U > 0:
-        raise ConfigError(f"the individual-based model needs U > 0, got {config.U!r}")
-    return IbmParams(
-        n=params.n, U=config.U, lambda_var=params.mu ** 2 / config.U,
-        delta=params.migration.delta, rmax=params.rmax1, beta=params.beta,
-        N0=config.N0, T=config.T, cap=config.cap)
+    """The IBM of params (to_model_params of config) with the config's U, N0, T and cap.
+    IbmParams rejects a params without mirror habitats and a U that is not > 0."""
+    return IbmParams(model=params, U=config.U, N0=config.N0, T=config.T, cap=config.cap)
 
 
 def _fmt(x) -> str:
@@ -309,11 +302,12 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """
     params = to_model_params(config)
     grid = grid_for(config, params)
-    rows = grid.m ** grid.n
+    rows = grid.m ** min(grid.n, 32)  # m >= 3, so m^32 is already over the limit
     if rows > _FINAL_STATE_ROWS:
+        count = f" = {rows}" if grid.n <= 32 else ""
         raise ConfigError(
-            f"final_state.txt would hold m^n = {grid.m}^{grid.n} = {rows} rows, more than "
-            f"{_FINAL_STATE_ROWS}; set a smaller m")
+            f"final_state.txt would hold m^n = {grid.m}^{grid.n}{count} rows, more than "
+            f"{_FINAL_STATE_ROWS}; set a smaller m or n")
     traj, final = integrate_to(params, initial_state(config, params), solver_config(config))
     u1, u2 = final.sample(grid.axis())
 
@@ -451,7 +445,8 @@ def _phase_cell(args) -> PhaseCell:
 
 
 def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
-    """Evaluate every sweep cell (delta-major order), optionally in parallel."""
+    """Evaluate every sweep cell (delta-major order), in a process pool when
+    threads > 1. The pool has at most one worker per cell and per CPU."""
     deltas = np.linspace(config.sweep_min[0], config.sweep_max[0], config.sweep_steps[0])
     mds = np.linspace(config.sweep_min[1], config.sweep_max[1], config.sweep_steps[1])
     jobs = [(config, i, j, float(d), float(md))
@@ -459,7 +454,8 @@ def phase_cells(config: ExperimentConfig) -> list[PhaseCell]:
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        workers = min(config.threads, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_phase_cell, jobs))
     return [_phase_cell(job) for job in jobs]
 
@@ -599,6 +595,9 @@ def main(argv=None) -> int:
                        "threshold": cmd_threshold}[args.command](config, out_dir)
     except (ConfigError, ThresholdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a request too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (SolverError, EigenError, IbmOverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ command but twopatch eigen) does not import them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,10 +125,11 @@ def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, n
     """
     if grid.n != params.n:
         raise ValueError(f"grid has {grid.n} trait(s) but the model has {params.n}")
-    x = np.zeros((grid.m, params.n))
-    x[:, 0] = grid.axis()
+    # on the axis the transverse squares add exactly 0.0: the one-trait model
+    # gives the same bits without an (m, n) array
+    axis, x = replace(params, n=1), grid.axis()[:, None]
     load = 0.5 * (params.n - 1) * params.mu
-    return model.fitness(params, 1, x) - load, model.fitness(params, 2, x) - load
+    return model.fitness(axis, 1, x) - load, model.fitness(axis, 2, x) - load
 
 
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:

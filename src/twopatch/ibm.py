@@ -10,7 +10,10 @@ Non-overlapping generations. Each generation applies, in order:
    uniformly without replacement) move out of habitat i, both directions
    simultaneously.
 
-The density model's diffusive scale is mu^2 = U * lambda_var (cli.ibm_params: mu^2 / U).
+The IBM runs the density model's own ModelParams: it reads n, beta, delta
+and rmax off them, and its mutation step variance is lambda_var = mu^2 / U,
+so that U * lambda_var is the density model's diffusive scale mu^2. Both
+habitats must be mirror images (symmetric migration, rmax1 == rmax2).
 
 Each stage draws only what changes. Reproduction draws one total per
 habitat: independent Poisson(lambda_j) offspring counts have the law of one
@@ -53,6 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hermite
+from .model import ModelParams
 from .pde import Trajectory
 
 
@@ -62,44 +67,33 @@ class IbmOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class IbmParams:
-    """Simulation parameters.
+    """The individual-based model of a mirror ModelParams.
 
     Attributes:
-        n: phenotype dimension.
-        U: expected mutations per individual per generation.
-        lambda_var: variance of a single mutation step per trait.
-        delta: per-capita emigration intensity.
-        rmax: fitness at either optimum.
-        beta: half-distance between the optima (optima at -/+ beta on axis 1).
+        model: the density model's parameters, with symmetric migration and
+            rmax1 == rmax2. The IBM reads n, beta, delta
+            (model.migration.delta) and rmax (model.rmax1) off them.
+        U: expected mutations per individual per generation, finite and > 0.
         N0: founding individuals per habitat.
         T: generations to simulate.
         cap: abort threshold on total population size.
     """
 
-    n: int
+    model: ModelParams
     U: float
-    lambda_var: float
-    delta: float
-    rmax: float
-    beta: float
     N0: int
     T: int
     cap: int = 10_000_000
 
     def __post_init__(self) -> None:
         errors = []
-        if not isinstance(self.n, int) or self.n < 1:
-            errors.append(f"n must be an integer >= 1, got {self.n!r}")
-        if not (self.U >= 0) or not math.isfinite(self.U):
-            errors.append(f"U must be >= 0, got {self.U!r}")
-        if not (self.lambda_var > 0) or not math.isfinite(self.lambda_var):
-            errors.append(f"lambda_var must be > 0, got {self.lambda_var!r}")
-        if not (self.delta >= 0) or not math.isfinite(self.delta):
-            errors.append(f"delta must be >= 0, got {self.delta!r}")
-        if not math.isfinite(self.rmax):
-            errors.append(f"rmax must be finite, got {self.rmax!r}")
-        if not (self.beta >= 0) or not math.isfinite(self.beta):
-            errors.append(f"beta must be >= 0, got {self.beta!r}")
+        if not hermite.is_mirror(self.model):
+            errors.append("the individual-based model needs migration = symmetric "
+                          "and rmax1 == rmax2")
+        if not self.U > 0:
+            errors.append(f"the individual-based model needs U > 0, got {self.U!r}")
+        elif not math.isfinite(self.U):
+            errors.append(f"U must be finite, got {self.U!r}")
         if not isinstance(self.N0, int) or self.N0 < 1:
             errors.append(f"N0 must be an integer >= 1, got {self.N0!r}")
         if not isinstance(self.T, int) or self.T < 0:
@@ -108,6 +102,11 @@ class IbmParams:
             errors.append(f"cap must be an integer >= 1, got {self.cap!r}")
         if errors:
             raise ValueError("invalid IbmParams: " + "; ".join(errors))
+
+    @property
+    def lambda_var(self) -> float:
+        """Variance of a single mutation step per trait: mu^2 / U."""
+        return self.model.mu ** 2 / self.U
 
 
 @dataclass
@@ -123,29 +122,32 @@ class IbmState:
 def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
     """rmax - |x - optimum|^2 / 2 per row, in 1-D buffers. The transverse
     squares are summed first, in column order, as a sum over the columns is."""
-    opt1 = -params.beta if habitat == 1 else params.beta
-    sq = np.subtract(pop[:, 0], opt1)
+    mp = params.model
+    sq = np.subtract(pop[:, 0], -mp.beta if habitat == 1 else mp.beta)
     np.square(sq, out=sq)
-    if params.n > 1:
+    if mp.n > 1:
         load = np.square(pop[:, 1])
-        for j in range(2, params.n):
+        for j in range(2, mp.n):
             load += np.square(pop[:, j])
         sq += load
     sq *= -0.5
-    sq += params.rmax
+    sq += mp.rmax1
     return sq
 
 
-def _fitnesses(params: IbmParams, state: IbmState) -> list[np.ndarray]:
-    return [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
+def _record(fitness: list[np.ndarray]) -> tuple[int, int, float, float]:
+    """(N1, N2, rbar1, rbar2) of habitats with these fitness arrays; rbar is
+    the mean fitness, nan for an empty habitat."""
+    return (fitness[0].size, fitness[1].size,
+            *(float(np.mean(r)) if r.size else math.nan for r in fitness))
 
 
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
     """Both habitats founded by N0 identical individuals at the midpoint
     between the optima (the origin)."""
     return IbmState(
-        pop1=np.zeros((params.N0, params.n)),
-        pop2=np.zeros((params.N0, params.n)),
+        pop1=np.zeros((params.N0, params.model.n)),
+        pop2=np.zeros((params.N0, params.model.n)),
         generation=0,
         rng=np.random.default_rng(seed),
     )
@@ -194,20 +196,20 @@ def _offspring(rng: np.random.Generator, pop: np.ndarray, lam: np.ndarray,
     return new
 
 
-def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) -> None:
+def reproduction_selection(state: IbmState, params: IbmParams) -> tuple[int, int, float, float]:
     """Replace each habitat by its offspring, Poisson(exp(r)) per parent.
 
     Drawn as one Poisson(sum exp(r)) total per habitat whose offspring copy
     i.i.d. parents picked with probability proportional to exp(r), so the
-    offspring rows come in random order. ``fitness`` is the list of the two
-    per-individual fitness arrays of the current populations, computed here
-    when not given. It is consumed: each array is turned into exp(r) in
-    place and leaves the list when its habitat's parents are drawn, so no
-    exp(r) array outlives reproduction. Raises IbmOverflowError,
-    leaving the populations untouched, when the offspring would exceed
-    ``cap``.
+    offspring rows come in random order. Returns the parents' record
+    (N1, N2, rbar1, rbar2), read off their fitness arrays before each is
+    turned into exp(r) in place. Each array is dropped once its habitat's
+    parents are drawn, so no exp(r) array outlives reproduction. Raises
+    IbmOverflowError, leaving the populations untouched, when the offspring
+    would exceed ``cap``.
     """
-    lams = _fitnesses(params, state) if fitness is None else fitness
+    lams = [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
+    record = _record(lams)
     for lam in lams:
         np.exp(lam, out=lam)
     totals = [int(state.rng.poisson(lam.sum())) for lam in lams]
@@ -217,6 +219,7 @@ def reproduction_selection(state: IbmState, params: IbmParams, *, fitness=None) 
             f"population {total} exceeds cap {params.cap} at generation {state.generation}")
     state.pop1 = _offspring(state.rng, state.pop1, lams.pop(0), totals[0])
     state.pop2 = _offspring(state.rng, state.pop2, lams.pop(0), totals[1])
+    return record
 
 
 @functools.cache
@@ -255,8 +258,6 @@ def mutation(state: IbmState, params: IbmParams) -> None:
     inverse CDF of one uniform. The mutants' rows are written in place; a
     habitat array that is not C-ordered is first replaced by a C-ordered copy.
     """
-    if params.U == 0:
-        return
     p_mutant = -math.expm1(-params.U)
     cdf = _truncated_poisson_cdf(params.U)
     rng = state.rng
@@ -271,7 +272,7 @@ def mutation(state: IbmState, params: IbmParams) -> None:
             continue
         idx = rng.choice(n_ind, m, replace=False, shuffle=False)
         k = np.searchsorted(cdf, rng.random(m), side="right") + 1
-        rows = rng.standard_normal((m, params.n))
+        rows = rng.standard_normal((m, params.model.n))
         rows *= np.sqrt(k * params.lambda_var)[:, None]
         rows += pop.take(idx, axis=0)
         _records(pop)[idx] = _records(rows)
@@ -311,26 +312,21 @@ def migration(state: IbmState, params: IbmParams) -> None:
     """
     pop1, pop2 = np.ascontiguousarray(state.pop1), np.ascontiguousarray(state.pop2)
     n1, n2 = pop1.shape[0], pop2.shape[0]
-    m1 = _movers_to_tail(state.rng, pop1, params.delta)
-    m2 = _movers_to_tail(state.rng, pop2, params.delta)
+    delta = params.model.migration.delta
+    m1 = _movers_to_tail(state.rng, pop1, delta)
+    m2 = _movers_to_tail(state.rng, pop2, delta)
     state.pop1 = np.concatenate([pop1[:n1 - m1], pop2[n2 - m2:]], axis=0)
     state.pop2 = np.concatenate([pop2[:n2 - m2], pop1[n1 - m1:]], axis=0)
 
 
-def _record(state: IbmState, fitness):
-    n1, n2 = state.pop1.shape[0], state.pop2.shape[0]
-    rb1 = float(np.mean(fitness[0])) if n1 else math.nan
-    rb2 = float(np.mean(fitness[1])) if n2 else math.nan
-    return n1, n2, rb1, rb2
-
-
-def step(state: IbmState, params: IbmParams, *, fitness=None) -> None:
-    """Advance one generation in place; ``fitness`` as in reproduction_selection,
-    which consumes it."""
-    reproduction_selection(state, params, fitness=fitness)
+def step(state: IbmState, params: IbmParams) -> tuple[int, int, float, float]:
+    """Advance one generation in place; returns the parents' record, as
+    reproduction_selection does."""
+    record = reproduction_selection(state, params)
     mutation(state, params)
     migration(state, params)
     state.generation += 1
+    return record
 
 
 def run(params: IbmParams, seed=0) -> Trajectory:
@@ -338,18 +334,13 @@ def run(params: IbmParams, seed=0) -> Trajectory:
 
     Returns a Trajectory sampled once per generation (t = 0 ... T); rbar is
     the population mean fitness, nan once a habitat is empty. An extinct
-    population stays extinct and keeps recording zeros. Fitness is
-    evaluated once per generation, for the record and the next reproduction,
-    which consumes the list it is handed: no fitness or lambda array is held
-    through mutation and migration.
+    population stays extinct and keeps recording zeros. Each generation's
+    record comes from the fitness its reproduction evaluates; only the
+    final state's fitness is evaluated for the record alone.
     """
     state = init_clonal(params, seed)
-    fitness = _fitnesses(params, state)
-    rec = [_record(state, fitness)]
-    for _ in range(params.T):
-        step(state, params, fitness=fitness)
-        fitness = _fitnesses(params, state)
-        rec.append(_record(state, fitness))
+    rec = [step(state, params) for _ in range(params.T)]
+    rec.append(_record([_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]))
     arr = np.asarray(rec, dtype=float)
     return Trajectory(
         t=np.arange(params.T + 1, dtype=float),

@@ -275,8 +275,10 @@ def test_criterion_11_desk_scale_phase_diagram():
 
 def test_criterion_12_stochastic_model_statistics():
     n_ind = 100_000
-    p = ibm.IbmParams(n=2, U=1.0 / 6.0, lambda_var=1.0 / 300.0, delta=0.05,
-                      rmax=RMAX, beta=0.5, N0=n_ind, T=0)
+    # mu^2 = 1/1800 and U = 1/6: each mutation has variance 1/300 per trait
+    reference = model.ModelParams(n=2, mu=math.sqrt(1.0 / 1800.0), rmax1=RMAX, rmax2=RMAX,
+                                  beta=0.5, migration=model.Symmetric(0.05))
+    p = ibm.IbmParams(model=reference, U=1.0 / 6.0, N0=n_ind, T=0)
 
     # offspring mean vs exp(fitness), 3 standard errors, at two phenotypes
     for label, point in (("optimum", np.array([-0.5, 0.0])),
@@ -307,8 +309,7 @@ def test_criterion_12_stochastic_model_statistics():
         assert s.pop1.shape[0] + s.pop2.shape[0] == 1234 + 567
 
     # fixed seed: bit-identical trajectories
-    small = ibm.IbmParams(n=2, U=1.0 / 6.0, lambda_var=1.0 / 300.0, delta=0.05,
-                          rmax=RMAX, beta=0.5, N0=500, T=30)
+    small = ibm.IbmParams(model=reference, U=1.0 / 6.0, N0=500, T=30)
     a = ibm.run(small, seed=9)
     b = ibm.run(small, seed=9)
     for name in ("t", "N1", "N2", "rbar1", "rbar2"):

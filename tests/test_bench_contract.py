@@ -1,9 +1,10 @@
-"""The names bench/tracing.py wraps, and the counters it derives from them.
+"""The names bench/tracing.py wraps, the counters it derives from them, and
+the configs bench/workloads.py builds.
 
-The benchmark traces twopatch from outside the package by module attribute,
-so renaming or removing a traced function breaks it without failing any
-other test. These run `twopatch eigen` and `twopatch solve` under the
-benchmark's own tracer.
+The benchmark traces twopatch from outside the package by module attribute
+and sets config keys by name, so renaming or removing a traced function or a
+key breaks it without failing any other test. These run `twopatch eigen` and
+`twopatch solve` under the benchmark's own tracer, and build every workload.
 """
 
 import importlib
@@ -14,6 +15,7 @@ from twopatch import cli
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import tracing  # noqa: E402  (bench/ is not a package)
+import workloads  # noqa: E402
 
 
 def test_traced_sites_resolve_and_eigen_counts_one_factorisation_per_solve(tmp_path):
@@ -42,3 +44,15 @@ def test_cmd_solve_records_one_integrate_to_span(tmp_path):
     names = [span[0] for span in tracer.spans]
     assert names.count("pde.integrate_to") == 1
     assert names.count("cli.cmd_solve") == 1
+
+
+def test_every_workload_builds_and_its_configs_round_trip():
+    # building a workload runs none of its ops; each op's config must come
+    # back from the config.txt text the runner writes for it
+    ops = []
+    for build in workloads.WORKLOADS.values():
+        workload = build(0)
+        ops += workload.ops + workload.warm_up
+    assert ops
+    for op in ops:
+        assert cli.parse_config(cli.emit_config(op.config)) == op.config, op.name

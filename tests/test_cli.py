@@ -1,6 +1,8 @@
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -13,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twopatch import cli, hermite, pde, thresholds
+from twopatch import cli, hermite, ibm, pde, thresholds
 from twopatch.cli import ExperimentConfig, emit_config, parse_config
 
 
@@ -407,21 +409,39 @@ def test_cmd_ibm_matches_write_csv(tmp_path):
     assert (tmp_path / "ibm_mean.csv").read_bytes() == (tmp_path / "want_mean.csv").read_bytes()
 
 
+# sha256 of the files cmd_ibm(quick_ibm_config()) writes. Its mu = 0.1 makes
+# lambda_var = mu^2 / U = 0.06 inexact in float64, so these pin the IBM
+# stream of a non-default mu bit for bit.
+_QUICK_IBM_DIGESTS = {
+    "ibm": "20407bcb02e8537e2937efe7ea574e8bcf25b9cf09e5f8f164caec40aa7920e5",
+    "ibm_mean": "8bcbc98ce1321cb07fabd0334c867fff2d7e03b9e262998b297d499fd430b22d",
+}
+
+
+def test_cmd_ibm_output_is_pinned(tmp_path):
+    written = cli.cmd_ibm(quick_ibm_config(), str(tmp_path))
+    got = {kind: hashlib.sha256(pathlib.Path(written[kind]).read_bytes()).hexdigest()
+           for kind in _QUICK_IBM_DIGESTS}
+    assert got == _QUICK_IBM_DIGESTS
+
+
 def test_ibm_params_requires_mirror_peaks():
+    # IbmParams owns the IBM's domain; cli.ibm_params only builds one
     cfg = quick_ibm_config(rmax1=0.1, rmax2=0.2)
-    with pytest.raises(cli.ConfigError, match="rmax1 == rmax2"):
-        cli.ibm_params(cfg, cli.to_model_params(cfg))
+    with pytest.raises(ValueError, match="rmax1 == rmax2"):
+        ibm.IbmParams(model=cli.to_model_params(cfg), U=cfg.U, N0=cfg.N0, T=cfg.T)
 
 
 @pytest.mark.parametrize("mu", [math.sqrt(1.0 / 1800.0), 0.05], ids=["default_mu", "mu_0.05"])
 def test_ibm_params_take_the_model_params(mu):
-    # the IBM runs the PDE's model: U * lambda_var = mu^2, and the overridden
-    # delta and m_D of the params, not the config's
+    # the IBM runs the PDE's model, with the overridden delta and m_D of the
+    # params, not the config's: U * lambda_var = mu^2
     cfg = ExperimentConfig(mu=mu, rmax1=0.04, rmax2=0.04, n=3)
     params = cli.to_model_params(cfg, delta=0.02, m_d=0.3)
     ip = cli.ibm_params(cfg, params)
+    assert ip.model is params
+    assert (ip.U, ip.N0, ip.T, ip.cap) == (cfg.U, cfg.N0, cfg.T, cfg.cap)
     assert ip.U * ip.lambda_var == pytest.approx(mu ** 2, rel=1e-15)
-    assert (ip.n, ip.rmax, ip.delta, ip.beta) == (3, 0.04, 0.02, params.beta)
     if mu == ExperimentConfig().mu:
         assert ip.lambda_var == 1.0 / 300.0  # the reference IBM keeps its bits
 
@@ -469,6 +489,32 @@ def test_cmd_phase_parallel_matches_serial(tmp_path):
     cli.cmd_phase(cfg, str(a))
     cli.cmd_phase(dataclasses.replace(cfg, threads=2), str(b))
     assert (a / "phase.csv").read_bytes() == (b / "phase.csv").read_bytes()
+
+
+def test_phase_pool_has_at_most_one_worker_per_cell_and_cpu(monkeypatch):
+    # a fake pool records its size and maps serially: no process is started
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = quick_phase_config(phase_ibm=False, t_end=2.0, threads=64)  # a 2 x 2 sweep
+    for cpus in (64, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cells = cli.phase_cells(cfg)
+        assert len(cells) == 4 and all(c.error == "" for c in cells)
+    assert asked == [4, 3, 1]
 
 
 def test_cmd_phase_does_not_depend_on_the_sampling_grid(tmp_path, monkeypatch):
@@ -644,18 +690,37 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # numpy's seed sequences take no negative entropy
     ("phase", "seed = -1\n", "seed must be >= 0"),
     ("ibm", "seed = -1\n", "seed must be >= 0"),
+    # m^n rows with an n whose power has more digits than int() prints, and
+    # one whose power would take minutes: refused at once all the same
+    ("solve", "n = 1000000\n", "m^n = 129^1000000 rows, more than 4194304"),
+    ("solve", "n = 1000000000\n", "m^n = 129^1000000000 rows, more than 4194304"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu",
         "ibm_zero_U", "phase_zero_U", "phase_negative_sweep", "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
-        "phase_negative_seed", "ibm_negative_seed"])
+        "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
-    path = write_config(tmp_path, "n = 1\nN0 = 10\nT = 2\nreplicates = 1\n" + text)
+    keys = {line.split(" =")[0] for line in text.splitlines()}
+    base = "".join(f"{key} = {value}\n" for key, value in
+                   (("n", 1), ("N0", 10), ("T", 2), ("replicates", 1)) if key not in keys)
+    path = write_config(tmp_path, base + text)
     out_dir = tmp_path / "out"
     assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
+
+
+def test_main_allocation_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a request too large to allocate is a bad request, not a traceback; the
+    # command only raises what numpy raises, no real allocation is tried
+    def too_large(config, out_dir):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_ibm", too_large)
+    assert cli.main(["ibm", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
 
 
 def test_every_config_field_has_a_kind():

@@ -6,18 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twopatch import cli, eigen, ibm
+from twopatch import cli, eigen, ibm, model
 
 
-def params(**overrides):
-    base = dict(n=2, U=1.0 / 6.0, lambda_var=1.0 / 300.0, delta=0.05,
-                rmax=1.0 / 18.0, beta=0.5, N0=200, T=10)
-    base.update(overrides)
-    return ibm.IbmParams(**base)
+def params(*, n=2, mu=math.sqrt(1.0 / 1800.0), delta=0.05, rmax=1.0 / 18.0, beta=0.5,
+           U=1.0 / 6.0, N0=200, T=10, cap=10_000_000):
+    # mu^2 / U at the default mu and U is exactly 1/300 in float64
+    mp = model.ModelParams(n=n, mu=mu, rmax1=rmax, rmax2=rmax, beta=beta,
+                           migration=model.Symmetric(delta))
+    return ibm.IbmParams(model=mp, U=U, N0=N0, T=T, cap=cap)
 
 
 def test_mu2_links_to_density_model():
     p = params()
+    assert p.lambda_var == 1.0 / 300.0
     assert p.U * p.lambda_var == pytest.approx(1.0 / 1800.0, rel=1e-15)  # mu^2
 
 
@@ -29,23 +31,36 @@ def test_fitness_is_bitwise_the_two_dimensional_expression(n):
     rng = np.random.default_rng(n)
     pop = np.concatenate([rng.normal(0.0, 0.3, (5000, n)), rng.normal(0.0, 30.0, (5000, n)),
                           np.zeros((1, n)), np.full((1, n), -0.0)])
-    for habitat, opt in ((1, -p.beta), (2, p.beta)):
+    for habitat, opt in ((1, -p.model.beta), (2, p.model.beta)):
         sq = np.square(pop[:, 0] - opt)
         if n > 1:
             sq = sq + np.sum(np.square(pop[:, 1:]), axis=1)
-        want = p.rmax - 0.5 * sq
+        want = p.model.rmax1 - 0.5 * sq
         assert ibm._fitness(p, habitat, pop).tobytes() == want.tobytes()
 
 
 def test_validation_collects_every_failure():
+    # the model's own fields are the ModelParams' to check; IbmParams checks
+    # the IBM's domain: mirror habitats, 0 < U < inf, and its run sizes
+    unequal = model.ModelParams(n=2, mu=0.1, rmax1=0.1, rmax2=0.2, beta=0.5,
+                                migration=model.Symmetric(0.05))
     with pytest.raises(ValueError) as exc:
-        ibm.IbmParams(n=0, U=-1.0, lambda_var=0.0, delta=-0.1, rmax=math.inf,
-                      beta=-1.0, N0=0, T=-1, cap=0)
+        ibm.IbmParams(model=unequal, U=0.0, N0=0, T=-1, cap=0)
     msg = str(exc.value)
-    for fragment in ("n must be", "U must be", "lambda_var must be",
-                     "delta must be", "rmax must be", "beta must be",
+    for fragment in ("migration = symmetric", "rmax1 == rmax2", "needs U > 0, got 0.0",
                      "N0 must be", "T must be", "cap must be"):
         assert fragment in msg
+
+
+@pytest.mark.parametrize("U, message", [(0.0, "needs U > 0, got 0.0"),
+                                        (-1.0, "needs U > 0, got -1.0"),
+                                        (math.nan, "needs U > 0, got nan"),
+                                        (math.inf, "U must be finite, got inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_mutation_rate_must_be_positive_and_finite(U, message):
+    # lambda_var = mu^2 / U: an IBM without mutations has no density model
+    with pytest.raises(ValueError, match=message):
+        params(U=U)
 
 
 def test_run_is_bit_reproducible():
@@ -86,8 +101,10 @@ def test_run_stream_is_pinned(case):
     p = params(**overrides)
     traj = ibm.run(p, seed)
     s = ibm.init_clonal(p, seed)
-    for _ in range(p.T):
-        ibm.step(s, p)
+    for t in range(p.T):
+        record = ibm.step(s, p)  # the parents' record, as ibm.run keeps it
+        np.testing.assert_array_equal(record, [traj.N1[t], traj.N2[t],
+                                               traj.rbar1[t], traj.rbar2[t]])
     assert s.pop1.shape[0] == traj.N1[-1] and s.pop2.shape[0] == traj.N2[-1]
     got = tuple(_sha256(a) for a in (traj.N1, traj.N2, traj.rbar1, traj.rbar2, s.pop1, s.pop2))
     assert got == want
@@ -108,10 +125,10 @@ def test_offspring_mean_matches_poisson_intensity():
     n_ind = 100_000
     p = params(N0=n_ind, T=0, cap=10_000_000)
     s = ibm.init_clonal(p, seed=42)
-    s.pop1 = np.tile(np.array([-p.beta, 0.0]), (n_ind, 1))
+    s.pop1 = np.tile(np.array([-p.model.beta, 0.0]), (n_ind, 1))
     s.pop2 = s.pop1.copy()  # at habitat 1's optimum; habitat 2 just adds draws
     ibm.reproduction_selection(s, p)
-    want = math.exp(p.rmax)
+    want = math.exp(p.model.rmax1)
     got = s.pop1.shape[0] / n_ind
     se = math.sqrt(want / n_ind)
     assert abs(got - want) <= 3.0 * se
@@ -130,7 +147,7 @@ def test_offspring_per_parent_follow_their_own_poisson_law():
     per_class = 50_000
     p = params(N0=1, T=0)
     tags = np.arange(2 * per_class) * (1e-4 / (2 * per_class))
-    x1 = np.where(np.arange(2 * per_class) < per_class, -p.beta, -p.beta + math.sqrt(2.0))
+    x1 = np.where(np.arange(2 * per_class) < per_class, -p.model.beta, -p.model.beta + math.sqrt(2.0))
     s = ibm.IbmState(pop1=np.column_stack([x1, tags]), pop2=np.zeros((0, 2)),
                      generation=0, rng=np.random.default_rng(31))
     ibm.reproduction_selection(s, p)
@@ -138,7 +155,7 @@ def test_offspring_per_parent_follow_their_own_poisson_law():
     np.testing.assert_array_equal(tags[parent], s.pop1[:, 1])
     np.testing.assert_array_equal(x1[parent], s.pop1[:, 0])
     counts = np.bincount(parent, minlength=2 * per_class)
-    lam = {"a": math.exp(p.rmax), "b": math.exp(p.rmax - 1.0)}
+    lam = {"a": math.exp(p.model.rmax1), "b": math.exp(p.model.rmax1 - 1.0)}
     for label, cls in (("a", counts[:per_class]), ("b", counts[per_class:])):
         for k in range(4):
             want = math.exp(-lam[label]) * lam[label] ** k / math.factorial(k)
@@ -154,20 +171,20 @@ def test_reproduction_rejection_worst_case_and_empty_habitats():
     # one parent at the optimum among 1e5 at r = -40: about 1e5 proposals per
     # offspring, and every offspring copies the fit parent
     p = params(rmax=2.0, N0=1, T=0)
-    far = -p.beta + math.sqrt(2.0 * (p.rmax + 40.0))
+    far = -p.model.beta + math.sqrt(2.0 * (p.model.rmax1 + 40.0))
     pop1 = np.tile([far, 0.0], (100_001, 1))
-    pop1[50_000] = [-p.beta, 0.0]
+    pop1[50_000] = [-p.model.beta, 0.0]
     s = ibm.IbmState(pop1=pop1, pop2=np.zeros((0, 2)), generation=0,
                      rng=np.random.default_rng(4))
     start = time.perf_counter()
     ibm.reproduction_selection(s, p)
     assert time.perf_counter() - start < 5.0
     assert s.pop1.shape[0] > 0
-    np.testing.assert_array_equal(s.pop1, np.tile([-p.beta, 0.0], (s.pop1.shape[0], 1)))
+    np.testing.assert_array_equal(s.pop1, np.tile([-p.model.beta, 0.0], (s.pop1.shape[0], 1)))
     assert s.pop2.shape == (0, 2) and s.pop2.dtype == np.float64  # empty habitat
 
     # five parents at r < -60 draw a zero total
-    dying = np.tile([p.beta + math.sqrt(2.0 * (p.rmax + 60.0)), 0.0], (5, 1))
+    dying = np.tile([p.model.beta + math.sqrt(2.0 * (p.model.rmax1 + 60.0)), 0.0], (5, 1))
     s = ibm.IbmState(pop1=dying, pop2=np.zeros((0, 2)), generation=0,
                      rng=np.random.default_rng(4))
     ibm.reproduction_selection(s, p)
@@ -178,8 +195,8 @@ def test_reproduction_rejection_worst_case_and_empty_habitats():
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_reproduction_peak_memory_is_rows_plus_one_lambda(order):
     # Peak traced allocation of one reproduction step at 2e5 individuals per
-    # habitat, fitness handed over as run hands it. While habitat i draws its
-    # parents these must coexist: the old rows of every habitat not yet
+    # habitat, which evaluates the fitness it consumes. While habitat i draws
+    # its parents these must coexist: the old rows of every habitat not yet
     # replaced, the new rows drawn so far (habitat i's included), the one
     # lambda array of every habitat not yet drawn (the fitness array turned
     # into lambda in place), and the proposal-chunk temporaries: indices,
@@ -191,12 +208,11 @@ def test_reproduction_peak_memory_is_rows_plus_one_lambda(order):
     tracemalloc.start()
     try:
         rng = np.random.default_rng(12)
-        s = ibm.IbmState(pop1=np.array(rng.normal(-p.beta, 0.3, (per, n)), order=order),
-                         pop2=np.array(rng.normal(p.beta, 0.3, (per, n)), order=order),
+        s = ibm.IbmState(pop1=np.array(rng.normal(-p.model.beta, 0.3, (per, n)), order=order),
+                         pop2=np.array(rng.normal(p.model.beta, 0.3, (per, n)), order=order),
                          generation=0, rng=np.random.default_rng(13))
-        fitness = [ibm._fitness(p, 1, s.pop1), ibm._fitness(p, 2, s.pop2)]
         tracemalloc.reset_peak()
-        ibm.reproduction_selection(s, p, fitness=fitness)
+        ibm.reproduction_selection(s, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,8 +226,8 @@ def test_reproduction_peak_memory_is_rows_plus_one_lambda(order):
     assert s.pop1.flags.c_contiguous and s.pop2.flags.c_contiguous
     if order == "F":  # the copy gathers the same rows as a C-ordered habitat
         rng = np.random.default_rng(12)
-        c = ibm.IbmState(pop1=rng.normal(-p.beta, 0.3, (per, n)),
-                         pop2=rng.normal(p.beta, 0.3, (per, n)),
+        c = ibm.IbmState(pop1=rng.normal(-p.model.beta, 0.3, (per, n)),
+                         pop2=rng.normal(p.model.beta, 0.3, (per, n)),
                          generation=0, rng=np.random.default_rng(13))
         ibm.reproduction_selection(c, p)
         np.testing.assert_array_equal(c.pop1, s.pop1)
@@ -292,13 +308,6 @@ def test_mutation_displaces_a_thinned_fraction(U):
     np.testing.assert_allclose(s.pop1.var(axis=0), U * p.lambda_var, rtol=0.05)
 
 
-def test_zero_mutation_rate_leaves_phenotypes_alone():
-    p = params(U=0.0)
-    s = ibm.init_clonal(p, seed=1)
-    s.pop1 += 0.25
-    before = s.pop1.copy()
-    ibm.mutation(s, p)
-    np.testing.assert_array_equal(s.pop1, before)
 
 
 def test_migration_conserves_totals_exactly():
@@ -372,7 +381,7 @@ def test_trajectory_layout():
     traj = ibm.run(p, seed=9)
     np.testing.assert_array_equal(traj.t, np.arange(8.0))
     assert traj.N1[0] == p.N0 and traj.N2[0] == p.N0
-    assert traj.rbar1[0] == pytest.approx(p.rmax - 0.5 * p.beta**2)
+    assert traj.rbar1[0] == pytest.approx(p.model.rmax1 - 0.5 * p.model.beta**2)
 
 
 def test_run_replicates_mean_and_reproducibility():

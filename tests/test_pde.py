@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,28 @@ def test_fitness_fields_carry_the_transverse_load():
         np.testing.assert_allclose(rn2, r2 - 0.5 * (n - 1) * 0.2, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="trait"):
         eigen.fitness_fields(small_params(n=2), g1)
+
+
+def test_fitness_fields_need_no_array_of_n_columns():
+    # the old expression: fitness of the (m, n) phenotypes (x1, 0, ..., 0)
+    p = model.ModelParams(n=3, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
+                          migration=model.General(0.1, 0.2, 0.3, 0.4))
+    g = build_grid(3, 2.0, 17)
+    x = np.zeros((g.m, 3))
+    x[:, 0] = g.axis()
+    load = 0.5 * 2 * p.mu
+    for got, habitat in zip(eigen.fitness_fields(p, g), (1, 2)):
+        assert got.tobytes() == (model.fitness(p, habitat, x) - load).tobytes()
+    # n = 1e9 traits: a few m-sized arrays, not m * n zeros
+    huge, m = small_params(n=10**9), 1025
+    tracemalloc.start()
+    try:
+        r1, r2 = eigen.fitness_fields(huge, build_grid(huge.n, 2.0, m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * m, peak
+    assert r1[m // 2] == huge.rmax1 - 0.5 * huge.beta ** 2 - 0.5 * (huge.n - 1) * huge.mu
 
 
 def test_initial_state_validation():
