@@ -161,9 +161,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def emit_config(config: ExperimentConfig) -> str:
-    """Emit a config as parseable text; parse_config(emit_config(c)) == c."""
-    lines = [f"{f.name} = {_emit_one(_KINDS[f.name], getattr(config, f.name))}"
-             for f in fields(config)]
+    """Emit a config as parseable text; parse_config(emit_config(c)) == c, so a str
+    value holding '#' or a line break, or with outer whitespace, raises ConfigError."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    bad = [f"{name} = {v!r}" for name, v in values.items() if isinstance(v, str)
+           and ("#" in v or v != v.strip() or len(v.splitlines()) > 1)]
+    if bad:
+        raise ConfigError("a str value with '#', a line break or outer whitespace would not "
+                          "read back: " + ", ".join(bad))
+    lines = [f"{name} = {_emit_one(_KINDS[name], v)}" for name, v in values.items()]
     return "\n".join(lines) + "\n"
 
 

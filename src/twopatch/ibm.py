@@ -73,7 +73,8 @@ class IbmParams:
         model: the density model's parameters, with symmetric migration and
             rmax1 == rmax2. The IBM reads n, beta, delta
             (model.migration.delta) and rmax (model.rmax1) off them.
-        U: expected mutations per individual per generation, finite and > 0.
+        U: expected mutations per individual per generation, finite and > 0,
+            with lambda_var = mu^2 / U finite.
         N0: founding individuals per habitat.
         T: generations to simulate.
         cap: abort threshold on total population size.
@@ -94,6 +95,14 @@ class IbmParams:
             errors.append(f"the individual-based model needs U > 0, got {self.U!r}")
         elif not math.isfinite(self.U):
             errors.append(f"U must be finite, got {self.U!r}")
+        else:
+            try:
+                variance = self.lambda_var
+            except OverflowError:  # mu ** 2 beyond the float range
+                variance = math.inf
+            if not math.isfinite(variance):
+                errors.append(f"the mutation step variance mu^2 / U must be finite, "
+                              f"got mu = {self.model.mu!r}, U = {self.U!r}")
         if not isinstance(self.N0, int) or self.N0 < 1:
             errors.append(f"N0 must be an integer >= 1, got {self.N0!r}")
         if not isinstance(self.T, int) or self.T < 0:

@@ -8,7 +8,7 @@ through migration. Masses and mean fitnesses of the profile are those of the
 n-trait density, which is the profile times N(0, mu I_{n-1}).
 
 The system is du/dt = -A u with A the growth operator whose smallest
-eigenvalue eigen computes. integrate_to solves it exactly in time, in free
+eigenvalue eigen computes. integrate_to solves it exactly in time by expm, in free
 space, in the Hermite-function basis of width sqrt(mu) where eigen.lambda_of
 finds that eigenvalue (hermite.galerkin), from Gaussian bumps (Bump,
 InitialData) whose coefficients follow from an exact recurrence. No grid
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from . import hermite, model
 # laplacian and integrate stay module attributes for bench/tracing.py, which wraps them here.
@@ -33,10 +33,9 @@ class SolverError(RuntimeError):
     """Numerical failure of a solve: overflow or a state below roundoff of zero."""
 
 
-# Most trajectory records a solve keeps. A solve holds about 2K floats per
-# record (its states, or the mirror route's exponentials) for K Hermite
-# modes, 0.5 GB at this cap and K = 32; t_end = 1e12 is refused before
-# anything is allocated.
+# Most trajectory records a solve keeps. A solve holds its state at every
+# record, up to 2K floats for K Hermite modes, 0.5 GB at this cap and K = 32;
+# t_end = 1e12 is refused before anything is allocated.
 _MAX_RECORDS = 10**6
 
 
@@ -128,61 +127,30 @@ class InitialData:
     u2: tuple[Bump, ...]
 
 
-def _propagate(a: np.ndarray, obs: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float):
-    """(records, state) of du/dt = -a u by expm, for every run off the mirror half.
+def _propagate(a: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float) -> np.ndarray:
+    """(len(rec), size) states of dy/dt = -a y at the record times, by expm.
 
     a needs no eigenbasis: it may be unsymmetric, and defective under one-way
     migration between mirror habitats. One expm for the cadence, one more for
     a remainder to t_end that differs from it beyond rec's 1e-9 roundoff, then
-    one mat-vec per record. records holds the raw rows (N1, N2, int r1 u1, int
-    r2 u2) at the record times; state(k) is the state at record k.
+    one mat-vec per record.
     """
     ys = np.empty((rec.size, y0.size))
     ys[0] = y0
-    dt_prop, prop = None, None
-    for k in range(1, rec.size):
-        dt = every if k < rec.size - 1 else rec[-1] - rec[-2]
+    prop = expm(-every * a) if rec.size > 2 else None
+    for k in range(1, rec.size - 1):
+        prop.dot(ys[k - 1], out=ys[k])
+    if rec.size > 1:
+        last = rec[-1] - rec[-2]
         # a remainder within rec's 1e-9 roundoff of the cadence reuses its propagator
-        if dt_prop is None or abs(dt - dt_prop) > 1e-9 * dt_prop:
-            dt_prop, prop = dt, expm(-dt * a)
-        ys[k] = prop @ ys[k - 1]
-    return ys @ obs.T, ys.__getitem__
+        if prop is None or abs(last - every) > 1e-9 * every:
+            prop = expm(-last * a)
+        prop.dot(ys[-2], out=ys[-1])
+    return ys
 
 
-def _eigenbasis(lam: np.ndarray, basis: np.ndarray, obs: np.ndarray, y0: np.ndarray,
-                rec: np.ndarray, logistic: bool):
-    """(records, state) as _propagate returns them, from the eigenpairs of a symmetric a.
-
-    (lam, basis) are a's eigenvalues and orthonormal eigenvectors Q. The
-    Malthusian state is Q (e^(-lam t) c), c = Q^T y0. The logistic state
-    divides it by 1 + int_0^t N_v1, which is sum_j b_j c_j (1 - e^(-lam_j
-    t)) / lam_j with b the N1 row of obs Q. e^(-shift t) is factored out of
-    both, shift = min(lam_0, 0), so no logistic term overflows when the
-    Malthusian solution does.
-    """
-    c = basis.T @ y0
-    obs_eig = obs @ basis
-    shift = min(float(lam[0]), 0.0)
-
-    def observe(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """rows (r, size) applied to the states at times t: (len(t), r)."""
-        w = np.exp(-np.outer(t, lam - shift)) @ (rows * c).T
-        if not logistic:
-            return w * np.exp(-shift * t)[:, None]
-        # e^(shift t) (1 - e^(-lam t)) / lam = e^((shift - min(lam, 0)) t) phi(|lam|),
-        # phi(k) = -expm1(-k t) / k (t at k = 0): the exponential lies in
-        # (0, 1] and phi in [0, t]
-        k = np.abs(lam)
-        phi = np.divide(-np.expm1(-np.outer(t, k)), k, where=k > 0,
-                        out=np.repeat(t[:, None], k.size, axis=1))
-        cum = (np.exp(np.outer(t, shift - np.minimum(lam, 0.0))) * phi) @ (obs_eig[0] * c)
-        return w / (np.exp(shift * t) + cum)[:, None]
-
-    return observe(rec, obs_eig), lambda k: observe(rec[k:k + 1], basis)[0]
-
-
-# Largest Hermite basis integrate_to solves in: expm works on dense 2K x 2K
-# matrices, and peaks at 320 MB RSS at this cap (scipy 1.17, one BLAS thread).
+# Largest Hermite basis integrate_to solves in: expm works on dense 2K x 2K (mirror:
+# K x K) matrices, and peaks at 320 MB RSS at this cap (scipy 1.17, one BLAS thread).
 _MAX_SIZE = 1024
 # Relative roundoff of a final state: values below -_ROUNDOFF times its height
 # raise, values below +_ROUNDOFF times it are set to exactly 0.
@@ -257,20 +225,23 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     decayed within it. Malthusian growth is du/dt = -A u, so the solution is
     exp(-A t) u0 (Moler and Van Loan, Nineteen Dubious Ways to Compute the
     Exponential of a Matrix, SIAM Review 45, 2003, sections 3 and 6), with A
-    the Galerkin matrix of hermite.galerkin:
+    the Galerkin matrix of hermite.galerkin, stepped by expm (_propagate):
 
     - mirror runs (Symmetric migration, rmax1 = rmax2, u2's coefficients
-      those of u1 reversed to 1e-12) stay on the habitat-swap-even half: one
-      eigh_tridiagonal of the K x K matrix, and the final state is (v, v reflected),
-      so N1 == N2 and rbar1 == rbar2 bitwise from record 1 on;
+      those of u1 reversed to 1e-12) stay on the habitat-swap-even half, the
+      K x K tridiagonal, and the final state is (v, v reflected), so N1 == N2
+      and rbar1 == rbar2 bitwise from record 1 on;
     - every other run (unequal peaks, General migration at any rates, or
-      mirror parameters with unmirrored data) takes expm of the 2K matrix
-      (_propagate), which needs no eigenbasis.
+      mirror parameters with unmirrored data) takes the 2K matrix, which may
+      be unsymmetric or defective.
 
-    Every record is the propagator applied to the initial coefficients,
-    observed through exact integrals of the basis (hermite.moments). Logistic
-    growth needs mirror data, so N1 = N2 and u = v / (1 + int_0^t N_v1) with
-    v the Malthusian solution, closed form in the eigenbasis (_eigenbasis).
+    It steps w = e^(s t) v, s = min(lambda, 0) for hermite.smallest's
+    lambda, whose propagator stays bounded; each record, observed through
+    exact integrals of the basis (hermite.moments), multiplies by e^(-s t).
+    Logistic growth needs mirror data, so N1 = N2 and u = v / (1 + int_0^t
+    N_v1) = w / (e^(s t) + J): (w, J) steps by the (K + 1)-square block whose
+    last row integrates N1 of w (C. F. Van Loan, Computing integrals involving
+    the matrix exponential, IEEE Trans. Automat. Control 23, 1978).
 
     The final state (FinalState) is checked at nodes fixed by K alone, the 2K
     Gauss-Hermite nodes (_check_basis): values below -1e-12 times its height,
@@ -295,7 +266,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         raise ValueError("initial mass must be positive in each habitat: "
                          "give each at least one bump")
     mu = params.mu
-    _, size = hermite.smallest(params)
+    lam, size = hermite.smallest(params)
     if size > _MAX_SIZE:
         raise SolverError(f"the solve needs {size} Hermite modes, more than {_MAX_SIZE} "
                           f"(beta^2 / mu = {params.beta ** 2 / mu:.3g})")
@@ -318,33 +289,45 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
 
     # Record times: 0, the cadence grid and t_end itself.
     rec = np.append(np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end)
-    _, d12, d21, _ = params.migration.rates
     band = hermite.galerkin(params, size, even_half=mirror)
+    shift = min(hermite.with_constant(params, lam), 0.0)  # steps w = e^(shift t) v
+    if mirror:
+        # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
+        # with the reflection P = diag((-1)^k)
+        obs = obs[:, :size] + obs[:, size:] * sign
+        y0 = 0.5 * (c1 + sign * c2)
+        a = np.diag(hermite.with_constant(params, band[0]) - shift)
+        for diagonal in (a[1:], a[:, 1:]):
+            np.fill_diagonal(diagonal, band[1, :-1])
+    else:
+        # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
+        # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
+        obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
+        y0 = np.ravel([c1, c2], order="F")
+        _, d12, d21, _ = params.migration.rates
+        a = np.diag(band[0] + hermite.with_constant(params, 0.0) - shift)
+        for diagonal, value in ((a[2:, :-2], band[2, :-2]), (a[:-2, 2:], band[2, :-2]),
+                                (a[1::2, ::2], -d21), (a[::2, 1::2], -d12)):
+            np.fill_diagonal(diagonal, value)
+    if logistic:  # Van Loan's block: J' = N1(w) + shift J is e^(shift t) int_0^t N_v
+        a = np.block([[a, np.zeros((size, 1))], [-obs[:1], np.array([[-shift]])]])
+        y0 = np.append(y0, 0.0)
 
     # Overflow leaves inf or nan behind, and raises SolverError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if mirror:
-            # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
-            # with the reflection P = diag((-1)^k)
-            lam, vecs = eigh_tridiagonal(band[0], band[1, :-1], check_finite=False)
-            q, state = _eigenbasis(hermite.with_constant(params, lam), vecs,
-                                   obs[:, :size] + obs[:, size:] * sign,
-                                   0.5 * (c1 + sign * c2), rec, logistic)
+        ys = _propagate(a, y0, rec, config.record_every)
+        if logistic:
+            scale = 1.0 / (np.exp(shift * rec) + ys[:, -1])
+            ys = ys[:, :-1]
         else:
-            # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
-            # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
-            obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
-            a = np.diag(band[0] + hermite.with_constant(params, 0.0))
-            for diagonal, value in ((a[2:, :-2], band[2, :-2]), (a[:-2, 2:], band[2, :-2]),
-                                    (a[1::2, ::2], -d21), (a[::2, 1::2], -d12)):
-                np.fill_diagonal(diagonal, value)
-            q, state = _propagate(a, obs, np.ravel([c1, c2], order="F"), rec,
-                                  config.record_every)
+            scale = np.exp(-shift * rec)
+        q = ys @ obs.T * scale[:, None]
         q[0] = q0
         low = np.flatnonzero(q[:, 0] + q[:, 1] < _EXTINCT * (q0[0] + q0[1]))
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
-        coef = np.column_stack([c1, c2]) if end == 0 else state(end).reshape(size, -1)
+        coef = (np.column_stack([c1, c2]) if end == 0
+                else (ys[end] * scale[end]).reshape(size, -1))
         u = _check_basis(size) @ coef * mu ** -0.25
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")

@@ -121,19 +121,6 @@ def test_integrate_to_matches_exact_propagator_with_general_migration(migration)
     assert np.abs(coef[-1] - coef[0]).max() > 0.5 * np.abs(coef[0]).max()  # far from its start
 
 
-def spy_on_eigenbasis(monkeypatch):
-    """The sizes of the eigenbases integrate_to hands to _eigenbasis."""
-    sizes = []
-    inner = pde._eigenbasis
-
-    def spy(lam, basis, *args):
-        sizes.append(basis.shape[0])
-        return inner(lam, basis, *args)
-
-    monkeypatch.setattr(pde, "_eigenbasis", spy)
-    return sizes
-
-
 def spy_on_expm(monkeypatch):
     """The shapes of the matrices integrate_to hands to expm."""
     shapes = []
@@ -150,19 +137,19 @@ def basis_size(p, s0):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("initial", ["origin", "spread"])
 def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
-    # Symmetric migration, rmax1 = rmax2 and mirror data: the solve runs on
-    # the habitat-swap-even half, K x K, and returns (u, rev u)
+    # Symmetric migration, rmax1 = rmax2 and mirror data: the solve steps the
+    # habitat-swap-even half by one K x K expm, and returns (u, rev u)
     p = small_params(delta=0.3, rmax=0.6, n=n)
     g = build_grid(n, 3.0, 41)
     bumps = (Bump(0.0, 0.1, 1.0),)
     if initial == "spread":  # three bumps: u2's coefficients are u1's reversed up to roundoff
         bumps += (Bump(-p.beta, 0.1, 1.0), Bump(p.beta, 0.1, 1.0))
     s0 = InitialData(bumps, bumps)
-    sizes = spy_on_eigenbasis(monkeypatch)
     shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
     traj, final, _ = assert_matches_exact_propagator(p, g, s0, cfg)
-    assert sizes == [basis_size(p, s0)] and shapes == []
+    size = basis_size(p, s0)
+    assert shapes == [(size, size)]
     assert abs(traj.N1[-1] / traj.N1[0] - 1) > 0.1  # far from its start
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
@@ -212,7 +199,7 @@ def test_final_state_is_in_coefficients_and_sampled_apart():
 
 
 def test_logistic_run_matches_high_order_integration():
-    # the eigenbasis rescaling against a tight general-purpose integration
+    # the Van Loan block's rescaling against a tight general-purpose integration
     # of the logistic right-hand side, in the oracle's coefficients (stiff:
     # the top modes decay at mu K, so an implicit method)
     from scipy.integrate import solve_ivp
@@ -238,17 +225,23 @@ def test_logistic_run_matches_high_order_integration():
                                rtol=0, atol=1e-8 * u.max())
 
 
-def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow():
+def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow(monkeypatch):
     # the Malthusian solution overflows float64 long before t_end, but the
     # logistic one is its rescaling and settles at N1 = N2 = -lambda, the
-    # principal eigenvalue of the basis lambda_of solves in
+    # principal eigenvalue of the basis lambda_of solves in; an infinite
+    # cadence steps to t = 1e4 with one expm, whose unshifted propagator
+    # alone would overflow
     p, g, s0 = small_setup(delta=0.3, growth=model.GROWTH_LOGISTIC)
     lam0 = eigen.lambda_of(p)
     assert -lam0 * 10000.0 > 710.0  # exp(-lambda t_end) is beyond float64
-    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=500.0))
-    assert traj.N1[-1] == pytest.approx(-lam0, rel=1e-9)
-    assert traj.N2[-1] == pytest.approx(-lam0, rel=1e-9)
-    assert np.isfinite(final.u1).all() and final.u1.max() > 0
+    shapes = spy_on_expm(monkeypatch)
+    for every in (500.0, math.inf):
+        shapes.clear()
+        traj, final = solve(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=every))
+        assert len(traj.t) == (21 if every == 500.0 else 2) and len(shapes) == 1
+        assert traj.N1[-1] == pytest.approx(-lam0, rel=1e-9)
+        assert traj.N2[-1] == pytest.approx(-lam0, rel=1e-9)
+        assert np.isfinite(final.u1).all() and final.u1.max() > 0
 
 
 def test_logistic_needs_mirror_symmetric_data():
@@ -358,16 +351,18 @@ def test_extinction_flag_on_decaying_run():
 
 
 def test_step_sequence_does_not_depend_on_record_cadence():
-    # records are read off the exact solution, so the final state does not
-    # depend on the cadence
+    # 120 steps of 0.05 and one step of 6 reach the same final state: the
+    # propagators are exact in time, so the two differ by the mat-vecs'
+    # rounding alone
     for growth in (model.GROWTH_MALTHUSIAN, model.GROWTH_LOGISTIC):
         p, g, s0 = small_setup(delta=0.1, growth=growth)
         runs = [solve(p, g, s0, pde.SolverConfig(t_end=6.0, record_every=every))
                 for every in (0.05, 6.0)]
         (fine, fine_end), (coarse, coarse_end) = runs
         assert len(fine.t) == 121 and len(coarse.t) == 2
-        np.testing.assert_array_equal(fine_end.u1, coarse_end.u1)
-        np.testing.assert_array_equal(fine_end.u2, coarse_end.u2)
+        height = coarse_end.u1.max()
+        np.testing.assert_allclose(fine_end.u1, coarse_end.u1, rtol=0, atol=1e-13 * height)
+        np.testing.assert_allclose(fine_end.u2, coarse_end.u2, rtol=0, atol=1e-13 * height)
         assert fine.N1[-1] == pytest.approx(coarse.N1[-1], rel=1e-14)
 
 
@@ -499,6 +494,33 @@ def test_general_solve_decaying_far_below_its_start_converges_in_the_basis(monke
     assert traj.n_total()[-1] < 1e-6 * traj.n_total()[0]
     np.testing.assert_allclose([wide.N1[-1], wide.N2[-1]], [traj.N1[-1], traj.N2[-1]],
                                rtol=1e-12, atol=0)
+
+
+# (m_D, K, t, N1 at t) at mu = 2e-3: t is the solve's last record, its
+# extinction record above m_D = 0.5; N1 is m0 . e^(-t A) y0 on the solve's own
+# float64 problem, summed as a Taylor series at about 200 digits by
+# tests/taylor_reference.py (two precisions agree to 1e-150)
+MU_2E3_REFERENCE = [
+    (0.5, 256, 300.0, 0.0006404191995985988),
+    (1.0, 512, 165.5, 9.465513091935878e-09),
+    (1.5, 1024, 94.5, 9.110835615260462e-09),
+    (2.0, 1024, 66.5, 8.832100884454398e-09),
+]
+
+
+@pytest.mark.parametrize("m_D, size, t, mass", MU_2E3_REFERENCE,
+                         ids=[f"m_D_{row[0]}" for row in MU_2E3_REFERENCE])
+def test_mu_2e3_solves_match_the_taylor_reference(m_D, size, t, mass):
+    # where the habitats differ most, the state at the extinction record is
+    # 1e-12 of its start and still nonnegative to roundoff
+    config = cli.ExperimentConfig(mu=2e-3, m_D=m_D)
+    params = cli.to_model_params(config)
+    traj, final = pde.integrate_to(params, cli.initial_state(config, params),
+                                   cli.solver_config(config))
+    assert final.coef.shape[0] == size and final.mirror
+    assert traj.t[-1] == t and traj.extinct == (t < config.t_end)
+    assert traj.N1[-1] == pytest.approx(mass, rel=1e-13)
+    np.testing.assert_array_equal(traj.N2[1:], traj.N1[1:])
 
 
 def test_final_state_below_the_roundoff_floor_is_exactly_zero():
