@@ -23,8 +23,10 @@ Hermite-Galerkin: quadratic selection makes it exactly tridiagonal in the
 Hermite-function basis of width sqrt(mu) (pentadiagonal for two coupled
 habitats), so lambda is the smallest eigenvalue of a small banded matrix
 (J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001,
-ch. 17). lambda_limit, behind twopatch eigen, discretizes the box: the box
-eigenvalue lambda_L decreases toward the free-space value as L grows
+ch. 17), at a basis size where one banded Cholesky proves it to 1e-13 of
+the matrix's scale (hermite.certified). lambda_limit, behind twopatch eigen,
+discretizes the box: the box eigenvalue lambda_L decreases toward the
+free-space value as L grows
 (zero-extension of an eigenvector is admissible on any larger box with the
 same spacing), so a ladder of boxes with fixed h plus Richardson
 extrapolation in h gives its lambda, about 2e-6 above the Hermite value
@@ -325,13 +327,14 @@ def lambda_of(params: model.ModelParams, *, h_target: float | None = None,
     Hermite functions of width sqrt(mu): tridiagonal for mirror habitats,
     pentadiagonal with the habitats' modes interleaved otherwise (similar to
     the matrix pde.integrate_to propagates, so of the same spectrum), plus the
-    constant -max(rmax_i) + (n - 1) mu / 2 (hermite.with_constant). Galerkin
-    values decrease with the basis size K; K doubles from 32 until two values
-    agree to 1e-13 times the largest diagonal entry, and EigenError is raised
-    past K = 8192.
+    constant -max(rmax_i) + (n - 1) mu / 2 (hermite.with_constant). The basis
+    size K is hermite.certified's: the first of 32, 64, ..., 8192 at which one
+    banded Cholesky of a larger head proves the Galerkin value, an upper
+    bound, to lie within 1e-13 times the largest diagonal entry of the
+    operator's eigenvalue. EigenError is raised past K = 8192.
 
     h_target, rungs, tol_domain and richardson set the box ladder only and do
     not change the value; the benchmark passes them with each config's ladder
     settings.
     """
-    return hermite.with_constant(params, hermite.smallest(params)[0])
+    return hermite.with_constant(params, hermite.certified(params)[0])

@@ -18,6 +18,12 @@ Every smallest-eigenvalue solve of the package goes through lowest, which
 calls LAPACK's dstebz (tridiagonal) or dsbevx (band) directly: bit for bit
 scipy.linalg's value, without the wrappers' per-call checks that took half
 of lambda_of's time. A LAPACK failure is an EigenError (CLI exit 2).
+
+Two rules pick the basis size K. certified, behind eigen.lambda_of, stops at
+the first K whose Galerkin value it proves to within 1e-13 of the largest
+diagonal entry, by one banded Cholesky of a larger head; smallest, behind
+pde.integrate_to, stops where two successive sizes agree to that tolerance,
+one doubling later, since the propagated state needs the larger basis too.
 """
 
 from __future__ import annotations
@@ -25,19 +31,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dlamch, dsbevx, dstebz
+from scipy.linalg.lapack import dlamch, dpbtrf, dpttrf, dsbevx, dstebz
 
 from . import model
 
-# Basis sizes K tried by smallest, doubling up to the cap.
+# Basis sizes K tried by smallest and certified, doubling up to the cap.
 SIZES = tuple(32 * 2 ** j for j in range(9))  # 32 ... 8192
 
-# Per-index factors of galerkin's rows, k < SIZES[-1]: k + 1/2 and sqrt(k).
-_HALF = np.arange(SIZES[-1]) + 0.5
-_ROOT = np.sqrt(np.arange(SIZES[-1]))
+# Per-index factors of galerkin's rows, k < 2 SIZES[-1] (certified's largest
+# Cholesky): k + 1/2 and sqrt(k).
+_HALF = np.arange(2 * SIZES[-1]) + 0.5
+_ROOT = np.sqrt(np.arange(2 * SIZES[-1]))
 
 # dsbevx's absolute tolerance, the one scipy.linalg passes: twice the safe minimum.
 _ABSTOL = 2 * dlamch("s")
+# Machine epsilon, the unit of certified's backward-error margin.
+_EPS = float(np.finfo(float).eps)
 
 
 class EigenError(RuntimeError):
@@ -117,17 +126,21 @@ def lowest(band: np.ndarray, tridiagonal: bool = False) -> float:
     return value
 
 
+def _unconverged(params: model.ModelParams) -> EigenError:
+    return EigenError(f"Hermite-Galerkin lambda not converged at K = {SIZES[-1]} "
+                      f"(beta^2 / mu = {params.beta ** 2 / params.mu:.3g} needs a larger basis)")
+
+
 def smallest(params: model.ModelParams) -> tuple[float, int]:
     """(smallest eigenvalue of galerkin(params, K), K), at the first K of SIZES
     whose value agrees with the previous size's to 1e-13 times the largest
     diagonal entry. Galerkin values decrease with K.
 
-    Each K is one lowest call: dstebz bisects the mirror tridiagonal, dsbevx
-    reduces the pentadiagonal band. On one x86 core lambda_of then takes
-    about 30 us at the default config (K = 32, then 64), 75 us at K = 128 and
-    120 us for a General K = 64 band, against 60, 115 and 145 us through
-    scipy.linalg's wrappers. Raises EigenError past the last size, or when
-    LAPACK fails (lowest; the CLI exits 2).
+    pde.integrate_to takes its basis size from here: the state it propagates
+    must be resolved as well as lambda, so it keeps the size one doubling past
+    certified's. Each K is one lowest call (dstebz on the mirror tridiagonal,
+    dsbevx on the pentadiagonal band). Raises EigenError past the last size,
+    or when LAPACK fails (lowest; the CLI exits 2).
     """
     prev = math.inf
     for size in SIZES:
@@ -136,8 +149,80 @@ def smallest(params: model.ModelParams) -> tuple[float, int]:
         if abs(lam - prev) <= 1e-13 * np.abs(band[0]).max():
             return lam, size
         prev = lam
-    raise EigenError(f"Hermite-Galerkin lambda not converged at K = {SIZES[-1]} "
-                     f"(beta^2 / mu = {params.beta ** 2 / params.mu:.3g} needs a larger basis)")
+    raise _unconverged(params)
+
+
+def certified(params: model.ModelParams) -> tuple[float, float, int]:
+    """(value, lo, K): value = lowest(galerkin(params, K)) >= lambda, and a
+    proof that lambda >= lo = value - tol, tol = 1e-13 times galerkin(K)'s
+    largest diagonal entry, at the first K of SIZES where the proof succeeds.
+    lambda is the operator's smallest eigenvalue less with_constant's constant.
+
+    value >= lambda because it is a Rayleigh-Ritz value (Courant-Fischer;
+    R. A. Horn and C. R. Johnson, Matrix Analysis, 2nd ed., 2013, sections 4.2
+    and 6.1). For the lower bound, split the infinite band at a head of
+    K' >= 2K modes per habitat. Only x couples the halves, by b = beta
+    sqrt(mu K' / 2) between modes K' - 1 and K', and 2 b y z >= -(b^2 / s) y^2
+    - s z^2 for any s > 0. On the tail, (1/2)(x +- beta)^2 >= (1/2)(1 - e) x^2
+    - (1/2)(1/e - 1) beta^2 at e = beta / sqrt(2 mu (K' + 1/2)) <= 1 bounds
+    each habitat's oscillator below by (sqrt(mu (K' + 1/2)) - beta / sqrt 2)^2,
+    and the 2 x 2 fitness-and-migration matrix adds at least floor =
+    min_i(max rmax - rmax_i + d_ii) - sqrt(d12 d21) (mirror: the reflection's
+    delta (1 - (-1)^k) >= 0, and floor is 0). So with G that tail bound and
+    s = G - sigma, sigma = lo + margin, the band is >= lo wherever the head
+    less (b^2 / s) on each habitat's last row, less sigma, is positive
+    definite: one O(K') Cholesky, dpttrf on the mirror tridiagonal and dpbtrf
+    on the interleaved band. margin = 32 eps (max|head| + |lo|) covers that
+    factorisation's backward error (at most (w + 1)(2w + 1) eps times the
+    shifted diagonal for w subdiagonals; N. J. Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, section 10.1.1) and the rounding of
+    the band, G and b^2 / s.
+
+    K' is the first of 2K, 4K, ... (at most 2 SIZES[-1]) with e <= 1 and
+    G - lo > |lo - floor|: the tail bound clears lo by at least lo's own height
+    above floor, which keeps b^2 / s moderate. The proof succeeds once K has
+    converged, one doubling before smallest's agreement rule. Raises
+    EigenError past the last size, or when LAPACK fails (lowest).
+    """
+    mu, beta = params.mu, params.beta
+    d11, d12, d21, d22 = params.migration.rates
+    top = max(params.rmax1, params.rmax2)
+    floor = min(top - params.rmax1 + d11, top - params.rmax2 + d22) - math.sqrt(d12 * d21)
+    for size in SIZES:
+        split = 2 * size
+        head = galerkin(params, split)
+        tridiagonal = head.shape[0] == 2
+        # galerkin(params, size) is head's leading block, less its two
+        # couplings past the block in the interleaved band
+        band = head[:, :size] if tridiagonal else head[:, :2 * size].copy()
+        band[2:, -2:] = 0.0
+        value = lowest(band, tridiagonal)
+        lo = value - 1e-13 * np.abs(band[0]).max()
+        while split <= 2 * SIZES[-1]:
+            root = math.sqrt(mu * (split + 0.5)) - beta / math.sqrt(2.0)
+            tail = root * root + floor
+            if root >= 0 and tail - lo > abs(lo - floor):
+                break
+            split *= 2
+        else:
+            continue
+        if split > 2 * size:
+            head = galerkin(params, split)
+        sigma = lo + 32 * _EPS * (np.abs(head).max() + abs(lo))
+        if tail <= sigma:
+            continue
+        corner = 0.5 * beta * beta * mu * split / (tail - sigma)  # b^2 / s
+        if tridiagonal:
+            diag = head[0] - sigma
+            diag[-1] -= corner
+            info = dpttrf(diag, head[1, :-1], overwrite_d=1, overwrite_e=1)[2]
+        else:
+            head[0] -= sigma
+            head[0, -2:] -= corner
+            info = dpbtrf(head, lower=1, overwrite_ab=1)[1]
+        if info == 0:
+            return value, lo, size
+    raise _unconverged(params)
 
 
 def _position(v: np.ndarray, mu: float) -> np.ndarray:
@@ -169,9 +254,12 @@ def basis(size: int, y: np.ndarray) -> np.ndarray:
     Three-term recurrence psi_{k+1} = sqrt(2 / (k + 1)) y psi_k -
     sqrt(k / (k + 1)) psi_{k-1}, carried relative to a running scale that
     starts at e^(-y^2 / 2) and is renormalised every 32 steps, so psi_0 does
-    not underflow to 0 where a higher mode is still large.
+    not underflow to 0 where a higher mode is still large. |y| is clipped at
+    1e9: beyond it every psi_k with k below about 1e16 underflows to 0, and
+    within it a renormalised pair grows by at most (sqrt(2) |y| + 1)^32 <
+    e^680 before the next renormalisation, so every value is finite.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.clip(np.asarray(y, dtype=float), -1e9, 1e9)
     k = np.arange(1, size)
     up = np.sqrt(2.0 / k)[:, None] * y  # row k - 1: sqrt(2 / k) y
     down = np.sqrt((k - 1) / k)

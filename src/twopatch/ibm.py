@@ -74,7 +74,7 @@ class IbmParams:
             rmax1 == rmax2. The IBM reads n, beta, delta
             (model.migration.delta) and rmax (model.rmax1) off them.
         U: expected mutations per individual per generation, finite and > 0,
-            with lambda_var = mu^2 / U finite.
+            with lambda_var = mu^2 / U finite and > 0.
         N0: founding individuals per habitat.
         T: generations to simulate.
         cap: abort threshold on total population size.
@@ -102,6 +102,9 @@ class IbmParams:
                 variance = math.inf
             if not math.isfinite(variance):
                 errors.append(f"the mutation step variance mu^2 / U must be finite, "
+                              f"got mu = {self.model.mu!r}, U = {self.U!r}")
+            elif variance == 0:  # mutants that never move, where the PDE's mu > 0
+                errors.append(f"the mutation step variance mu^2 / U underflows to 0, "
                               f"got mu = {self.model.mu!r}, U = {self.U!r}")
         if not isinstance(self.N0, int) or self.N0 < 1:
             errors.append(f"N0 must be an integer >= 1, got {self.N0!r}")

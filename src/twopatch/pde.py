@@ -127,28 +127,36 @@ class InitialData:
     u2: tuple[Bump, ...]
 
 
-def _propagate(a: np.ndarray, y0: np.ndarray, rec: np.ndarray, every: float) -> np.ndarray:
-    """(len(rec), size) states of dy/dt = -a y at the record times, by expm.
+def _propagate(a: np.ndarray, ys: np.ndarray, rec: np.ndarray, every: float):
+    """Fill ys[k] with the state of dy/dt = -a y at rec[k] from ys[0], by expm,
+    yielding the number of rows filled after each block of records (_BLOCK_WORK
+    multiply-adds of stepping) and at the end.
 
     a needs no eigenbasis: it may be unsymmetric, and defective under one-way
     migration between mirror habitats. One expm for the cadence, one more for
     a remainder to t_end that differs from it beyond rec's 1e-9 roundoff, then
-    one mat-vec per record.
+    one mat-vec per record; a caller that stops iterating steps no further.
     """
-    ys = np.empty((rec.size, y0.size))
-    ys[0] = y0
     prop = expm(-every * a) if rec.size > 2 else None
-    for k in range(1, rec.size - 1):
-        prop.dot(ys[k - 1], out=ys[k])
+    block = max(1, _BLOCK_WORK // a.size)
+    for start in range(1, rec.size - 1, block):
+        stop = min(start + block, rec.size - 1)
+        for k in range(start, stop):
+            prop.dot(ys[k - 1], out=ys[k])
+        yield stop
     if rec.size > 1:
         last = rec[-1] - rec[-2]
         # a remainder within rec's 1e-9 roundoff of the cadence reuses its propagator
         if prop is None or abs(last - every) > 1e-9 * every:
             prop = expm(-last * a)
         prop.dot(ys[-2], out=ys[-1])
-    return ys
+    yield rec.size
 
 
+# Multiply-adds of stepping between two looks for extinction: 256 records at
+# the mirror K = 64, one at K = 1024, so a look (one dot product) costs about
+# 1% of its block or less.
+_BLOCK_WORK = 2 ** 20
 # Largest Hermite basis integrate_to solves in: expm works on dense 2K x 2K (mirror:
 # K x K) matrices, and peaks at 320 MB RSS at this cap (scipy 1.17, one BLAS thread).
 _MAX_SIZE = 1024
@@ -220,12 +228,14 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     """Solve from state0 to t_end exactly in time, recording every record_every.
 
     The solve runs in free space, in the basis phi_k(x) = mu^(-1/4)
-    psi_k(x / sqrt(mu)) of hermite: K is the size at which eigen.lambda_of's
-    value converges, doubled further until the data's coefficients have
-    decayed within it. Malthusian growth is du/dt = -A u, so the solution is
-    exp(-A t) u0 (Moler and Van Loan, Nineteen Dubious Ways to Compute the
-    Exponential of a Matrix, SIAM Review 45, 2003, sections 3 and 6), with A
-    the Galerkin matrix of hermite.galerkin, stepped by expm (_propagate):
+    psi_k(x / sqrt(mu)) of hermite: K is hermite.smallest's, where two
+    successive sizes agree on lambda (one doubling past the K that
+    eigen.lambda_of certifies, so the state is resolved too), doubled further
+    until the data's coefficients have decayed within it. Malthusian growth
+    is du/dt = -A u, so the solution is exp(-A t) u0 (Moler and Van Loan,
+    Nineteen Dubious Ways to Compute the Exponential of a Matrix, SIAM Review
+    45, 2003, sections 3 and 6), with A the Galerkin matrix of
+    hermite.galerkin, stepped by expm (_propagate):
 
     - mirror runs (Symmetric migration, rmax1 = rmax2, u2's coefficients
       those of u1 reversed to 1e-12) stay on the habitat-swap-even half, the
@@ -248,8 +258,9 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     the larger of its maximum there and its L2 norm times mu^(-1/4) (a bump
     of that norm and width sqrt(mu)), raise SolverError. The run stops early,
     with trajectory.extinct set, at the first record below _EXTINCT = 1e-12
-    times the initial mass, in that record's state. Record 0 holds the
-    input's masses; the t_end = 0 final state is the input.
+    times the initial mass, in that record's state; stepping stops with the
+    block of records (_BLOCK_WORK) in which the mass first falls below it.
+    Record 0 holds the input's masses; the t_end = 0 final state is the input.
 
     Raises:
         TypeError: state0 is not InitialData.
@@ -257,7 +268,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
             not mirror-symmetric, or data that need more than 1024 modes.
         SolverError: a non-finite record or state (float64 overflow), a basis
             above 1024 modes, or a final state more negative than roundoff.
-        EigenError: K not converged (as in eigen.lambda_of).
+        EigenError: K not converged (hermite.smallest).
     """
     if not isinstance(state0, InitialData):
         raise TypeError(f"state0 must be InitialData (Gaussian bumps), "
@@ -313,21 +324,39 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         a = np.block([[a, np.zeros((size, 1))], [-obs[:1], np.array([[-shift]])]])
         y0 = np.append(y0, 0.0)
 
-    # Overflow leaves inf or nan behind, and raises SolverError below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = _propagate(a, y0, rec, config.record_every)
+    # Stepping stops after the first block whose last record's mass is below
+    # floor. The records come from one product over all rows (unstepped rows
+    # are 0), so they keep their bits whether or not the run stops early.
+    # Overflow leaves inf or nan behind, and raises SolverError below; a
+    # logistic run's unstepped rows (J = 0) may divide by 0.
+    ys = np.zeros((rec.size, y0.size))
+    ys[0] = y0
+    floor, total = _EXTINCT * (q0[0] + q0[1]), obs[0] + obs[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if logistic:
-            scale = 1.0 / (np.exp(shift * rec) + ys[:, -1])
-            ys = ys[:, :-1]
+            growth = np.exp(shift * rec)
         else:
             scale = np.exp(-shift * rec)
-        q = ys @ obs.T * scale[:, None]
-        q[0] = q0
-        low = np.flatnonzero(q[:, 0] + q[:, 1] < _EXTINCT * (q0[0] + q0[1]))
+        for filled in _propagate(a, ys, rec, config.record_every):
+            k = filled - 1
+            if filled < rec.size:
+                mass = ys[k, :total.size] @ total
+                mass = mass / (growth[k] + ys[k, -1]) if logistic else mass * scale[k]
+                if not mass < floor:
+                    continue
+            if logistic:
+                scale = 1.0 / (growth + ys[:, -1])
+                q = ys[:, :-1] @ obs.T * scale[:, None]
+            else:
+                q = ys @ obs.T * scale[:, None]
+            q[0] = q0
+            low = np.flatnonzero(q[:filled, 0] + q[:filled, 1] < floor)
+            if low.size or filled == rec.size:
+                break
         end = int(low[0]) if low.size else rec.size - 1
         q = q[:end + 1]
         coef = (np.column_stack([c1, c2]) if end == 0
-                else (ys[end] * scale[end]).reshape(size, -1))
+                else (ys[end, :total.size] * scale[end]).reshape(size, -1))
         u = _check_basis(size) @ coef * mu ** -0.25
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")

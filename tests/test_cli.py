@@ -647,6 +647,19 @@ def test_main_solve_with_overrides(tmp_path, capsys):
     assert (out_dir / "final_state.txt").exists()
 
 
+def test_main_solve_at_a_tiny_mu_writes_no_nan(tmp_path):
+    # at mu = 1e-20 the sampling grid sits up to 4e10 basis widths from 0,
+    # where the basis recurrence used to overflow and fill rows with nan
+    path = write_config(tmp_path, "mu = 1e-20\n")
+    out_dir = tmp_path / "results"
+    assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
+    lines = (out_dir / "final_state.txt").read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 129 ** 2
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.isfinite(values).all()
+
+
 def test_main_ibm_seed_override(tmp_path):
     path = write_config(tmp_path, "n = 1\nN0 = 30\nT = 5\nreplicates = 2\n")
     a = tmp_path / "a"
@@ -693,6 +706,9 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # mu^2 overflows float64: refused, not an OverflowError traceback
     ("ibm", "mu = 1e200\n", "mu^2 / U must be finite, got mu = 1e+200"),
     ("phase", "mu = 1e200\n", "mu^2 / U must be finite, got mu = 1e+200"),
+    # ... or underflows to 0: mutants that never move
+    ("ibm", "mu = 1e-170\n", "mu^2 / U underflows to 0, got mu = 1e-170"),
+    ("phase", "mu = 1e-170\n", "mu^2 / U underflows to 0, got mu = 1e-170"),
     # a sweep corner no cell can take
     ("phase", "sweep_min = -0.1, -0.5\n", "m_D must be >= 0"),
     ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
@@ -713,7 +729,8 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu",
-        "ibm_zero_U", "phase_zero_U", "ibm_mu_1e200", "phase_mu_1e200", "phase_negative_sweep",
+        "ibm_zero_U", "phase_zero_U", "ibm_mu_1e200", "phase_mu_1e200", "ibm_mu_1e-170",
+        "phase_mu_1e-170", "phase_negative_sweep",
         "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
         "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9"])

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from twopatch import cli, eigen, model, thresholds
+from twopatch import cli, eigen, hermite, model, thresholds
 from twopatch.grid import build_grid, reflect_field
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
@@ -394,6 +394,19 @@ def test_hermite_closed_form_at_zero_habitat_difference():
             d11, _, _, d22 = p.migration.rates
             p = dataclasses.replace(p, rmax2=p.rmax1, migration=model.General(d11, d22, d11, d22))
         assert eigen.lambda_of(p) == pytest.approx(-p.rmax1 + 0.5 * p.n * p.mu, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.0, 0.05, 1000.0])
+def test_lambda_of_at_zero_habitat_difference_is_the_closed_form_bit_for_bit(n, delta):
+    # at m_D = 0 the mirror band is diagonal, mu (k + 1/2) + delta (1 - (-1)^k),
+    # so its lowest entry mu / 2 is lambda_of's value exactly: the benchmark's
+    # closed_form_err compares these bits
+    for mu in (FIG_MU, 0.1, 1e-2, 1e-3):
+        for rmax in (FIG_RMAX, 0.5, -0.2):
+            p = model.ModelParams(n=n, mu=mu, rmax1=rmax, rmax2=rmax, beta=0.0,
+                                  migration=model.Symmetric(delta))
+            assert eigen.lambda_of(p) == hermite.with_constant(p, 0.5 * mu), p
 
 
 def test_hermite_closed_form_without_migration():

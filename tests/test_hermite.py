@@ -40,6 +40,16 @@ def test_basis_beyond_the_underflow_of_the_ground_mode():
     assert np.all(np.abs(got[~big]) < 1e-240)
 
 
+def test_basis_is_finite_at_any_point():
+    # far past every turning point all modes underflow to 0; the recurrence
+    # used to overflow on its way there (past |y| of about 1e10) and give nan
+    y = np.array([-np.inf, -1e300, -3e10, 0.0, 1e9, 3e10, 1e154, np.inf])
+    got = hermite.basis(200, y)
+    assert np.isfinite(got).all()
+    assert not got[[0, 1, 2, 5, 6, 7]].any()
+    np.testing.assert_array_equal(got[3], hermite.basis(200, np.zeros(1))[0])
+
+
 def test_moments_match_quadrature():
     x, w = oracle.quadrature_axis(MU, 8.0)
     basis = oracle.phi(MU, 64, x)
@@ -183,8 +193,44 @@ def test_lowest_raises_eigen_error_on_a_lapack_failure(monkeypatch, tridiagonal,
 
 
 def test_smallest_is_lambda_of_less_its_constant():
+    # lambda_of's value is certified's; smallest's, one doubling further,
+    # lies inside certified's enclosure [lo, value]
     p = model.ModelParams(n=3, mu=MU, rmax1=0.3, rmax2=0.2, beta=0.5,
                           migration=model.General(0.3, 0.05, 0.2, 0.7))
     lam, size = hermite.smallest(p)
-    assert size in hermite.SIZES
-    assert eigen.lambda_of(p) == hermite.with_constant(p, lam)
+    value, lo, certified_size = hermite.certified(p)
+    assert size in hermite.SIZES and certified_size in hermite.SIZES
+    assert eigen.lambda_of(p) == hermite.with_constant(p, value)
+    assert lo <= lam <= value
+
+
+def _mirror_grid():
+    """Mirror habitats over m_D in [0, 2], mu from the default sqrt(1/1800) down to
+    1e-3 and delta in {0, 0.05, 0.5}; n and rmax only shift lambda."""
+    return [model.ModelParams(n=2, mu=mu, rmax1=1.0, rmax2=1.0, beta=model.beta_of(m_d),
+                              migration=model.Symmetric(delta))
+            for m_d in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+            for mu in (math.sqrt(1 / 1800), 1e-2, 5e-3, 2e-3, 1e-3)
+            for delta in (0.0, 0.05, 0.5)]
+
+
+@pytest.mark.parametrize("sets", [_direct_route_sets, _mirror_grid], ids=["direct", "mirror_grid"])
+def test_certified_encloses_lambda_at_a_basis_no_larger_than_smallest(sets):
+    # value is lowest at certified's K; lambda_ref, lowest at four times
+    # smallest's K, lies in [lo, value] up to e = 4 eps of that band's scale;
+    # certified's K never exceeds smallest's, and lambda_of moves from
+    # smallest's value by at most certified's tol
+    eps = np.finfo(float).eps
+    for p in sets():
+        value, lo, size = hermite.certified(p)
+        lam, smallest_size = hermite.smallest(p)
+        band = hermite.galerkin(p, size)
+        assert value == hermite.lowest(band, tridiagonal=band.shape[0] == 2), p
+        band = hermite.galerkin(p, 4 * smallest_size)
+        ref = hermite.lowest(band, tridiagonal=band.shape[0] == 2)
+        e = 4 * eps * np.abs(band).max()
+        assert lo - e <= ref <= value + e, p
+        assert size <= smallest_size, p
+        tol = 1e-13 * np.abs(hermite.galerkin(p, size)[0]).max()
+        assert lo == value - tol, p
+        assert abs(value - lam) <= tol, p

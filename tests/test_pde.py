@@ -130,7 +130,7 @@ def spy_on_expm(monkeypatch):
 
 
 def basis_size(p, s0):
-    """The K integrate_to chooses: lambda_of's, doubled until the data decay in it."""
+    """The K integrate_to chooses: hermite.smallest's, doubled until the data decay in it."""
     return pde._data_coefficients(p.mu, s0, hermite.smallest(p)[1])[0]
 
 
@@ -521,6 +521,35 @@ def test_mu_2e3_solves_match_the_taylor_reference(m_D, size, t, mass):
     assert traj.t[-1] == t and traj.extinct == (t < config.t_end)
     assert traj.N1[-1] == pytest.approx(mass, rel=1e-13)
     np.testing.assert_array_equal(traj.N2[1:], traj.N1[1:])
+
+
+@pytest.mark.parametrize("growth", [model.GROWTH_MALTHUSIAN, model.GROWTH_LOGISTIC])
+def test_extinct_run_stops_stepping_after_the_block_of_its_extinction_record(monkeypatch,
+                                                                            growth):
+    # extinct at record 131 (logistic: 81) of 6001: stepping ends with the
+    # first block past that record, and every record and the final state keep
+    # the bits of a run whose one block steps to record 5999 before it looks
+    config = cli.ExperimentConfig(m_D=2.0, delta=0.5, t_end=3000.0, growth=growth)
+    params = cli.to_model_params(config)
+    args = params, cli.initial_state(config, params), cli.solver_config(config)
+    filled, inner = [], pde._propagate
+
+    def spy(*a):
+        for rows in inner(*a):
+            filled.append(rows)
+            yield rows
+
+    monkeypatch.setattr(pde, "_propagate", spy)
+    traj, final = pde.integrate_to(*args)
+    assert traj.extinct and traj.t.size < 200
+    assert all(rows < traj.t.size for rows in filled[:-1]) and traj.t.size <= filled[-1] < 6001
+    monkeypatch.setattr(pde, "_BLOCK_WORK", 10 ** 18)
+    filled.clear()
+    whole, whole_final = pde.integrate_to(*args)
+    assert filled == [6000]
+    for name in ("t", "N1", "N2", "rbar1", "rbar2"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(whole, name))
+    np.testing.assert_array_equal(final.coef, whole_final.coef)
 
 
 def test_final_state_below_the_roundoff_floor_is_exactly_zero():
