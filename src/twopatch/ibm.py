@@ -31,21 +31,23 @@ K, and only they draw a displacement. Migration moves its movers to the
 tail of their array in place and builds each new habitat with one
 concatenation.
 
-Populations are stored as (N_i, n) float arrays; row order carries no
-meaning. Rows are gathered with ``take`` and written through a 1-D view of
-the rows as opaque records, which numpy moves far faster than 2-D row
-fancy indexing. Reproduction turns each habitat's fitness array into its
-lambda in place and gathers each proposal chunk's accepted rows straight
-into the preallocated offspring array, so a generation holds about
-8 (2n + 1) bytes per individual at its peak: the old row, the offspring's
-row and one lambda (40 bytes for n = 2, 2.5 times the rows themselves),
-plus proposal-chunk temporaries of fixed size. All draws come from one
-numpy Generator in a fixed order (the offspring totals of habitat 1 and 2;
-then the parent proposals of habitat 1, then of habitat 2, each chunk its
-indices then its uniforms; then per habitat the mutant count, the mutant
-indices, their K and their displacements; then the mover count and the
-movers of habitat 1, then of habitat 2), so a run is bit-reproducible
-given its seed.
+Populations are stored as (N_i, min(n, 2)) float arrays of rows (x1, y):
+y is x2 at n = 2 and the transverse radius rho = |(x2, ..., xn)| at n >= 3,
+all that fitness reads (|x_perp|^2 = y^2), and mutation draws rho's exact
+law. Row order carries no meaning. Rows are gathered with ``take`` and
+written through a 1-D view of the rows as opaque records, which numpy moves
+far faster than 2-D row fancy indexing. Reproduction turns each habitat's
+fitness array into its lambda in place and gathers each proposal chunk's
+accepted rows straight into the preallocated offspring array, so a
+generation holds about 8 (2 min(n, 2) + 1) bytes per individual at its
+peak: the old row, the offspring's row and one lambda (40 bytes at n >= 2,
+2.5 times the rows), plus proposal-chunk temporaries of fixed size. All
+draws come from one numpy Generator in a fixed order (the offspring totals
+of habitat 1 and 2; then the parent proposals of habitat 1, then of habitat
+2, each chunk its indices then its uniforms; then per habitat the mutant
+count, the mutant indices, their K, their displacements and at n >= 3
+their chi-square draws; then the mover count and the movers of habitat 1,
+then of habitat 2), so a run is bit-reproducible given its seed.
 """
 
 from __future__ import annotations
@@ -132,16 +134,12 @@ class IbmState:
 
 
 def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
-    """rmax - |x - optimum|^2 / 2 per row, in 1-D buffers. The transverse
-    squares are summed first, in column order, as a sum over the columns is."""
+    """rmax - ((x1 - optimum)^2 + y^2) / 2 per row (x1, y), in 1-D buffers."""
     mp = params.model
     sq = np.subtract(pop[:, 0], -mp.beta if habitat == 1 else mp.beta)
     np.square(sq, out=sq)
     if mp.n > 1:
-        load = np.square(pop[:, 1])
-        for j in range(2, mp.n):
-            load += np.square(pop[:, j])
-        sq += load
+        sq += np.square(pop[:, 1])
     sq *= -0.5
     sq += mp.rmax1
     return sq
@@ -156,10 +154,10 @@ def _record(fitness: list[np.ndarray]) -> tuple[int, int, float, float]:
 
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
     """Both habitats founded by N0 identical individuals at the midpoint
-    between the optima (the origin)."""
+    between the optima (the origin), as (N0, min(n, 2)) rows (x1, y)."""
     return IbmState(
-        pop1=np.zeros((params.N0, params.model.n)),
-        pop2=np.zeros((params.N0, params.model.n)),
+        pop1=np.zeros((params.N0, min(params.model.n, 2))),
+        pop2=np.zeros((params.N0, min(params.model.n, 2))),
         generation=0,
         rng=np.random.default_rng(seed),
     )
@@ -171,7 +169,7 @@ _PROPOSAL_CHUNK = 1 << 16
 
 
 def _records(pop: np.ndarray) -> np.ndarray:
-    """1-D view of the rows of ``pop`` as opaque records of n floats.
+    """1-D view of the rows of ``pop`` as opaque records of min(n, 2) floats.
 
     ``pop``'s last axis must be contiguous (the stages pass C-ordered arrays).
     Moving rows through this view costs a fraction of 2-D row indexing.
@@ -182,7 +180,7 @@ def _records(pop: np.ndarray) -> np.ndarray:
 def _offspring(rng: np.random.Generator, pop: np.ndarray, lam: np.ndarray,
                total: int) -> np.ndarray:
     """``total`` rows of ``pop``, each an i.i.d. parent j drawn with probability
-    lam[j] / sum(lam), as a new C-ordered (total, n) array.
+    lam[j] / sum(lam), as a new C-ordered array of pop's width.
 
     Rejection from uniform proposals: j uniform in [0, N) is accepted when a
     uniform u satisfies u < lam[j] / max(lam). Proposals come in chunks sized
@@ -263,12 +261,17 @@ def _truncated_poisson_cdf(U: float) -> np.ndarray:
 def mutation(state: IbmState, params: IbmParams) -> None:
     """Add the compound-Poisson mutation displacement to every individual.
 
-    K ~ Poisson(U) mutations, each N(0, lambda_var I), sum to a
-    N(0, K lambda_var I) displacement, drawn as sqrt(K lambda_var) * N(0, I).
-    Only the individuals with K > 0 are drawn: M ~ Binomial(N, 1 - exp(-U))
-    uniform mutants, each with K from the zero-truncated Poisson(U) by the
-    inverse CDF of one uniform. The mutants' rows are written in place; a
-    habitat array that is not C-ordered is first replaced by a C-ordered copy.
+    K ~ Poisson(U) mutations, each N(0, lambda_var I_n), sum to a displacement
+    z ~ N(0, s^2 I_n), s^2 = K lambda_var: s * N(0, 1) per stored column. At
+    n >= 3 the radius becomes rho' = hypot(rho + s g, s sqrt(C)), g its
+    column's normal and C ~ chi^2(n - 2): rotating x_perp onto rho e1 gives
+    |x_perp + z_perp|^2 = (rho + s g)^2 + s^2 C (noncentral chi-square; N. L.
+    Johnson, S. Kotz and N. Balakrishnan, Continuous Univariate Distributions
+    vol. 2, 1995, ch. 29). Only the individuals with K > 0 are drawn: M ~
+    Binomial(N, 1 - exp(-U)) uniform mutants, each with K from the
+    zero-truncated Poisson(U) by the inverse CDF of one uniform. The mutants'
+    rows are written in place; a habitat array that is not C-ordered is first
+    replaced by a C-ordered copy.
     """
     p_mutant = -math.expm1(-params.U)
     cdf = _truncated_poisson_cdf(params.U)
@@ -276,17 +279,16 @@ def mutation(state: IbmState, params: IbmParams) -> None:
     pops = [np.ascontiguousarray(state.pop1), np.ascontiguousarray(state.pop2)]
     state.pop1, state.pop2 = pops
     for pop in pops:
-        n_ind = pop.shape[0]
-        if n_ind == 0:
-            continue
-        m = int(rng.binomial(n_ind, p_mutant))
+        m = int(rng.binomial(pop.shape[0], p_mutant))  # 0, and no draw, when empty
         if m == 0:
             continue
-        idx = rng.choice(n_ind, m, replace=False, shuffle=False)
+        idx = rng.choice(pop.shape[0], m, replace=False, shuffle=False)
         k = np.searchsorted(cdf, rng.random(m), side="right") + 1
-        rows = rng.standard_normal((m, params.model.n))
-        rows *= np.sqrt(k * params.lambda_var)[:, None]
+        s = np.sqrt(k * params.lambda_var)
+        rows = s[:, None] * rng.standard_normal((m, pop.shape[1]))
         rows += pop.take(idx, axis=0)
+        if params.model.n > 2:  # rows[:, 1] holds rho + s g
+            rows[:, 1] = np.hypot(rows[:, 1], s * np.sqrt(rng.chisquare(params.model.n - 2, m)))
         _records(pop)[idx] = _records(rows)
 
 
@@ -299,9 +301,7 @@ def _movers_to_tail(rng: np.random.Generator, pop: np.ndarray, rate: float) -> i
     is O(m).
     """
     n_ind = pop.shape[0]
-    if n_ind == 0:
-        return 0
-    m = min(int(rng.poisson(rate * n_ind)), n_ind)
+    m = min(int(rng.poisson(rate * n_ind)), n_ind)  # 0, and no draw, when empty
     if m == 0:
         return 0
     idx = rng.choice(n_ind, m, replace=False, shuffle=False)

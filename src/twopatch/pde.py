@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,10 @@ class Bump:
         if not (0 < self.mass < math.inf):
             raise ValueError(f"bump mass must be > 0 (densities are nonnegative), "
                              f"got {self.mass!r}")
+        if self.mass < sys.float_info.min:
+            raise ValueError(f"bump mass must be at least sys.float_info.min = "
+                             f"{sys.float_info.min!r} (a subnormal mass carries too few "
+                             f"digits), got {self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,9 @@ _EXTINCT = 1e-12
 
 def _height(u: np.ndarray, coef: np.ndarray, mu: float) -> float:
     """A state's height: the larger of its maximum u and its L2 norm times mu^(-1/4), the
-    norm taken over a power of two (exact, so it keeps its bits and no square overflows)."""
-    scale = math.ldexp(1.0, math.frexp(np.abs(coef).max())[1])
+    norm taken over the power of two at or below its largest coefficient (exact, so it
+    keeps its bits, and finite at every finite coefficient; no square overflows)."""
+    scale = math.ldexp(0.5, math.frexp(np.abs(coef).max())[1])
     return max(u.max(), float(np.linalg.norm(coef / scale)) * scale * mu ** -0.25)
 
 
@@ -190,12 +196,18 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
     which the part beyond K is below 1e-13 of the whole (the data have
     decayed within the basis) and the whole holds the bumps' L2 norm to 1e-12
     (Parseval, which catches coefficients that underflowed). Both run on the
-    data over a power of two near the largest mass, so they hold at any mass.
+    data over the power of two at or below the largest mass, so they hold at
+    any mass; data whose coefficients overflow float64 raise ValueError.
     """
     def decayed(bumps):
-        c = sum(hermite.gaussian_coefficients(mu, b.center, b.variance, b.mass, 2 * size)
-                for b in bumps)
-        scale = math.ldexp(1.0, math.frexp(max(b.mass for b in bumps))[1])  # exact divisor
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = sum(hermite.gaussian_coefficients(mu, b.center, b.variance, b.mass, 2 * size)
+                    for b in bumps)
+        top = max(b.mass for b in bumps)
+        if not np.isfinite(c).all():
+            raise ValueError(f"the initial data's Hermite coefficients overflow float64 "
+                             f"(largest bump mass {top!r}, width sqrt(mu) = {math.sqrt(mu):.3g})")
+        scale = math.ldexp(0.5, math.frexp(top)[1])  # exact divisor
         unit = c / scale
         if (np.linalg.norm(unit[size:]) <= 1e-13 * np.linalg.norm(unit)
                 and abs(unit @ unit / _bump_norm2(bumps, scale) - 1.0) <= 1e-12):
@@ -265,7 +277,8 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     Raises:
         TypeError: state0 is not InitialData.
         ValueError: a habitat without bumps, logistic growth from data that is
-            not mirror-symmetric, or data that need more than 1024 modes.
+            not mirror-symmetric, or data that need more than 1024 modes or
+            whose coefficients overflow float64.
         SolverError: a non-finite record or state (float64 overflow), a basis
             above 1024 modes, or a final state more negative than roundoff.
         EigenError: K not converged (hermite.smallest).
@@ -306,7 +319,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
         # with the reflection P = diag((-1)^k)
         obs = obs[:, :size] + obs[:, size:] * sign
-        y0 = 0.5 * (c1 + sign * c2)
+        y0 = 0.5 * c1 + 0.5 * (sign * c2)  # halved first: the sum may overflow
         a = np.diag(hermite.with_constant(params, band[0]) - shift)
         for diagonal in (a[1:], a[:, 1:]):
             np.fill_diagonal(diagonal, band[1, :-1])
@@ -331,7 +344,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     # logistic run's unstepped rows (J = 0) may divide by 0.
     ys = np.zeros((rec.size, y0.size))
     ys[0] = y0
-    floor, total = _EXTINCT * (q0[0] + q0[1]), obs[0] + obs[1]
+    floor, total = _EXTINCT * q0[0] + _EXTINCT * q0[1], obs[0] + obs[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if logistic:
             growth = np.exp(shift * rec)

@@ -310,21 +310,40 @@ def test_float_csv_matches_write_csv(tmp_path):
         assert text.splitlines()[2] == "-0,-inf,0.000555555555555556" + tail
 
 
-@pytest.mark.parametrize("mass", [1e-200, 1e200])
+@pytest.mark.parametrize("mass", [1e-200, 1e200, 1e308])
 def test_solve_is_scale_free_in_the_initial_mass(tmp_path, mass):
     # the data's decay and Parseval checks and the final state's height run on
-    # scaled coefficients: no mass float64 carries is too large or too small
-    trajectories = {}
-    for m in (1.0, mass):
-        path = write_config(tmp_path, f"initial_mass = {m!r}\nm = 65\n")
-        out_dir = tmp_path / repr(m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
-        trajectories[m] = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
-    one, scaled = trajectories[1.0], trajectories[mass]
-    np.testing.assert_allclose(scaled[:, 1:3] / mass, one[:, 1:3], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(scaled[:, 3:], one[:, 3:], rtol=1e-12)
+    # scaled coefficients: no mass float64 carries is too large or too small.
+    # At 1e308 the power of two above the mass, the sum of the mirror halves
+    # and the extinction floor (of three bumps' masses) each overflowed.
+    for initial in ("origin", "spread"):
+        trajectories = {}
+        for m in (1.0, mass):
+            path = write_config(tmp_path, f"initial = {initial}\ninitial_mass = {m!r}\nm = 65\n")
+            out_dir = tmp_path / f"{initial}_{m!r}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
+            trajectories[m] = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
+        one, scaled = trajectories[1.0], trajectories[mass]
+        assert scaled.shape == one.shape, initial
+        np.testing.assert_allclose(scaled[:, 1:3] / mass, one[:, 1:3], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scaled[:, 3:], one[:, 3:], rtol=1e-12)
+
+
+@pytest.mark.parametrize("initial", ["origin", "spread"])
+def test_solve_at_the_largest_float_mass_finishes_or_exits_with_a_message(tmp_path, capsys,
+                                                                          initial):
+    # a coefficient past float64 is a request the solve cannot take: exit 1
+    # or 2 with its line, never a traceback or an escaping RuntimeWarning
+    path = write_config(tmp_path, f"initial = {initial}\n"
+                                  f"initial_mass = {sys.float_info.max!r}\nm = 65\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code in (1, 2) and err.startswith(("error:", "numerical failure:"))), (
+        code, err)
 
 
 def test_cmd_solve_zero_horizon_records_initial_row(tmp_path):
@@ -700,6 +719,9 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("solve", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
     ("phase", "t_end = 1e12\n", "t_end = 1000000000000.0 and record_every = 0.5 ask for more"),
     ("phase", "phase_ibm = false\nmu = -1\n", "mu must be a finite positive real"),
+    # a subnormal mass: too few digits for 12 significant ones in the output
+    ("solve", "initial_mass = 1e-310\n", "at least sys.float_info.min = 2.2250738585072014e-308"),
+    ("phase", "initial_mass = 1e-310\n", "at least sys.float_info.min = 2.2250738585072014e-308"),
     # lambda_var = mu^2 / U: the IBM needs mutations
     ("ibm", "U = 0\n", "needs U > 0, got 0.0"),
     ("phase", "U = 0\n", "needs U > 0, got 0.0"),
@@ -728,7 +750,7 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("solve", "n = 1000000000\n", "m^n = 129^1000000000 rows, more than 4194304"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
-        "phase_records", "phase_mu",
+        "phase_records", "phase_mu", "solve_subnormal_mass", "phase_subnormal_mass",
         "ibm_zero_U", "phase_zero_U", "ibm_mu_1e200", "phase_mu_1e200", "ibm_mu_1e-170",
         "phase_mu_1e-170", "phase_negative_sweep",
         "phase_negative_delta_corner",

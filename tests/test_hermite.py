@@ -204,6 +204,21 @@ def test_smallest_is_lambda_of_less_its_constant():
     assert lo <= lam <= value
 
 
+def test_certified_counts_the_coupling_across_the_split():
+    # At this General set the coupling across the split, -b^2 / s on each
+    # habitat's last head row, is what refuses the proof at K = 256: with that
+    # corner term dropped the Cholesky at K' = 512 succeeds and certified
+    # returns K = 256, one doubling early.
+    p = model.ModelParams(n=1, mu=0.01225897859352605, rmax1=0.0, rmax2=0.0,
+                          beta=1.966248264879113,
+                          migration=model.General(0.60638965858329, 0.906995778961303,
+                                                  0.2680833944943295, 0.8062259728942585))
+    value, lo, size = hermite.certified(p)
+    assert size == 512
+    assert value == pytest.approx(0.5818216988736895, rel=1e-15)
+    assert lo == pytest.approx(0.5818216988727886, rel=1e-15)
+
+
 def _mirror_grid():
     """Mirror habitats over m_D in [0, 2], mu from the default sqrt(1/1800) down to
     1e-3 and delta in {0, 0.05, 0.5}; n and rmax only shift lambda."""

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from twopatch import cli, eigen, ibm, model
 
@@ -25,12 +26,16 @@ def test_mu2_links_to_density_model():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fitness_is_bitwise_the_two_dimensional_expression(n):
-    # the 1-D buffers of _fitness against the expression with the (N, n - 1)
-    # square of the transverse columns and its sum over them
+    # the 1-D buffers of _fitness against the expression with the square of
+    # the rows' y column (x2 at n = 2, the transverse radius at n = 3) summed
+    # over that one column
     p = params(n=n, beta=0.37, rmax=0.055)
     rng = np.random.default_rng(n)
-    pop = np.concatenate([rng.normal(0.0, 0.3, (5000, n)), rng.normal(0.0, 30.0, (5000, n)),
-                          np.zeros((1, n)), np.full((1, n), -0.0)])
+    cols = min(n, 2)
+    pop = np.concatenate([rng.normal(0.0, 0.3, (5000, cols)), rng.normal(0.0, 30.0, (5000, cols)),
+                          np.zeros((1, cols)), np.full((1, cols), -0.0)])
+    if n > 2:
+        pop[:, 1] = np.abs(pop[:, 1])
     for habitat, opt in ((1, -p.model.beta), (2, p.model.beta)):
         sq = np.square(pop[:, 0] - opt)
         if n > 1:
@@ -84,9 +89,10 @@ _STREAM_DIGESTS = {
     "n2_persisting": (dict(rmax=0.3, N0=300, T=30), 2020, (
         "8ec4d3c02d82d481", "388b9786c8b39b97", "ab52e6d98b0a01fe", "5f06f5041a02c3a7",
         "3a09867f53e37573", "7c9965301c6836ef")),
+    # rows (x1, rho): each mutant draws two normals and one chi-square
     "n3": (dict(n=3, N0=400, T=15, delta=0.1), 7, (
-        "33ff9a8b52b19a2e", "de20d5aad5c5e4f7", "32dc3fbdb03a550c", "fb722104e8aba3f3",
-        "0a0f521e2ed361c3", "6475d93c34848e19")),
+        "07cfd619d9ed90be", "f6e0f968c208dd1f", "80e09e87004f5bd6", "06d1dcfedf0b8e0b",
+        "16cdf1bb3648e8a8", "5dec0c924103236f")),
 }
 
 
@@ -114,6 +120,7 @@ def test_clonal_founding_state():
     p = params(N0=37)
     s = ibm.init_clonal(p, seed=0)
     assert s.pop1.shape == (37, 2)
+    assert ibm.init_clonal(params(n=40, N0=37)).pop1.shape == (37, 2)  # (x1, rho) rows
     np.testing.assert_array_equal(s.pop1, 0.0)
     np.testing.assert_array_equal(s.pop2, 0.0)
     assert s.generation == 0
@@ -241,26 +248,27 @@ def _sorted_rows(rows):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_row_moves_for_any_dimension_and_layout(n, order):
-    # migration and mutation move rows through a 1-D record view; that view
-    # needs C-ordered rows, so a caller-built Fortran-ordered state and a
-    # zero-row habitat must work too
-    n_ind = 20_000
+    # migration and mutation move rows (x1, y) of min(n, 2) columns through a
+    # 1-D record view; that view needs C-ordered rows, so a caller-built
+    # Fortran-ordered state and a zero-row habitat must work too
+    n_ind, cols = 20_000, min(n, 2)
     p = params(n=n, delta=0.3, N0=1)
     rng = np.random.default_rng(40 + n)
     for n2 in (0, 300):
-        rows = rng.normal(size=(n_ind + n2, n))
+        rows = rng.normal(size=(n_ind + n2, cols))
         s = ibm.IbmState(pop1=np.array(rows[:n_ind], order=order),
                          pop2=np.array(rows[n_ind:], order=order),
                          generation=0, rng=np.random.default_rng(n))
         ibm.migration(s, p)
-        assert s.pop1.shape[1] == s.pop2.shape[1] == n
+        assert s.pop1.shape[1] == s.pop2.shape[1] == cols
         np.testing.assert_array_equal(_sorted_rows(np.concatenate([s.pop1, s.pop2])),
                                       _sorted_rows(rows))
 
-    s = ibm.IbmState(pop1=np.zeros((n_ind, n), order=order), pop2=np.zeros((0, n), order=order),
+    s = ibm.IbmState(pop1=np.zeros((n_ind, cols), order=order),
+                     pop2=np.zeros((0, cols), order=order),
                      generation=0, rng=np.random.default_rng(n))
     ibm.mutation(s, p)
-    assert s.pop2.shape == (0, n)
+    assert s.pop2.shape == (0, cols)
     moved = np.any(s.pop1 != 0.0, axis=1)
     frac = -math.expm1(-p.U)
     assert abs(moved.mean() - frac) <= 4.0 * math.sqrt(frac * (1.0 - frac) / n_ind)
@@ -289,6 +297,33 @@ def test_mutation_displacement_variance():
     mu_squared = p.U * p.lambda_var
     np.testing.assert_allclose(var, mu_squared, rtol=0.05)
     assert abs(disp.mean()) < 5.0 * math.sqrt(mu_squared / (2 * n_ind))
+
+
+@pytest.mark.parametrize("n", [3, 5, 40])
+def test_mutation_draws_the_n_dimensional_law_of_the_radius(n):
+    # One mutation step from rows (x1, rho) = (0.1, 0.1) against a direct
+    # n-trait draw made here: x_perp = rho e1 plus K N(0, lambda_var I_{n-1})
+    # steps, K ~ Poisson(U) given K >= 1. The mutants' new radii and the
+    # direct |x_perp'| must pass the two-sample Kolmogorov-Smirnov test at
+    # level 1e-3: D <= c sqrt((a + b) / (a b)) for samples of sizes a and b,
+    # c = sqrt(ln(2 / 1e-3) / 2) = 1.949 (the Kolmogorov tail 2 exp(-2 c^2)).
+    # U = 2 mutates 86% of the rows and mixes K over 1 to about 8.
+    n_ind, x1, rho = 200_000, 0.1, 0.1
+    p = params(n=n, mu=0.1, U=2.0, N0=1)
+    s = ibm.IbmState(pop1=np.tile([x1, rho], (n_ind, 1)), pop2=np.zeros((0, 2)),
+                     generation=0, rng=np.random.default_rng(60 + n))
+    ibm.mutation(s, p)
+    got = s.pop1[s.pop1[:, 0] != x1, 1]
+    rng = np.random.default_rng(70 + n)
+    k = rng.poisson(p.U, 2 * got.size)
+    k = k[k > 0][:got.size]
+    x_perp = rng.standard_normal((k.size, n - 1)) * np.sqrt(k * p.lambda_var)[:, None]
+    x_perp[:, 0] += rho
+    want = np.linalg.norm(x_perp, axis=1)
+    c = math.sqrt(math.log(2.0 / 1e-3) / 2.0)
+    bound = c * math.sqrt((got.size + want.size) / (got.size * want.size))
+    d = stats.ks_2samp(got, want).statistic
+    assert d <= bound, (d, bound)
 
 
 @pytest.mark.parametrize("U", [1.0 / 6.0, 20.0])

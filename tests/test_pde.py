@@ -563,6 +563,16 @@ def test_final_state_below_the_roundoff_floor_is_exactly_zero():
     np.testing.assert_array_equal(final.u2, final.u1[::-1])
 
 
+def test_final_state_samples_a_coefficient_above_2_to_the_1023():
+    # the height's L2 norm runs over the power of two at or below the largest
+    # coefficient; the one above 1e308 is 2^1024, which overflowed
+    x = np.array([-1.0, 0.0, 1.0])
+    u1, u2 = pde.FinalState(1.0, np.array([[1e308, 0.5e308]]), False).sample(x)
+    psi0 = hermite.basis(1, x)[:, 0]
+    np.testing.assert_array_equal(u1, psi0 * 1e308)
+    np.testing.assert_array_equal(u2, psi0 * 0.5e308)
+
+
 def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
     # the solve takes no grid, and sampling its final state on a 4097-node
     # axis costs no m x m matrix: the box's finite-difference operators live
