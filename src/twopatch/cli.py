@@ -264,10 +264,25 @@ def ibm_params(config: ExperimentConfig, params: model.ModelParams) -> IbmParams
     return IbmParams(model=params, U=config.U, N0=config.N0, T=config.T, cap=config.cap)
 
 
+# "%.15g" rounds the top of the float range up to these texts, which read back
+# as inf; those values print as repr(x), the shortest text that reads back as x.
+_OVERFLOWS = ("1.79769313486232e+308", "-1.79769313486232e+308")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return f"{x:.15g}"
+        text = f"{x:.15g}"
+        return repr(float(x)) if text in _OVERFLOWS else text
     return str(x)
+
+
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    """[_fmt(x) for x in values] for a float array."""
+    floats = values.tolist()
+    texts = ["%.15g" % v for v in floats]
+    if _OVERFLOWS[0] in texts or _OVERFLOWS[1] in texts:
+        texts = [repr(v) if t in _OVERFLOWS else t for v, t in zip(floats, texts)]
+    return texts
 
 
 def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
@@ -280,10 +295,10 @@ def _write_csv(path: str, header: str, rows, footer: str | None = None) -> None:
 
 
 def _write_float_csv(path: str, header: str, columns) -> None:
-    """_write_csv for float columns ("%.15g" % x == _fmt(x)), each distinct one formatted once."""
+    """_write_csv for float columns, each distinct one formatted once."""
     cols = [np.asarray(col, dtype=float) for col in columns]
     distinct = {col.tobytes(): col for col in cols}  # by bytes: -0.0 and nan stay apart
-    texts = {key: ["%.15g" % v for v in col.tolist()] for key, col in distinct.items()}
+    texts = {key: _fmt_floats(col) for key, col in distinct.items()}
     cells = [""] * (len(cols) * cols[0].size)
     for k, col in enumerate(cols):
         cells[k::len(cols)] = texts[col.tobytes()]
@@ -330,7 +345,7 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     # slab by itemgetter. At n = 1 a slab is one row: the file is one template.
     state_path = os.path.join(out_dir, "final_state.txt")
     ax = grid.axis()
-    xs = ["%.15g" % v for v in ax]
+    xs = _fmt_floats(ax)
     idx = np.indices((grid.m,) * (grid.n - 1)).reshape(grid.n - 1, grid.m ** (grid.n - 1)).T
     phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
     factors, which = np.unique(np.prod(phi[idx], axis=1), return_inverse=True)
@@ -339,7 +354,7 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     texts: dict[int, list[str]] = {}
     for key, a in zip(keys[0] + keys[1], u1.tolist() + u2.tolist()):
         if key not in texts:
-            texts[key] = ["%.15g" % v for v in (a * factors).tolist()]
+            texts[key] = _fmt_floats(a * factors)
     with open(state_path, "w") as fh:
         fh.write(f"# n={grid.n} L={_fmt(grid.L)} m={grid.m} h={_fmt(grid.h)}\n")
         fh.write(f"# t={_fmt(traj.t[-1])} extinct={traj.extinct}\n")

@@ -31,13 +31,16 @@ free-space value as L grows
 same spacing), so a ladder of boxes with fixed h plus Richardson
 extrapolation in h gives its lambda, about 2e-6 above the Hermite value
 at the default spacing, and the eigenfunction on the finest grid. Each
-rung is one principal_eigenpair solve: one banded eigenvalue of the
-operator's diagonally symmetrised twin, then inverse iteration on one LU.
+rung is one principal_eigenpair solve on one band: a reverse Cuthill-McKee
+order of the operator's structure (half-bandwidth 2: each node meets only
+its two grid neighbours and one node of the other habitat) serves both
+LAPACK's dsbevx, for the eigenvalue of the diagonally symmetrised twin, and
+dgbtrf, for the one LU behind inverse iteration.
 assemble_full and assemble_symmetric_reduced build the box's three-point
-operators (Dirichlet zero ghosts), each as one sparse matrix. scipy.sparse,
-its csgraph and its linalg load on the first ladder solve, inside the
-functions that use them, so a process that never climbs the ladder (every
-command but twopatch eigen) does not import them.
+operators (Dirichlet zero ghosts), each as one CSR matrix. scipy.sparse loads
+on the first assembly, inside the functions that use it, so a process that
+never climbs the ladder (every command but twopatch eigen) does not import
+it; no sparse solver is ever imported.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import hermite, model
 from .grid import Field2, Grid, build_grid, reflect_field
@@ -56,11 +60,19 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 
-def splu(a):
-    """scipy.sparse.linalg.splu, imported on the first call (one LU per ladder rung)."""
-    from scipy.sparse.linalg import splu as sparse_lu
+def splu(band: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of a general band matrix, by LAPACK's dgbtrf.
 
-    return sparse_lu(a)
+    principal_eigenpair's one factorisation of A - sigma I, in the reverse
+    Cuthill-McKee order that also gives dsbevx its band. In LAPACK's band
+    storage, a_ij sits at (kl + ku + i - j, j) below kl rows of room for the
+    fill-in; a Fortran-ordered band is overwritten. Raises EigenError when a
+    pivot is exactly 0. bench/tracing.py counts the calls under this name.
+    """
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise EigenError(f"LAPACK dgbtrf failed at order {band.shape[1]}: info = {info}")
+    return lu, piv
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,20 @@ def fitness_fields(params: model.ModelParams, grid: Grid) -> tuple[np.ndarray, n
     return model.fitness(axis, 1, x) - load, model.fitness(axis, 2, x) - load
 
 
+def _rows_to_csr(cols: np.ndarray, vals: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The square CSR matrix whose row i holds vals[i] at cols[i], zeros left out.
+
+    cols must increase along each row wherever vals is nonzero, so the
+    arrays are already CSR's, in canonical order.
+    """
+    import scipy.sparse as sp
+
+    keep = vals != 0
+    indptr = np.zeros(len(vals) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(vals), len(vals)))
+
+
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:
     """A on the habitat-swap-even half: (mu^2/2)(-v'') - (r1 - delta) v - delta P v.
 
@@ -142,26 +168,26 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     its even pairs (v, rev v) A acts as this m x m matrix (A11 + A12 J) on
     v, with P the node reversal. Its smallest eigenvalue is A's (the Perron
     vector is J-even). The reversal's antidiagonal meets the diagonal at the
-    centre node, where delta - delta cancels exactly. Zero entries (delta =
-    0) are not stored.
+    centre node, where delta - delta cancels exactly; at odd m it lies at
+    least two columns from the diagonal elsewhere, left of it below the
+    centre and right of it above. Zero entries (delta = 0) are not stored.
     """
     if not hermite.is_mirror(params):
         raise ValueError("reduced assembly requires Symmetric migration and rmax1 == rmax2 "
                          "(mirror habitats)")
-    import scipy.sparse as sp
-
     r1, _ = fitness_fields(params, grid)
     delta, m = params.migration.delta, grid.m
     stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
     k = np.arange(m)
     side = k != k[::-1]  # every node but the centre
-    rows = np.concatenate([k, k[:-1], k[1:], k[side]])
-    cols = np.concatenate([k, k[1:], k[:-1], k[::-1][side]])
-    vals = np.concatenate([2.0 * stiff - r1 + delta * side, np.full(2 * m - 2, -stiff),
-                           np.full(m - 1, -delta)])
-    keep = vals != 0
-    matrix = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, m))
-    return Operator(matrix=matrix, symmetric=True, lower_bound=spectral_lower_bound(params))
+    cols = k[:, None] + np.array([0, -1, 0, 1, 0])  # slots: reversal, k - 1, k, k + 1, reversal
+    cols[:, 0] = cols[:, 4] = k[::-1]
+    vals = np.zeros((m, 5))
+    vals[:, 1], vals[:, 2], vals[:, 3] = -stiff, 2.0 * stiff - r1 + delta * side, -stiff
+    vals[0, 1] = vals[-1, 3] = 0.0  # Dirichlet zero ghosts
+    vals[m // 2 + 1:, 0] = vals[:m // 2, 4] = -delta
+    return Operator(matrix=_rows_to_csr(cols, vals), symmetric=True,
+                    lower_bound=spectral_lower_bound(params))
 
 
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
@@ -172,19 +198,53 @@ def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
     entries (a block's edge, absent migration) are not stored. Symmetric
     whenever d12 == d21.
     """
-    import scipy.sparse as sp
-
     r1, r2 = fitness_fields(params, grid)
     d11, d12, d21, d22 = params.migration.rates
     m = grid.m
     stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
-    off = np.full(2 * m - 1, -stiff)
-    off[m - 1] = 0.0  # no difference across the habitats' boundary
-    diag = np.concatenate([2.0 * stiff - (r1 - d11), 2.0 * stiff - (r2 - d22)])
-    matrix = sp.diags([diag, off, off, np.full(m, -d12), np.full(m, -d21)],
-                      [0, 1, -1, m, -m], format="csr")
-    return Operator(matrix=matrix, symmetric=(d12 == d21),
+    cols = np.arange(2 * m)[:, None] + np.array([-m, -1, 0, 1, m])
+    vals = np.zeros((2 * m, 5))
+    vals[m:, 0], vals[:, 1], vals[:, 3], vals[:m, 4] = -d21, -stiff, -stiff, -d12
+    vals[[0, m], 1] = vals[[m - 1, -1], 3] = 0.0  # each habitat's Dirichlet zero ghosts
+    vals[:m, 2], vals[m:, 2] = 2.0 * stiff - (r1 - d11), 2.0 * stiff - (r2 - d22)
+    return Operator(matrix=_rows_to_csr(cols, vals), symmetric=(d12 == d21),
                     lower_bound=spectral_lower_bound(params))
+
+
+def _reverse_cuthill_mckee(keys: np.ndarray, size: int) -> list[int]:
+    """Reverse Cuthill-McKee order of the symmetric pattern with sorted keys row * size + col.
+
+    Step for step scipy.sparse.csgraph.reverse_cuthill_mckee with
+    symmetric_mode=True (degree counts the diagonal twice; seeds in
+    np.argsort order of the int32 degrees; each node's unvisited neighbours
+    in column order, stably sorted by degree), so both return one order.
+    Importing csgraph would also load scipy's sparse solvers, which nothing
+    here uses.
+    """
+    r, c = np.divmod(keys, size)
+    off = r != c  # a node is visited before its diagonal entry is read: skip those
+    ptr = np.searchsorted(r[off], np.arange(size + 1))
+    degree = (np.diff(ptr) + 2 * np.bincount(r[~off], minlength=size)).astype(np.int32)
+    ind, ptr, deg = c[off].tolist(), ptr.tolist(), degree.tolist()
+    seen, order, k, n = bytearray(size), [], 0, 0
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        order.append(seed)
+        n += 1
+        while k < n:  # breadth first: order[k]'s unvisited neighbours join the order
+            i, k, first = order[k], k + 1, n
+            for j in ind[ptr[i]:ptr[i + 1]]:
+                if not seen[j]:
+                    seen[j] = 1
+                    order.append(j)
+                    n += 1
+            if n - first > 1:
+                order[first:] = sorted(order[first:], key=deg.__getitem__)
+        if n == size:
+            break
+    return order[::-1]
 
 
 def principal_eigenpair(operator: Operator) -> EigenPair:
@@ -193,48 +253,59 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     Each assembled operator is a Z-matrix (nonpositive off-diagonal entries)
     with scalar migration rates, so a positive diagonal D makes D^-1 A D
     symmetric: each coupled pair becomes its geometric mean -sqrt(a_ij a_ji),
-    0 under one-way migration (A block triangular, same spectrum). Reverse
-    Cuthill-McKee order makes that twin banded (half-bandwidth 2 for both
-    assembled forms); one hermite.lowest call gives its smallest eigenvalue
-    theta, by LAPACK's dsbevx at every band width (a delta = 0 twin is
-    tridiagonal and keeps that routine). Inverse iteration from ones on one
-    sparse LU of A - sigma I, sigma = theta - 1e-10 ||A||_inf, gives the
-    vector; below lambda_0, A - sigma I is an M-matrix with a nonnegative
-    inverse (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, 1994). It stops at a residual of 64 ulps of ||A||_inf, or after
-    three steps (iterations).
+    0 under one-way migration (A block triangular, same spectrum). One
+    reverse Cuthill-McKee order of the structure of A + A^T (half-bandwidth
+    2 for both assembled forms; the twin's alone would leave a one-way
+    coupling m apart) serves both solves. hermite.lowest on the twin's band
+    gives the smallest eigenvalue theta, by LAPACK's dsbevx at every band
+    width (a delta = 0 twin is tridiagonal and keeps that routine). Inverse
+    iteration from ones on one band LU (splu) of A - sigma I, sigma = theta -
+    1e-10 ||A||_inf, gives the vector; below lambda_0, A - sigma I is an
+    M-matrix with a nonnegative inverse (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, 1994). It stops at a residual of
+    64 ulps of ||A||_inf, or after three steps (iterations).
     Raises EigenError if |A v - theta v| > 1e-8 max(1, |theta|), if theta is
     below operator.lower_bound, or if v changes sign. Any sparse format works
     and is left unchanged. dsbevx costs O(size^2), about 6 ms at 1,090
     unknowns and 0.7 s at 12,000 on one x86 core; ARPACK's cost was linear.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    mat = operator.matrix.tocsr(copy=True)
-    mat.sum_duplicates()  # sorted row-major keys; a no-op on assembled operators
-    size, cols = mat.shape[0], mat.indices.astype(np.int64)  # keys reach size^2
+    mat = operator.matrix.tocsr()
+    if not mat.has_canonical_format:  # sorted row-major keys, as assembled operators have
+        mat = mat.copy()
+        mat.sum_duplicates()
+    size, cols, data = mat.shape[0], mat.indices.astype(np.int64), mat.data  # keys reach size^2
     rows = np.repeat(np.arange(size), np.diff(mat.indptr))
-    key, twin, diag = rows * size + cols, cols * size + rows, rows == cols
-    at = np.minimum(np.searchsorted(key, twin), key.size - 1)  # a_ji, where stored
-    mean = -np.sqrt(mat.data * np.where(key[at] == twin, mat.data[at], 0.0))
-    sym = np.where(diag, mat.data, mean)
-    r, c, s = rows[sym != 0], cols[sym != 0], sym[sym != 0]  # structurally symmetric
-    graph = sp.csr_matrix((s, c, np.searchsorted(r, np.arange(size + 1))), shape=mat.shape)
-    pos = np.argsort(reverse_cuthill_mckee(graph, symmetric_mode=True))
-    band = np.zeros((1 + np.abs(pos[r] - pos[c]).max(), size))  # S_ij at (i - j, j), i >= j
-    band[np.abs(pos[r] - pos[c]), np.minimum(pos[r], pos[c])] = s
+    key, twin = rows * size + cols, cols * size + rows
+    at = np.minimum(np.searchsorted(key, twin), key.size - 1)
+    paired = key[at] == twin  # a_ji is stored
+    mean = -np.sqrt(data * np.where(paired, data[at], 0.0))
+    sym = np.where(rows == cols, data, mean)
+    pattern = key if paired.all() else np.union1d(key, twin)  # the structure of A + A^T
+    pos = np.empty(size, dtype=np.int64)
+    pos[_reverse_cuthill_mckee(pattern, size)] = np.arange(size)
+    pr, pc = pos[rows], pos[cols]  # each entry's row and column in band order
+    off, kept = pr - pc, sym != 0
+    band = np.zeros((1 + np.abs(off[kept]).max(), size))  # S_ij at (i - j, j), i >= j
+    band[np.abs(off[kept]), np.minimum(pr, pc)[kept]] = sym[kept]
     value = hermite.lowest(band)
     if value < operator.lower_bound:
         raise EigenError(f"lambda {value:.12g} below the certified bound {operator.lower_bound:.12g}")
-    norm = np.bincount(rows, np.abs(mat.data), size).max()
+    norm = np.bincount(rows, np.abs(data), size).max()
     sigma = value - 1e-10 * norm
-    lu = splu((mat - sigma * sp.identity(size, format="csr")).T)  # csc, solved transposed
-    v = np.ones(size)
+    kl, ku = max(0, int(off.max())), max(0, int(-off.min()))
+    shifted = np.zeros((2 * kl + ku + 1, size), order="F")  # a_ij at (kl + ku + i - j, j)
+    shifted[kl + ku + off, pc] = data
+    shifted[kl + ku] -= sigma
+    lu, piv = splu(shifted, kl, ku)
+
+    def residual_of(v):  # |A v - theta v|_inf, v in band order
+        return float(np.abs(np.bincount(pr, data * v[pc], size) - value * v).max())
+
+    v = np.ones(size)  # in band order until the return
     for iterations in range(1, 4):
-        v = lu.solve(v, trans="T")
+        v = dgbtrs(lu, kl, ku, v, piv)[0]
         v /= np.abs(v).max()
-        residual = float(np.abs(mat @ v - value * v).max())
+        residual = residual_of(v)
         if residual <= 64 * np.finfo(float).eps * norm:
             break
     if residual > 1e-8 * max(1.0, abs(value)):
@@ -242,8 +313,8 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     if v.min() < -1e-8:
         raise EigenError("inverse iteration converged to a sign-changing eigenvector")
     v = np.maximum(v, 0.0)
-    residual = float(np.abs(mat @ v - value * v).max())
-    return EigenPair(value=value, vector=v, residual=residual, iterations=iterations)
+    residual = residual_of(v)
+    return EigenPair(value=value, vector=v[pos], residual=residual, iterations=iterations)
 
 
 def default_schedules(params: model.ModelParams, *, h_target: float | None = None,

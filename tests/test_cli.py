@@ -346,6 +346,24 @@ def test_solve_at_the_largest_float_mass_finishes_or_exits_with_a_message(tmp_pa
         code, err)
 
 
+def test_solve_at_the_largest_float_mass_writes_only_fields_that_read_back_finite(tmp_path):
+    # "%.15g" rounds 1.7976931348623157e308 up to 1.79769313486232e+308, which
+    # float() reads as inf: trajectory.csv's first N1 and N2 did
+    path = write_config(tmp_path, f"initial = spread\n"
+                                  f"initial_mass = {sys.float_info.max!r}\nm = 65\nt_end = 2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", "--config", path, "--out", str(out_dir)]) == 0
+    texts = []
+    for name in ("trajectory.csv", "final_state.txt"):
+        lines = (out_dir / name).read_text().splitlines()
+        header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        texts += [f for line in lines[header + 1:] for f in line.split(",")]
+        texts += re.findall(r"[=]([-+.0-9e]+)", " ".join(lines[:header]))
+    values = [float(t) for t in texts]
+    assert all(math.isfinite(v) for v in values)
+    assert max(values) >= 1.797693134862315e308  # the data reached the overflowing range
+
+
 def test_cmd_solve_zero_horizon_records_initial_row(tmp_path):
     cli.cmd_solve(quick_solve_config(t_end=0.0), str(tmp_path))
     _, data, _ = read_csv(str(tmp_path / "trajectory.csv"))
@@ -925,6 +943,20 @@ def test_ladder_and_pool_modules_load_only_when_used(tmp_path):
     assert (tmp_path / "eigen" / "eigen.csv").read_bytes() == (here / "eigen.csv").read_bytes()
     assert ((tmp_path / "pool" / "phase.csv").read_bytes()
             == (tmp_path / "phase" / "phase.csv").read_bytes())
+
+
+def test_eigen_at_the_default_config_loads_no_sparse_solver(tmp_path):
+    # each rung factors one band with LAPACK: scipy's sparse solvers (and
+    # csgraph, which imports them) stay out of a fresh process
+    script = ("import sys\nfrom twopatch import cli\n"
+              "assert cli.main(['eigen', '--out', sys.argv[1]]) == 0\n"
+              "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph')"
+              " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_svg_flag_does_not_reach_the_next_call(tmp_path):

@@ -258,6 +258,63 @@ def test_rung_solve_takes_any_sparse_format_and_leaves_it_unchanged(fmt):
     assert pair.residual <= 1e-14
 
 
+@pytest.mark.parametrize("migration", [
+    None,  # mirror habitats: the reduced operator
+    model.General(0.05, 0.03, 0.03, 0.05),
+    model.General(0.05, 0.02, 0.05, 0.03),
+    model.General(0.05, 0.0, 0.05, 0.03),  # one-way: the twin has no habitat coupling
+], ids=["mirror_reduced", "general_equal", "general_biased", "one_way"])
+def test_ladder_operators_factor_on_a_band_of_half_width_two(monkeypatch, migration):
+    # one reverse Cuthill-McKee order of A + A^T serves dsbevx and the LU; an
+    # order taken from the twin alone would leave a one-way coupling m apart
+    bands = []
+    factor = eigen.splu
+
+    def spy(band, kl, ku):
+        bands.append((kl, ku))
+        return factor(band, kl, ku)
+
+    monkeypatch.setattr(eigen, "splu", spy)
+    if migration is None:
+        p, assemble = ref_params(), eigen.assemble_symmetric_reduced
+    else:
+        p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX, beta=0.5,
+                              migration=migration)
+        assemble = eigen.assemble_full
+    for m in (25, 61, 161):
+        eigen.principal_eigenpair(assemble(p, build_grid(1, 3.0, m)))
+    assert bands == [(2, 2)] * 3
+
+
+@pytest.mark.parametrize("case", ["mirror", "delta_zero", "general", "one_way", "no_migration",
+                                  "laplacian_2d", "circulant"])
+def test_band_order_is_scipys_reverse_cuthill_mckee(case):
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    general = {"general": (0.05, 0.02, 0.05, 0.03), "one_way": (0.05, 0.0, 0.05, 0.03),
+               "no_migration": (0.05, 0.0, 0.0, 0.03)}
+    g = build_grid(1, 3.0, 61)
+    if case in ("mirror", "delta_zero"):
+        mat = eigen.assemble_symmetric_reduced(ref_params(delta=0.05 * (case == "mirror")),
+                                               g).matrix
+    elif case in general:
+        p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX, beta=0.5,
+                              migration=model.General(*general[case]))
+        mat = eigen.assemble_full(p, g).matrix
+    elif case == "laplacian_2d":
+        lap = sp.diags([-np.ones(8), 2.0 * np.ones(9), -np.ones(8)], [-1, 0, 1])
+        mat = sp.csr_matrix(sp.kronsum(lap, lap))
+    else:
+        mat = sp.csr_matrix(scipy.linalg.circulant([2.0, -1.0] + [0.0] * 37 + [-1.0]))
+    size = mat.shape[0]
+    rows = np.repeat(np.arange(size), np.diff(mat.indptr))
+    keys = np.union1d(rows * size + mat.indices, mat.indices * size + rows)
+    symmetric = sp.csr_matrix((np.ones(keys.size), (keys // size, keys % size)),
+                              shape=mat.shape)
+    want = reverse_cuthill_mckee(symmetric, symmetric_mode=True).tolist()
+    assert eigen._reverse_cuthill_mckee(keys, size) == want
+
+
 def evidence_operator(kind):
     if kind == "sign_change":
         # positive couplings: the smallest eigenvector alternates in sign
