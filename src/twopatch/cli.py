@@ -233,7 +233,11 @@ def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
     if config.m is not None:
         m = config.m
     else:
-        m = 2 * max(1, round(16.0 * length)) + 1  # spacing ~1/16
+        half = 16.0 * length  # spacing ~1/16
+        if not math.isfinite(half):
+            raise ConfigError(f"L = {length!r} has no finite node count at spacing 1/16; "
+                              "set a smaller L")
+        m = 2 * max(1, round(half)) + 1
     return build_grid(params.n, length, m)
 
 

@@ -31,9 +31,9 @@ free-space value as L grows
 same spacing), so a ladder of boxes with fixed h plus Richardson
 extrapolation in h gives its lambda, about 2e-6 above the Hermite value
 at the default spacing, and the eigenfunction on the finest grid. Each
-rung is one principal_eigenpair solve on one band: a reverse Cuthill-McKee
-order of the operator's structure (half-bandwidth 2: each node meets only
-its two grid neighbours and one node of the other habitat) serves both
+rung is one principal_eigenpair solve on one band: the assembler's order of
+the unknowns (half-bandwidth 2: each node meets only its two grid neighbours
+and its partner in the other habitat or its mirror image) serves both
 LAPACK's dsbevx, for the eigenvalue of the diagonally symmetrised twin, and
 dgbtrf, for the one LU behind inverse iteration.
 assemble_full and assemble_symmetric_reduced build the box's three-point
@@ -63,8 +63,8 @@ if TYPE_CHECKING:
 def splu(band: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
     """LU factors and pivots of a general band matrix, by LAPACK's dgbtrf.
 
-    principal_eigenpair's one factorisation of A - sigma I, in the reverse
-    Cuthill-McKee order that also gives dsbevx its band. In LAPACK's band
+    principal_eigenpair's one factorisation of A - sigma I, in the operator's
+    band order, which also gives dsbevx its band. In LAPACK's band
     storage, a_ij sits at (kl + ku + i - j, j) below kl rows of room for the
     fill-in; a Fortran-ordered band is overwritten. Raises EigenError when a
     pivot is exactly 0. bench/tracing.py counts the calls under this name.
@@ -82,6 +82,11 @@ class Operator:
     matrix: scipy.sparse.csr_matrix
     symmetric: bool  # d12 == d21; lets dense checks pick a symmetric solver
     lower_bound: float
+    order: np.ndarray  # the unknown at each band row: A + A^T's structure near the diagonal
+
+    def __post_init__(self) -> None:  # else the band would drop or double unknowns
+        if not np.array_equal(np.sort(self.order), np.arange(self.matrix.shape[0])):
+            raise ValueError(f"order must be a permutation of range({self.matrix.shape[0]})")
 
 
 @dataclass
@@ -160,6 +165,13 @@ def _rows_to_csr(cols: np.ndarray, vals: np.ndarray) -> scipy.sparse.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(vals), len(vals)))
 
 
+def _stiffness(params: model.ModelParams, grid: Grid) -> float:
+    """mu^2 / (2 h^2), the centred difference's weight; ValueError if h^2 underflows to 0."""
+    if grid.h * grid.h == 0.0:
+        raise ValueError(f"the spacing's square underflows to 0 at L = {grid.L!r}, m = {grid.m}")
+    return 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))
+
+
 def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operator:
     """A on the habitat-swap-even half: (mu^2/2)(-v'') - (r1 - delta) v - delta P v.
 
@@ -171,13 +183,15 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     centre node, where delta - delta cancels exactly; at odd m it lies at
     least two columns from the diagonal elsewhere, left of it below the
     centre and right of it above. Zero entries (delta = 0) are not stored.
+    The band order runs centre-out, c, c + 1, c - 1, ..., m - 1, 0 (c = m // 2),
+    or m - 1, ..., 0 when delta = 0 or m = 3.
     """
     if not hermite.is_mirror(params):
         raise ValueError("reduced assembly requires Symmetric migration and rmax1 == rmax2 "
                          "(mirror habitats)")
     r1, _ = fitness_fields(params, grid)
     delta, m = params.migration.delta, grid.m
-    stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
+    stiff = _stiffness(params, grid)
     k = np.arange(m)
     side = k != k[::-1]  # every node but the centre
     cols = k[:, None] + np.array([0, -1, 0, 1, 0])  # slots: reversal, k - 1, k, k + 1, reversal
@@ -186,8 +200,9 @@ def assemble_symmetric_reduced(params: model.ModelParams, grid: Grid) -> Operato
     vals[:, 1], vals[:, 2], vals[:, 3] = -stiff, 2.0 * stiff - r1 + delta * side, -stiff
     vals[0, 1] = vals[-1, 3] = 0.0  # Dirichlet zero ghosts
     vals[m // 2 + 1:, 0] = vals[:m // 2, 4] = -delta
+    order = np.argsort(2 * abs(k - m // 2) - (k > m // 2)) if delta > 0 and m > 3 else k[::-1]
     return Operator(matrix=_rows_to_csr(cols, vals), symmetric=True,
-                    lower_bound=spectral_lower_bound(params))
+                    lower_bound=spectral_lower_bound(params), order=order)
 
 
 def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
@@ -196,55 +211,21 @@ def assemble_full(params: model.ModelParams, grid: Grid) -> Operator:
     The centred difference on diagonals +-1 of each habitat's block, the
     fitness on the diagonal and the migration rates on diagonals +-m; zero
     entries (a block's edge, absent migration) are not stored. Symmetric
-    whenever d12 == d21.
+    whenever d12 == d21. The band order is 2m - 1, ..., 0, with the habitats
+    interleaved (2m - 1, m - 1, 2m - 2, m - 2, ..., m, 0) under any migration.
     """
     r1, r2 = fitness_fields(params, grid)
     d11, d12, d21, d22 = params.migration.rates
     m = grid.m
-    stiff = 0.5 * params.mu * params.mu * (1.0 / (grid.h * grid.h))  # centred difference
+    stiff = _stiffness(params, grid)
     cols = np.arange(2 * m)[:, None] + np.array([-m, -1, 0, 1, m])
     vals = np.zeros((2 * m, 5))
     vals[m:, 0], vals[:, 1], vals[:, 3], vals[:m, 4] = -d21, -stiff, -stiff, -d12
     vals[[0, m], 1] = vals[[m - 1, -1], 3] = 0.0  # each habitat's Dirichlet zero ghosts
     vals[:m, 2], vals[m:, 2] = 2.0 * stiff - (r1 - d11), 2.0 * stiff - (r2 - d22)
+    order = np.arange(2 * m)[::-1].reshape(2, m).ravel("F" if d12 > 0 or d21 > 0 else "C")
     return Operator(matrix=_rows_to_csr(cols, vals), symmetric=(d12 == d21),
-                    lower_bound=spectral_lower_bound(params))
-
-
-def _reverse_cuthill_mckee(keys: np.ndarray, size: int) -> list[int]:
-    """Reverse Cuthill-McKee order of the symmetric pattern with sorted keys row * size + col.
-
-    Step for step scipy.sparse.csgraph.reverse_cuthill_mckee with
-    symmetric_mode=True (degree counts the diagonal twice; seeds in
-    np.argsort order of the int32 degrees; each node's unvisited neighbours
-    in column order, stably sorted by degree), so both return one order.
-    Importing csgraph would also load scipy's sparse solvers, which nothing
-    here uses.
-    """
-    r, c = np.divmod(keys, size)
-    off = r != c  # a node is visited before its diagonal entry is read: skip those
-    ptr = np.searchsorted(r[off], np.arange(size + 1))
-    degree = (np.diff(ptr) + 2 * np.bincount(r[~off], minlength=size)).astype(np.int32)
-    ind, ptr, deg = c[off].tolist(), ptr.tolist(), degree.tolist()
-    seen, order, k, n = bytearray(size), [], 0, 0
-    for seed in np.argsort(degree).tolist():
-        if seen[seed]:
-            continue
-        seen[seed] = 1
-        order.append(seed)
-        n += 1
-        while k < n:  # breadth first: order[k]'s unvisited neighbours join the order
-            i, k, first = order[k], k + 1, n
-            for j in ind[ptr[i]:ptr[i + 1]]:
-                if not seen[j]:
-                    seen[j] = 1
-                    order.append(j)
-                    n += 1
-            if n - first > 1:
-                order[first:] = sorted(order[first:], key=deg.__getitem__)
-        if n == size:
-            break
-    return order[::-1]
+                    lower_bound=spectral_lower_bound(params), order=order)
 
 
 def principal_eigenpair(operator: Operator) -> EigenPair:
@@ -253,11 +234,10 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     Each assembled operator is a Z-matrix (nonpositive off-diagonal entries)
     with scalar migration rates, so a positive diagonal D makes D^-1 A D
     symmetric: each coupled pair becomes its geometric mean -sqrt(a_ij a_ji),
-    0 under one-way migration (A block triangular, same spectrum). One
-    reverse Cuthill-McKee order of the structure of A + A^T (half-bandwidth
-    2 for both assembled forms; the twin's alone would leave a one-way
-    coupling m apart) serves both solves. hermite.lowest on the twin's band
-    gives the smallest eigenvalue theta, by LAPACK's dsbevx at every band
+    0 under one-way migration (A block triangular, same spectrum). Placed in
+    operator.order, A and its twin share one band (half-bandwidth 2 for both
+    assembled forms), which serves both solves. hermite.lowest on the twin's
+    band gives the smallest eigenvalue theta, by LAPACK's dsbevx at every band
     width (a delta = 0 twin is tridiagonal and keeps that routine). Inverse
     iteration from ones on one band LU (splu) of A - sigma I, sigma = theta -
     1e-10 ||A||_inf, gives the vector; below lambda_0, A - sigma I is an
@@ -280,9 +260,7 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     paired = key[at] == twin  # a_ji is stored
     mean = -np.sqrt(data * np.where(paired, data[at], 0.0))
     sym = np.where(rows == cols, data, mean)
-    pattern = key if paired.all() else np.union1d(key, twin)  # the structure of A + A^T
-    pos = np.empty(size, dtype=np.int64)
-    pos[_reverse_cuthill_mckee(pattern, size)] = np.arange(size)
+    pos = np.argsort(operator.order)  # each unknown's band row
     pr, pc = pos[rows], pos[cols]  # each entry's row and column in band order
     off, kept = pr - pc, sym != 0
     band = np.zeros((1 + np.abs(off[kept]).max(), size))  # S_ij at (i - j, j), i >= j
@@ -355,9 +333,7 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
         raise ValueError("empty schedule")
 
     rows: list[EigenRow] = []
-    iterations = 0
-    converged = False
-    prev = math.inf
+    iterations, converged, prev = 0, False, math.inf
     mirror = hermite.is_mirror(params)
     assemble = assemble_symmetric_reduced if mirror else assemble_full
     for L, m in zip(ls, ms):
@@ -385,9 +361,8 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
 
     v = pair.vector
     field = Field2(v, reflect_field(g, v)) if mirror else Field2(v[:g.size], v[g.size:])
-    return EigenResult(rows=rows, lam=lam, eigenfield=field, grid=g,
-                       residual=pair.residual, iterations=iterations,
-                       converged=converged)
+    return EigenResult(rows=rows, lam=lam, eigenfield=field, grid=g, residual=pair.residual,
+                       iterations=iterations, converged=converged)
 
 
 def lambda_of(params: model.ModelParams, *, h_target: float | None = None,

@@ -12,6 +12,8 @@ x1 -> -x1 is a pure index reversal, never an interpolation.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ class Grid:
         n: trait dimension (integer >= 1); only x1 is discretized.
         L: half-width of the box (> 0).
         m: nodes on the axis including both boundary nodes; odd, >= 3.
+        The spacing h = 2L / (m - 1) must be a finite float.
     """
 
     n: int
@@ -38,6 +41,9 @@ class Grid:
             raise ValueError(f"L must be > 0, got {self.L!r}")
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError(f"m must be an odd integer >= 3, got {self.m!r}")
+        if self.m - 1 > sys.float_info.max or not math.isfinite(self.h):
+            raise ValueError(f"the spacing h = 2L / (m - 1) must be a finite float, got "
+                             f"L = {self.L!r}, m = {self.m!r}")
 
     @property
     def h(self) -> float:

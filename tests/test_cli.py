@@ -766,6 +766,11 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # one whose power would take minutes: refused at once all the same
     ("solve", "n = 1000000\n", "m^n = 129^1000000 rows, more than 4194304"),
     ("solve", "n = 1000000000\n", "m^n = 129^1000000000 rows, more than 4194304"),
+    # a box too wide for a finite node count or a finite spacing, and one
+    # whose spacing squared underflows to 0 in the ladder's stiffness
+    ("solve", "L = 1e308\n", "L = 1e+308 has no finite node count"),
+    ("solve", "L = 1e308\nm = 5\n", "must be a finite float, got L = 1e+308, m = 5"),
+    ("eigen", "L = 1e-300\nm = 5\n", "underflows to 0 at L = 1e-300, m = 5"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu", "solve_subnormal_mass", "phase_subnormal_mass",
@@ -773,7 +778,8 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
         "phase_mu_1e-170", "phase_negative_sweep",
         "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
-        "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9"])
+        "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9",
+        "solve_huge_L", "solve_huge_L_five_nodes", "eigen_underflowing_spacing"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     keys = {line.split(" =")[0] for line in text.splitlines()}
     base = "".join(f"{key} = {value}\n" for key, value in

@@ -25,7 +25,7 @@ def test_raw_tridiagonal_matches_textbook_value():
     h = 2.0 * L / (m - 1)
     e = np.ones(m)
     mat = sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]).tocsr() / (h * h)
-    op = eigen.Operator(matrix=mat, symmetric=True, lower_bound=0.0)
+    op = eigen.Operator(matrix=mat, symmetric=True, lower_bound=0.0, order=np.arange(m))
     pair = eigen.principal_eigenpair(op)
     want = 2.0 / (h * h) * (1.0 - math.cos(math.pi / (m + 1)))
     assert pair.value == pytest.approx(want, rel=1e-10)
@@ -212,7 +212,7 @@ def test_rung_solve_with_unstored_diagonal_entries():
     # -(path adjacency) on nine nodes: lambda_0 = -2 cos(pi / 10), sine vector
     e = np.ones(8)
     op = eigen.Operator(matrix=sp.diags([-e, -e], [-1, 1], format="csr"), symmetric=True,
-                        lower_bound=-2.0)
+                        lower_bound=-2.0, order=np.arange(9))
     assert op.matrix.diagonal().size == 9 and op.matrix.nnz == 16
     pair = eigen.principal_eigenpair(op)
     assert pair.value == pytest.approx(-2.0 * math.cos(math.pi / 10), abs=1e-14)
@@ -231,7 +231,8 @@ def test_rung_solve_pairs_couplings_past_int32_keys():
     cols = np.r_[np.arange(n), n - 1, n - 2]
     mat = sp.csr_matrix((np.r_[np.ones(n), -0.5, -2.0], (rows, cols)), shape=(n, n))
     assert mat.indices.dtype == np.int32
-    pair = eigen.principal_eigenpair(eigen.Operator(matrix=mat, symmetric=False, lower_bound=-1.0))
+    pair = eigen.principal_eigenpair(eigen.Operator(matrix=mat, symmetric=False, lower_bound=-1.0,
+                                                    order=np.arange(n)))
     assert pair.value == pytest.approx(0.0, abs=1e-14)
     np.testing.assert_allclose(pair.vector[-2:], [0.5, 1.0], rtol=0, atol=1e-14)
     assert pair.vector[:-2].max() <= 1e-14 and pair.residual <= 1e-14
@@ -265,8 +266,8 @@ def test_rung_solve_takes_any_sparse_format_and_leaves_it_unchanged(fmt):
     model.General(0.05, 0.0, 0.05, 0.03),  # one-way: the twin has no habitat coupling
 ], ids=["mirror_reduced", "general_equal", "general_biased", "one_way"])
 def test_ladder_operators_factor_on_a_band_of_half_width_two(monkeypatch, migration):
-    # one reverse Cuthill-McKee order of A + A^T serves dsbevx and the LU; an
-    # order taken from the twin alone would leave a one-way coupling m apart
+    # one band order of A + A^T serves dsbevx and the LU; an order taken from
+    # the twin alone would leave a one-way coupling m apart
     bands = []
     factor = eigen.splu
 
@@ -286,33 +287,34 @@ def test_ladder_operators_factor_on_a_band_of_half_width_two(monkeypatch, migrat
     assert bands == [(2, 2)] * 3
 
 
-@pytest.mark.parametrize("case", ["mirror", "delta_zero", "general", "one_way", "no_migration",
-                                  "laplacian_2d", "circulant"])
+@pytest.mark.parametrize("case", ["mirror", "delta_zero", "general", "general_equal", "one_way",
+                                  "one_way_d21", "no_migration"])
 def test_band_order_is_scipys_reverse_cuthill_mckee(case):
+    # each assembler writes down the order csgraph finds in the structure of
+    # A + A^T, so every eigen.csv keeps its bits
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    general = {"general": (0.05, 0.02, 0.05, 0.03), "one_way": (0.05, 0.0, 0.05, 0.03),
+    general = {"general": (0.05, 0.02, 0.05, 0.03), "general_equal": (0.05, 0.03, 0.03, 0.05),
+               "one_way": (0.05, 0.0, 0.05, 0.03), "one_way_d21": (0.05, 0.02, 0.0, 0.03),
                "no_migration": (0.05, 0.0, 0.0, 0.03)}
-    g = build_grid(1, 3.0, 61)
-    if case in ("mirror", "delta_zero"):
-        mat = eigen.assemble_symmetric_reduced(ref_params(delta=0.05 * (case == "mirror")),
-                                               g).matrix
-    elif case in general:
-        p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX, beta=0.5,
-                              migration=model.General(*general[case]))
-        mat = eigen.assemble_full(p, g).matrix
-    elif case == "laplacian_2d":
-        lap = sp.diags([-np.ones(8), 2.0 * np.ones(9), -np.ones(8)], [-1, 0, 1])
-        mat = sp.csr_matrix(sp.kronsum(lap, lap))
-    else:
-        mat = sp.csr_matrix(scipy.linalg.circulant([2.0, -1.0] + [0.0] * 37 + [-1.0]))
-    size = mat.shape[0]
-    rows = np.repeat(np.arange(size), np.diff(mat.indptr))
-    keys = np.union1d(rows * size + mat.indices, mat.indices * size + rows)
-    symmetric = sp.csr_matrix((np.ones(keys.size), (keys // size, keys % size)),
-                              shape=mat.shape)
-    want = reverse_cuthill_mckee(symmetric, symmetric_mode=True).tolist()
-    assert eigen._reverse_cuthill_mckee(keys, size) == want
+    for m in (3, 5, 7, 61, 161):
+        g = build_grid(1, 3.0, m)
+        if case in general:
+            p = model.ModelParams(n=1, mu=FIG_MU, rmax1=FIG_RMAX, rmax2=0.8 * FIG_RMAX, beta=0.5,
+                                  migration=model.General(*general[case]))
+            op = eigen.assemble_full(p, g)
+        else:
+            op = eigen.assemble_symmetric_reduced(ref_params(delta=0.05 * (case == "mirror")), g)
+        structure = sp.csr_matrix(abs(op.matrix) + abs(op.matrix.T))
+        want = reverse_cuthill_mckee(structure, symmetric_mode=True).tolist()
+        assert op.order.tolist() == want, m
+
+
+def test_operator_order_must_be_a_permutation():
+    mat = sp.identity(3, format="csr")
+    for order in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="permutation of range"):
+            eigen.Operator(matrix=mat, symmetric=True, lower_bound=0.0, order=np.array(order))
 
 
 def evidence_operator(kind):
@@ -320,15 +322,16 @@ def evidence_operator(kind):
         # positive couplings: the smallest eigenvector alternates in sign
         e = np.ones(9)
         return eigen.Operator(matrix=sp.diags([e[1:], 2.0 * e, e[1:]], [-1, 0, 1]).tocsr(),
-                              symmetric=True, lower_bound=0.0)
+                              symmetric=True, lower_bound=0.0, order=np.arange(9))
     if kind == "below_bound":
         e = np.ones(9)
         return eigen.Operator(matrix=sp.diags([-e[1:], 2.0 * e, -e[1:]], [-1, 0, 1]).tocsr(),
-                              symmetric=True, lower_bound=1.0)
+                              symmetric=True, lower_bound=1.0, order=np.arange(9))
     # a three-cycle whose coupling ratios multiply to 64: no diagonal scaling
     # symmetrises it, so the twin's value 1 is not A's value 0.75
     circ = scipy.linalg.circulant([2.0, -0.25, -1.0])
-    return eigen.Operator(matrix=sp.csr_matrix(circ), symmetric=False, lower_bound=0.75)
+    return eigen.Operator(matrix=sp.csr_matrix(circ), symmetric=False, lower_bound=0.75,
+                          order=np.arange(3))
 
 
 @pytest.mark.parametrize("kind, match", [("sign_change", "sign-changing"),

@@ -17,6 +17,14 @@ def test_grid_validation():
         g.build_grid(2, 1.0, 1)
 
 
+def test_grid_refuses_a_spacing_that_is_not_a_finite_float():
+    # 2L overflows to inf, and an m - 1 past the largest float has no ratio
+    for L, m in ((1e308, 5), (math.inf, 5), (1.0, 2 * 10 ** 400 + 1)):
+        with pytest.raises(ValueError, match="spacing h = 2L / .m - 1. must be a finite float"):
+            g.build_grid(1, L, m)
+    assert g.build_grid(1, 1e307, 5).h == 5e306  # large but finite
+
+
 def test_spacing_shape_size():
     # fields live on the x1 axis whatever the trait dimension
     for n in (1, 2, 3):

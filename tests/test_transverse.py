@@ -64,8 +64,11 @@ def oscillator(params):
 def test_two_trait_eigenvalue_is_axis_value_plus_oscillator_gap(kind):
     # lambda_2D = lambda_1D + tau0(h) and lambda_axis(n=2) = lambda_1D + mu/2
     p = params_2d(kind)
+    # the habitats interleaved node by node keep the band about 2M wide
+    nodes = np.arange(M * M)
     op_2d = eigen.Operator(matrix=operator_2d(p), symmetric=kind == "symmetric",
-                           lower_bound=eigen.spectral_lower_bound(p))
+                           lower_bound=eigen.spectral_lower_bound(p),
+                           order=np.ravel([nodes, M * M + nodes], order="F"))
     lam_2d = eigen.principal_eigenpair(op_2d).value
     lam_axis = eigen.lambda_limit(p, [L], [M], richardson=False).lam
     tau0 = scipy.linalg.eigvalsh(oscillator(p).toarray(), subset_by_index=[0, 0])[0]
