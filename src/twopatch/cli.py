@@ -26,6 +26,7 @@ import numpy as np
 from . import model
 from .eigen import EigenError, default_schedules, lambda_limit, lambda_of
 from .grid import Grid, build_grid
+from .hermite import check_mu
 from .ibm import IbmOverflowError, IbmParams, run_replicates
 from .pde import Bump, InitialData, SolverConfig, SolverError, integrate_to
 from .thresholds import ThresholdError, classify, find_threshold
@@ -213,15 +214,18 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def to_model_params(config: ExperimentConfig, *, delta: float | None = None,
                     m_d: float | None = None) -> model.ModelParams:
-    """Model parameters from a config, optionally overriding delta / m_D."""
+    """Model parameters from a config, optionally overriding delta / m_D; every
+    command starts here, so each refuses a mu that hermite.check_mu refuses."""
     if config.migration == "symmetric":
         mig = model.Symmetric(config.delta if delta is None else delta)
     else:
         mig = model.General(config.d11, config.d12, config.d21, config.d22)
-    return model.ModelParams(
+    params = model.ModelParams(
         n=config.n, mu=config.mu, rmax1=config.rmax1, rmax2=config.rmax2,
         beta=model.beta_of(config.m_D if m_d is None else m_d),
         migration=mig, growth=config.growth)
+    check_mu(params.mu)
+    return params
 
 
 def grid_for(config: ExperimentConfig, params: model.ModelParams) -> Grid:
@@ -255,10 +259,10 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams) -> Initia
     trait, starts at the stationary width mu.
     """
     if config.initial == "origin":
-        bumps = (Bump(0.0, params.mu, config.initial_mass),)
+        bumps = (Bump(0.0, config.initial_mass),)
     else:
         third = config.initial_mass / 3.0
-        bumps = tuple(Bump(c, params.mu, third) for c in (0.0, -params.beta, params.beta))
+        bumps = tuple(Bump(c, third) for c in (0.0, -params.beta, params.beta))
     return InitialData(bumps, bumps)
 
 
@@ -274,14 +278,11 @@ _OVERFLOWS = ("1.79769313486232e+308", "-1.79769313486232e+308")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        text = f"{x:.15g}"
-        return repr(float(x)) if text in _OVERFLOWS else text
-    return str(x)
+    return _fmt_floats(np.array([x]))[0] if isinstance(x, float) else str(x)
 
 
 def _fmt_floats(values: np.ndarray) -> list[str]:
-    """[_fmt(x) for x in values] for a float array."""
+    """Each float of an array as "%.15g", or as repr(x) where that would read back as inf."""
     floats = values.tolist()
     texts = ["%.15g" % v for v in floats]
     if _OVERFLOWS[0] in texts or _OVERFLOWS[1] in texts:
@@ -351,7 +352,8 @@ def cmd_solve(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     ax = grid.axis()
     xs = _fmt_floats(ax)
     idx = np.indices((grid.m,) * (grid.n - 1)).reshape(grid.n - 1, grid.m ** (grid.n - 1)).T
-    phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
+    with np.errstate(over="ignore"):  # at a tiny mu, far nodes' exp(-inf) is 0
+        phi = np.exp(-0.5 * ax * ax / params.mu) / math.sqrt(2.0 * math.pi * params.mu)
     factors, which = np.unique(np.prod(phi[idx], axis=1), return_inverse=True)
     mids = ["".join("," + xs[k] for k in node) + "," for node in idx.tolist()]
     keys = [u.view(np.uint64).tolist() for u in (u1, u2)]

@@ -59,6 +59,9 @@ from .hermite import EigenError
 if TYPE_CHECKING:
     import scipy.sparse
 
+# Largest row sum principal_eigenpair takes: products of two entries stay finite.
+_MAX_NORM = math.sqrt(np.finfo(float).max)
+
 
 def splu(band: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
     """LU factors and pivots of a general band matrix, by LAPACK's dgbtrf.
@@ -244,8 +247,9 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     M-matrix with a nonnegative inverse (Berman & Plemmons, Nonnegative
     Matrices in the Mathematical Sciences, 1994). It stops at a residual of
     64 ulps of ||A||_inf, or after three steps (iterations).
-    Raises EigenError if |A v - theta v| > 1e-8 max(1, |theta|), if theta is
-    below operator.lower_bound, or if v changes sign. Any sparse format works
+    Raises ValueError if ||A||_inf exceeds sqrt(float max), and EigenError if
+    |A v - theta v| > 1e-8 max(1, |theta|), if theta is below
+    operator.lower_bound, or if v changes sign. Any sparse format works
     and is left unchanged. dsbevx costs O(size^2), about 6 ms at 1,090
     unknowns and 0.7 s at 12,000 on one x86 core; ARPACK's cost was linear.
     """
@@ -255,6 +259,10 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
         mat.sum_duplicates()
     size, cols, data = mat.shape[0], mat.indices.astype(np.int64), mat.data  # keys reach size^2
     rows = np.repeat(np.arange(size), np.diff(mat.indptr))
+    norm = np.bincount(rows, np.abs(data), size).max()
+    if not norm <= _MAX_NORM:
+        raise ValueError(f"the box operator's largest row sum {norm:.3g} is above sqrt(float max) = "
+                         f"{_MAX_NORM:.3g}, where products of its entries overflow")
     key, twin = rows * size + cols, cols * size + rows
     at = np.minimum(np.searchsorted(key, twin), key.size - 1)
     paired = key[at] == twin  # a_ji is stored
@@ -268,7 +276,6 @@ def principal_eigenpair(operator: Operator) -> EigenPair:
     value = hermite.lowest(band)
     if value < operator.lower_bound:
         raise EigenError(f"lambda {value:.12g} below the certified bound {operator.lower_bound:.12g}")
-    norm = np.bincount(rows, np.abs(data), size).max()
     sigma = value - 1e-10 * norm
     kl, ku = max(0, int(off.max())), max(0, int(-off.min()))
     shifted = np.zeros((2 * kl + ku + 1, size), order="F")  # a_ij at (kl + ku + i - j, j)
@@ -307,6 +314,8 @@ def default_schedules(params: model.ModelParams, *, h_target: float | None = Non
     l0 = math.ceil(max(2.0 * params.beta + 1.0, 8.0 * math.sqrt(params.mu)) + 1.0)
     if h_target is None:
         h_target = min(math.sqrt(params.mu) / 1.5, 1.0 / 6.0)
+    if not math.isfinite(1.0 / h_target):
+        raise ValueError(f"h_target = {h_target!r} has no finite node count; set a larger one")
     p = max(4, math.ceil(1.0 / h_target))
     ls = [float(l0 + k) for k in range(rungs)]
     ms = [2 * p * (l0 + k) + 1 for k in range(rungs)]

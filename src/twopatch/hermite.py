@@ -11,8 +11,9 @@ the basis as the tridiagonal position operator
 so the growth operator that eigen and pde solve is a banded matrix here
 (J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 17;
 J. Shen, T. Tang and L.-L. Wang, Spectral Methods, 2011, ch. 7). The same
-three-term structure gives the integrals of phi_k against 1, x and x^2, the
-coefficients of Gaussian data and the values at points, with no quadrature.
+three-term structure gives the integrals of phi_k against 1, x and x^2 and
+the values at points, and Gaussian data of the basis width (coherent states)
+have closed-form coefficients, so no quadrature enters.
 
 Every smallest-eigenvalue solve of the package goes through lowest, which
 calls LAPACK's dstebz (tridiagonal) or dsbevx (band) directly: bit for bit
@@ -51,6 +52,13 @@ _EPS = float(np.finfo(float).eps)
 
 class EigenError(RuntimeError):
     """Eigensolve failure (non-convergence, non-monotone box ladder, ...)."""
+
+
+def check_mu(mu: float) -> None:
+    """Raise ValueError unless galerkin's mu (k + 1/2) is finite at every k < 2 SIZES[-1]."""
+    if not math.isfinite(mu * _HALF[-1].item()):
+        raise ValueError(f"mu = {mu!r} is too large for the Hermite basis: mu (k + 1/2) "
+                         f"overflows float64 below k = {_HALF.size}")
 
 
 def is_mirror(params: model.ModelParams) -> bool:
@@ -281,37 +289,19 @@ def basis(size: int, y: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def gaussian_coefficients(mu: float, center: float, variance: float, mass: float,
-                          size: int) -> np.ndarray:
-    """Coefficients c_k = int g phi_k, k < K, of g = mass N(center, variance).
+def gaussian_coefficients(mu: float, center: float, mass: float, size: int) -> np.ndarray:
+    """Coefficients c_k = int g phi_k, k < K, of g = mass N(center, mu).
 
-    In basis units y = x / sqrt(mu), g is proportional to G(y) =
-    e^(-(y - b)^2 / (2 s2)), b = center / sqrt(mu), s2 = variance / mu. G'
-    = -(y - b) G / s2 with y = (a + a+) / sqrt 2 and d/dy = (a - a+) / sqrt 2
-    (a, a+ the ladder operators, a psi_k = sqrt(k) psi_{k-1}) gives the exact
-    three-term recurrence
-
-        (s2 + 1) sqrt(k + 1) c_{k+1} = sqrt(2) b c_k + (s2 - 1) sqrt(k) c_{k-1},
-
-    from c_0 = pi^(-1/4) sqrt(2 pi s2 / (1 + s2)) e^(-b^2 / (2 (1 + s2))). At
-    variance mu (s2 = 1) it is the closed-form coherent state
-    pi^(1/4) e^(-b^2 / 4) (b / sqrt 2)^k / sqrt(k!), evaluated in logs.
+    g has the basis width, so it is a coherent state: c_k = mass (2 pi mu)^(-1/2)
+    mu^(1/4) pi^(1/4) e^(-b^2 / 4) (b / sqrt 2)^k / sqrt(k!), b = center /
+    sqrt(mu), evaluated in logs. The |c_k|^2 are proportional to Poisson(b^2 / 2)
+    weights, so the data's tail beyond any K has a closed form.
     """
-    b, s2 = center / math.sqrt(mu), variance / mu
-    scale = mass * mu ** 0.25 / math.sqrt(2.0 * math.pi * variance)
-    if s2 == 1.0:
-        k = np.arange(size)
-        log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
-        log_c = 0.25 * math.log(math.pi) - 0.25 * b * b - 0.5 * log_factorial
-        if b == 0.0:
-            return np.where(k == 0, scale * np.exp(log_c), 0.0)
-        return scale * np.sign(b) ** k * np.exp(log_c + k * math.log(abs(b) / math.sqrt(2.0)))
-    c = np.empty(size)
-    c[0] = (math.pi ** -0.25 * math.sqrt(2.0 * math.pi * s2 / (1.0 + s2))
-            * math.exp(-0.5 * b * b / (1.0 + s2)))
-    prev, cur = 0.0, c[0]
-    for k in range(size - 1):
-        prev, cur = cur, ((math.sqrt(2.0) * b * cur + (s2 - 1.0) * math.sqrt(k) * prev)
-                          / ((s2 + 1.0) * math.sqrt(k + 1)))
-        c[k + 1] = cur
-    return scale * c
+    b = center / math.sqrt(mu)
+    scale = mass * mu ** 0.25 / math.sqrt(2.0 * math.pi * mu)
+    k = np.arange(size)
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    log_c = 0.25 * math.log(math.pi) - 0.25 * b * b - 0.5 * log_factorial
+    if b == 0.0:
+        return np.where(k == 0, scale * np.exp(log_c), 0.0)
+    return scale * np.sign(b) ** k * np.exp(log_c + k * math.log(abs(b) / math.sqrt(2.0)))

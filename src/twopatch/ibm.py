@@ -67,6 +67,10 @@ class IbmOverflowError(RuntimeError):
     """Population exceeded the configured cap (runaway growth)."""
 
 
+_MAX_POISSON = 1e18  # largest expected offspring total: numpy's sampler stops near 9.2e18
+_MAX_U = 1e6  # _truncated_poisson_cdf's table holds about U entries: 8 MB at this cap
+
+
 @dataclass(frozen=True)
 class IbmParams:
     """The individual-based model of a mirror ModelParams.
@@ -75,8 +79,8 @@ class IbmParams:
         model: the density model's parameters, with symmetric migration and
             rmax1 == rmax2. The IBM reads n, beta, delta
             (model.migration.delta) and rmax (model.rmax1) off them.
-        U: expected mutations per individual per generation, finite and > 0,
-            with lambda_var = mu^2 / U finite and > 0.
+        U: expected mutations per individual per generation, > 0 and at most
+            _MAX_U, with lambda_var = mu^2 / U finite and > 0.
         N0: founding individuals per habitat.
         T: generations to simulate.
         cap: abort threshold on total population size.
@@ -97,6 +101,9 @@ class IbmParams:
             errors.append(f"the individual-based model needs U > 0, got {self.U!r}")
         elif not math.isfinite(self.U):
             errors.append(f"U must be finite, got {self.U!r}")
+        elif self.U > _MAX_U:
+            errors.append(f"U must be at most {_MAX_U:g} (the mutation-count table holds "
+                          f"about U entries), got {self.U!r}")
         else:
             try:
                 variance = self.lambda_var
@@ -147,9 +154,10 @@ def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
 
 def _record(fitness: list[np.ndarray]) -> tuple[int, int, float, float]:
     """(N1, N2, rbar1, rbar2) of habitats with these fitness arrays; rbar is
-    the mean fitness, nan for an empty habitat."""
-    return (fitness[0].size, fitness[1].size,
-            *(float(np.mean(r)) if r.size else math.nan for r in fitness))
+    the mean fitness, nan for an empty habitat, -inf where its sum overflows."""
+    with np.errstate(over="ignore"):
+        return (fitness[0].size, fitness[1].size,
+                *(float(np.mean(r)) if r.size else math.nan for r in fitness))
 
 
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
@@ -216,13 +224,18 @@ def reproduction_selection(state: IbmState, params: IbmParams) -> tuple[int, int
     turned into exp(r) in place. Each array is dropped once its habitat's
     parents are drawn, so no exp(r) array outlives reproduction. Raises
     IbmOverflowError, leaving the populations untouched, when the offspring
-    would exceed ``cap``.
+    would exceed ``cap`` or their expected total exceeds _MAX_POISSON.
     """
     lams = [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
     record = _record(lams)
-    for lam in lams:
-        np.exp(lam, out=lam)
-    totals = [int(state.rng.poisson(lam.sum())) for lam in lams]
+    with np.errstate(over="ignore"):  # an exp(r) past float64 is inf, refused below
+        for lam in lams:
+            np.exp(lam, out=lam)
+        means = [lam.sum() for lam in lams]
+    if not max(means) <= _MAX_POISSON:
+        raise IbmOverflowError(f"expected offspring {max(means):.3g} at generation "
+                               f"{state.generation}, more than any cap can hold")
+    totals = [int(state.rng.poisson(mean)) for mean in means]
     total = totals[0] + totals[1]
     if total > params.cap:
         raise IbmOverflowError(
@@ -239,7 +252,7 @@ def _truncated_poisson_cdf(U: float) -> np.ndarray:
     The table stops once the remaining upper tail is below 2**-53 (bounded
     by the geometric series of the pmf ratio U / (k + 1) < 1), and is
     normalised so that its last entry is exactly 1. The pmf runs in log
-    space, so any finite U > 0 works. Cached per U and read-only.
+    space, so any U > 0 up to IbmParams' _MAX_U works. Cached per U and read-only.
     """
     log_pk = math.log(U) - U - math.log(-math.expm1(-U))  # k = 1
     pmf = []

@@ -10,9 +10,10 @@ n-trait density, which is the profile times N(0, mu I_{n-1}).
 The system is du/dt = -A u with A the growth operator whose smallest
 eigenvalue eigen computes. integrate_to solves it exactly in time by expm, in free
 space, in the Hermite-function basis of width sqrt(mu) where eigen.lambda_of
-finds that eigenvalue (hermite.galerkin), from Gaussian bumps (Bump,
-InitialData) whose coefficients follow from an exact recurrence. No grid
-enters the solve: FinalState.sample evaluates its final state at points.
+finds that eigenvalue (hermite.galerkin), from Gaussian bumps of the basis
+width (Bump, InitialData): coherent states, whose coefficients are closed
+form. No grid enters the solve: FinalState.sample evaluates its final state
+at points.
 """
 
 from __future__ import annotations
@@ -104,17 +105,15 @@ class FinalState:
 
 @dataclass(frozen=True)
 class Bump:
-    """A Gaussian x1 profile: mass times the normal density N(center, variance)."""
+    """A Gaussian x1 profile: mass times N(center, mu), the normal density of the
+    solve's own variance mu, so a coherent state of its Hermite basis."""
 
     center: float
-    variance: float
     mass: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.center):
             raise ValueError(f"bump center must be finite, got {self.center!r}")
-        if not (0 < self.variance < math.inf):
-            raise ValueError(f"bump variance must be > 0, got {self.variance!r}")
         if not (0 < self.mass < math.inf):
             raise ValueError(f"bump mass must be > 0 (densities are nonnegative), "
                              f"got {self.mass!r}")
@@ -181,11 +180,10 @@ def _height(u: np.ndarray, coef: np.ndarray, mu: float) -> float:
     return max(u.max(), float(np.linalg.norm(coef / scale)) * scale * mu ** -0.25)
 
 
-def _bump_norm2(bumps: tuple[Bump, ...], scale: float) -> float:
-    """A sum of bumps' squared L2 norm over scale^2: sum_ij M_i M_j N(c_i - c_j; 0, v_i + v_j)."""
-    return sum(p.mass / scale * (q.mass / scale)
-               / math.sqrt(2.0 * math.pi * (p.variance + q.variance))
-               * math.exp(-0.5 * (p.center - q.center) ** 2 / (p.variance + q.variance))
+def _bump_norm2(mu: float, bumps: tuple[Bump, ...], scale: float) -> float:
+    """A sum of bumps' squared L2 norm over scale^2: sum_ij M_i M_j N(c_i - c_j; 0, 2 mu)."""
+    return sum(p.mass / scale * (q.mass / scale) / math.sqrt(2.0 * math.pi * (mu + mu))
+               * math.exp(-0.5 * (p.center - q.center) ** 2 / (mu + mu))
                for p in bumps for q in bumps)
 
 
@@ -201,7 +199,7 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
     """
     def decayed(bumps):
         with np.errstate(over="ignore", invalid="ignore"):
-            c = sum(hermite.gaussian_coefficients(mu, b.center, b.variance, b.mass, 2 * size)
+            c = sum(hermite.gaussian_coefficients(mu, b.center, b.mass, 2 * size)
                     for b in bumps)
         top = max(b.mass for b in bumps)
         if not np.isfinite(c).all():
@@ -210,7 +208,7 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
         scale = math.ldexp(0.5, math.frexp(top)[1])  # exact divisor
         unit = c / scale
         if (np.linalg.norm(unit[size:]) <= 1e-13 * np.linalg.norm(unit)
-                and abs(unit @ unit / _bump_norm2(bumps, scale) - 1.0) <= 1e-12):
+                and abs(unit @ unit / _bump_norm2(mu, bumps, scale) - 1.0) <= 1e-12):
             return c[:size]
         return None
 
@@ -222,7 +220,7 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
         if c1 is not None and c2 is not None:
             return size, c1, c2
     raise ValueError(f"the initial data need more than {_MAX_SIZE} Hermite modes of width "
-                     f"sqrt(mu) = {math.sqrt(mu):.3g} (a bump much narrower than that?)")
+                     f"sqrt(mu) = {math.sqrt(mu):.3g} (a bump centred far from 0?)")
 
 
 @functools.cache
@@ -302,50 +300,51 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     if logistic and not mirror:
         raise ValueError("logistic growth needs mirror-symmetric data (u2 = u1 reversed)")
 
-    # Rows (N1, N2, int r1 u1, int r2 u2) of the stacked coefficients (c1, c2).
-    m0, m1, m2 = hermite.moments(mu, size)
-    load, beta = 0.5 * (params.n - 1) * mu, params.beta
-    w1 = (params.rmax1 - load - 0.5 * beta * beta) * m0 - beta * m1 - 0.5 * m2
-    w2 = (params.rmax2 - load - 0.5 * beta * beta) * m0 + beta * m1 - 0.5 * m2
-    obs = np.zeros((4, 2 * size))
-    obs[0, :size], obs[1, size:], obs[2, :size], obs[3, size:] = m0, m0, w1, w2
-    q0 = obs @ np.concatenate([c1, c2])  # raw record 0
-
-    # Record times: 0, the cadence grid and t_end itself.
-    rec = np.append(np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every), config.t_end)
-    band = hermite.galerkin(params, size, even_half=mirror)
-    shift = min(hermite.with_constant(params, lam), 0.0)  # steps w = e^(shift t) v
-    if mirror:
-        # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
-        # with the reflection P = diag((-1)^k)
-        obs = obs[:, :size] + obs[:, size:] * sign
-        y0 = 0.5 * c1 + 0.5 * (sign * c2)  # halved first: the sum may overflow
-        a = np.diag(hermite.with_constant(params, band[0]) - shift)
-        for diagonal in (a[1:], a[:, 1:]):
-            np.fill_diagonal(diagonal, band[1, :-1])
-    else:
-        # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
-        # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
-        obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
-        y0 = np.ravel([c1, c2], order="F")
-        _, d12, d21, _ = params.migration.rates
-        a = np.diag(band[0] + hermite.with_constant(params, 0.0) - shift)
-        for diagonal, value in ((a[2:, :-2], band[2, :-2]), (a[:-2, 2:], band[2, :-2]),
-                                (a[1::2, ::2], -d21), (a[::2, 1::2], -d12)):
-            np.fill_diagonal(diagonal, value)
-    if logistic:  # Van Loan's block: J' = N1(w) + shift J is e^(shift t) int_0^t N_v
-        a = np.block([[a, np.zeros((size, 1))], [-obs[:1], np.array([[-shift]])]])
-        y0 = np.append(y0, 0.0)
-
-    # Stepping stops after the first block whose last record's mass is below
-    # floor. The records come from one product over all rows (unstepped rows
-    # are 0), so they keep their bits whether or not the run stops early.
-    # Overflow leaves inf or nan behind, and raises SolverError below; a
-    # logistic run's unstepped rows (J = 0) may divide by 0.
-    ys = np.zeros((rec.size, y0.size))
-    ys[0] = y0
-    floor, total = _EXTINCT * q0[0] + _EXTINCT * q0[1], obs[0] + obs[1]
+    # Overflow (a huge mu, or stepping) leaves inf or nan, raising SolverError
+    # below; a logistic run's unstepped rows (J = 0) may divide by 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Rows (N1, N2, int r1 u1, int r2 u2) of the stacked coefficients (c1, c2).
+        m0, m1, m2 = hermite.moments(mu, size)
+        load, beta = 0.5 * (params.n - 1) * mu, params.beta
+        w1 = (params.rmax1 - load - 0.5 * beta * beta) * m0 - beta * m1 - 0.5 * m2
+        w2 = (params.rmax2 - load - 0.5 * beta * beta) * m0 + beta * m1 - 0.5 * m2
+        obs = np.zeros((4, 2 * size))
+        obs[0, :size], obs[1, size:], obs[2, :size], obs[3, size:] = m0, m0, w1, w2
+        q0 = obs @ np.concatenate([c1, c2])  # raw record 0
+
+        # Record times: 0, the cadence grid and t_end itself.
+        rec = np.append(np.arange(0.0, config.t_end * (1 - 1e-9), config.record_every),
+                        config.t_end)
+        band = hermite.galerkin(params, size, even_half=mirror)
+        shift = min(hermite.with_constant(params, lam), 0.0)  # steps w = e^(shift t) v
+        if mirror:
+            # the habitat-swap-even half v: data (c1 + P c2) / 2, state (v, P v),
+            # with the reflection P = diag((-1)^k)
+            obs = obs[:, :size] + obs[:, size:] * sign
+            y0 = 0.5 * c1 + 0.5 * (sign * c2)  # halved first: the sum may overflow
+            a = np.diag(hermite.with_constant(params, band[0]) - shift)
+            for diagonal in (a[1:], a[:, 1:]):
+                np.fill_diagonal(diagonal, band[1, :-1])
+        else:
+            # interleaved modes: habitat 1 at even indices, habitat 2 at odd ones,
+            # coupled by the rates themselves, not galerkin's -sqrt(d12 d21)
+            obs = np.stack([obs[:, :size], obs[:, size:]], axis=2).reshape(4, -1)
+            y0 = np.ravel([c1, c2], order="F")
+            _, d12, d21, _ = params.migration.rates
+            a = np.diag(band[0] + hermite.with_constant(params, 0.0) - shift)
+            for diagonal, value in ((a[2:, :-2], band[2, :-2]), (a[:-2, 2:], band[2, :-2]),
+                                    (a[1::2, ::2], -d21), (a[::2, 1::2], -d12)):
+                np.fill_diagonal(diagonal, value)
+        if logistic:  # Van Loan's block: J' = N1(w) + shift J is e^(shift t) int_0^t N_v
+            a = np.block([[a, np.zeros((size, 1))], [-obs[:1], np.array([[-shift]])]])
+            y0 = np.append(y0, 0.0)
+
+        # Stepping stops after the first block whose last record's mass is below
+        # floor. The records come from one product over all rows (unstepped rows
+        # are 0), so they keep their bits whether or not the run stops early.
+        ys = np.zeros((rec.size, y0.size))
+        ys[0] = y0
+        floor, total = _EXTINCT * q0[0] + _EXTINCT * q0[1], obs[0] + obs[1]
         if logistic:
             growth = np.exp(shift * rec)
         else:

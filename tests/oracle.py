@@ -36,10 +36,10 @@ def quadrature_axis(mu, span):
     return x, w
 
 
-def gaussian(x, bumps):
-    """Sum of mass * N(center, variance) over bumps, at the points x."""
-    return sum(b.mass * np.exp(-0.5 * (x - b.center) ** 2 / b.variance)
-               / math.sqrt(2.0 * math.pi * b.variance) for b in bumps)
+def gaussian(x, bumps, mu):
+    """Sum of mass * N(center, mu) over bumps, at the points x."""
+    return sum(b.mass * np.exp(-0.5 * (x - b.center) ** 2 / mu)
+               / math.sqrt(2.0 * math.pi * mu) for b in bumps)
 
 
 def galerkin_matrix(params, size):
@@ -88,8 +88,8 @@ class Solve:
         self.params, self.size = params, size
         x, w = quadrature_axis(params.mu, span)
         basis = phi(params.mu, size, x)
-        self.c0 = np.concatenate([basis.T @ (w * gaussian(x, data.u1)),
-                                  basis.T @ (w * gaussian(x, data.u2))])
+        self.c0 = np.concatenate([basis.T @ (w * gaussian(x, data.u1, params.mu)),
+                                  basis.T @ (w * gaussian(x, data.u2, params.mu))])
         self.mass = basis.T @ w
         load = 0.5 * (params.n - 1) * params.mu
         r1 = params.rmax1 - load - 0.5 * (x + params.beta) ** 2

@@ -136,7 +136,7 @@ def test_criterion_05_eigenfunction_mirror_structure_and_asymmetry():
 
 def test_criterion_06_growth_rate_matches_eigenvalue():
     # ln N slope over t in [30, 60] vs -lambda, within 5%, both signs
-    bump = (pde.Bump(0.0, 0.25, 1.0),)
+    bump = (pde.Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=60.0, record_every=0.5)
     for label, rmax in (("persisting", 0.5), ("extinguishing", 0.1)):
         p = ref_params(n=1, delta=0.05, m_d=0.5, rmax=rmax, mu=0.25)
@@ -157,7 +157,7 @@ def test_criterion_07_growth_law_correspondence():
     # max relative error <= 1e-4 over [0, 50], identical initial data
     p_mal = ref_params(n=1, delta=0.05, m_d=0.5)
     p_log = ref_params(n=1, delta=0.05, m_d=0.5, growth=model.GROWTH_LOGISTIC)
-    bump = (pde.Bump(0.0, MU, 1.0),)
+    bump = (pde.Bump(0.0, 1.0),)
     dt = 0.125
     cfg = pde.SolverConfig(t_end=50.0, record_every=dt)
     mal, _ = pde.integrate_to(p_mal, pde.InitialData(bump, bump), cfg)
@@ -175,7 +175,7 @@ def test_criterion_08_logistic_plateau_report():
     p = ref_params(n=1, delta=0.01, m_d=0.5, growth=model.GROWTH_LOGISTIC)
     lam = eigen.lambda_of(ref_params(n=1, delta=0.01, m_d=0.5))
     assert lam < 0
-    bump = (pde.Bump(0.0, MU, 0.02),)
+    bump = (pde.Bump(0.0, 0.02),)
     cfg = pde.SolverConfig(t_end=200.0, record_every=1.0)
     traj, _ = pde.integrate_to(p, pde.InitialData(bump, bump), cfg)
     n_end = float(traj.N1[-1])
@@ -193,7 +193,7 @@ def test_criterion_08_logistic_plateau_report():
 def test_criterion_09_density_merging_at_large_migration():
     # sup gap between the habitat densities at t=1 shrinks as delta grows
     g = build_grid(1, 4.0, 129)
-    data = pde.InitialData((pde.Bump(-0.5, 0.04, 2.0),), (pde.Bump(0.3, 0.09, 1.0),))
+    data = pde.InitialData((pde.Bump(-0.5, 2.0),), (pde.Bump(0.3, 1.0),))
     cfg = pde.SolverConfig(t_end=1.0, record_every=1.0)
     gaps = {}
     for delta in (1.0, 10.0, 100.0):

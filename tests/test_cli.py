@@ -771,6 +771,12 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     ("solve", "L = 1e308\n", "L = 1e+308 has no finite node count"),
     ("solve", "L = 1e308\nm = 5\n", "must be a finite float, got L = 1e+308, m = 5"),
     ("eigen", "L = 1e-300\nm = 5\n", "underflows to 0 at L = 1e-300, m = 5"),
+    # a mu whose Hermite band mu (k + 1/2) overflows: every command refuses it
+    # (phase used to write a row per cell, and let overflow warnings escape)
+    ("phase", "phase_ibm = false\nmu = 1.7976931348623157e308\n",
+     "mu = 1.7976931348623157e+308 is too large for the Hermite basis"),
+    ("eigen", "mu = 1.7976931348623157e308\n",
+     "mu = 1.7976931348623157e+308 is too large for the Hermite basis"),
 ], ids=["phase_unequal_peaks", "phase_general", "ibm_general", "phase_initial_mass",
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu", "solve_subnormal_mass", "phase_subnormal_mass",
@@ -779,7 +785,8 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
         "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
         "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9",
-        "solve_huge_L", "solve_huge_L_five_nodes", "eigen_underflowing_spacing"])
+        "solve_huge_L", "solve_huge_L_five_nodes", "eigen_underflowing_spacing",
+        "phase_mu_float_max", "eigen_mu_float_max"])
 def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, text, message):
     keys = {line.split(" =")[0] for line in text.splitlines()}
     base = "".join(f"{key} = {value}\n" for key, value in
@@ -789,6 +796,20 @@ def test_main_config_the_command_cannot_run_exits_1(tmp_path, capsys, command, t
     assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
+
+
+def test_phase_at_a_huge_mu_writes_solver_error_rows(tmp_path):
+    # at mu = 1e250 the Hermite band is finite, but the observation rows
+    # overflow: each cell is a SolverError row, and no overflow warning
+    # escapes (pytest turns one into an error)
+    path = write_config(tmp_path, "n = 1\nmu = 1e250\nphase_ibm = false\n"
+                                  "sweep_steps = 2, 2\nt_end = 10\n")
+    assert cli.main(["phase", "--config", path, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "phase.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["error"].startswith("SolverError: the solution overflows float64"), row
 
 
 def test_main_allocation_failure_exits_1(tmp_path, capsys, monkeypatch):

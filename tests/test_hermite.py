@@ -58,14 +58,13 @@ def test_moments_match_quadrature():
         np.testing.assert_allclose(got[p], basis.T @ (w * x ** p), rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("center, variance", [
-    (0.0, MU), (0.7, MU), (-0.3, 0.1), (0.4, 0.5), (0.2, 0.02), (0.5, 1.0)],
-    ids=["centred", "coherent", "narrow", "wide", "needle", "broad"])
-def test_gaussian_coefficients_match_quadrature(center, variance):
+@pytest.mark.parametrize("center", [0.0, 0.7, -1.5, 2.5],
+                         ids=["centred", "coherent", "left", "right"])
+def test_gaussian_coefficients_match_quadrature(center):
     x, w = oracle.quadrature_axis(MU, 8.0)
-    g = 2.0 * np.exp(-0.5 * (x - center) ** 2 / variance) / math.sqrt(2.0 * math.pi * variance)
+    g = 2.0 * np.exp(-0.5 * (x - center) ** 2 / MU) / math.sqrt(2.0 * math.pi * MU)
     want = oracle.phi(MU, 64, x).T @ (w * g)
-    got = hermite.gaussian_coefficients(MU, center, variance, 2.0, 64)
+    got = hermite.gaussian_coefficients(MU, center, 2.0, 64)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 

@@ -60,8 +60,9 @@ def test_validation_collects_every_failure():
 @pytest.mark.parametrize("U, message", [(0.0, "needs U > 0, got 0.0"),
                                         (-1.0, "needs U > 0, got -1.0"),
                                         (math.nan, "needs U > 0, got nan"),
-                                        (math.inf, "U must be finite, got inf")],
-                         ids=["zero", "negative", "nan", "inf"])
+                                        (math.inf, "U must be finite, got inf"),
+                                        (1e30, "U must be at most 1e\\+06")],
+                         ids=["zero", "negative", "nan", "inf", "huge"])
 def test_mutation_rate_must_be_positive_and_finite(U, message):
     # lambda_var = mu^2 / U: an IBM without mutations has no density model
     with pytest.raises(ValueError, match=message):

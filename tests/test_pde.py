@@ -26,31 +26,29 @@ def solve(p, g, s0, cfg):
 def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN, n=1):
     p = small_params(delta=delta, growth=growth, n=n)
     g = build_grid(n, 4.0, 81)
-    bump = (Bump(0.0, 0.1, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     return p, g, InitialData(bump, bump)
 
 
 def test_bump_coefficients_carry_the_mass_and_bumps_validate():
-    # a bump's Hermite coefficients carry its mass exactly, at the basis
-    # variance (closed form) and at any other (Gauss-Hermite quadrature)
+    # a bump's Hermite coefficients (a coherent state of the basis) carry its
+    # mass exactly, at the centre and off it
     mu = 0.2
     m0 = hermite.moments(mu, 128)[0]
-    for variance in (mu, 0.05, 0.2 + 1e-9, 0.5):
-        c = hermite.gaussian_coefficients(mu, 0.5, variance, 7.0, 128)
+    for center in (0.0, 0.5, -1.5, 2.5):
+        c = hermite.gaussian_coefficients(mu, center, 7.0, 128)
         assert c @ m0 == pytest.approx(7.0, rel=1e-12)
-    with pytest.raises(ValueError, match="variance"):
-        Bump(0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="mass"):
-        Bump(0.0, 0.2, -1.0)
+        Bump(0.0, -1.0)
     with pytest.raises(ValueError, match="center"):
-        Bump(math.nan, 0.2, 1.0)
+        Bump(math.nan, 1.0)
 
 
 def test_bump_outside_the_sampling_box_keeps_its_mass():
     # the solve is in free space: the grid only samples the final state
     p = small_params()
     g = build_grid(1, 2.0, 21)
-    far = (Bump(5.0, p.mu, 1.0),)
+    far = (Bump(5.0, 1.0),)
     traj, final = solve(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
     assert traj.N1[0] == pytest.approx(1.0, rel=1e-12)
     assert final.u1.max() < 1e-9
@@ -115,7 +113,7 @@ def assert_matches_exact_propagator(p, g, s0, cfg):
 def test_integrate_to_matches_exact_propagator_with_general_migration(migration):
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5, migration=migration)
     g = build_grid(1, 3.0, 41)
-    s0 = InitialData((Bump(-0.5, 0.1, 1.0),), (Bump(0.5, 0.1, 2.0),))
+    s0 = InitialData((Bump(-0.5, 1.0),), (Bump(0.5, 2.0),))
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
     _, _, coef = assert_matches_exact_propagator(p, g, s0, cfg)
     assert np.abs(coef[-1] - coef[0]).max() > 0.5 * np.abs(coef[0]).max()  # far from its start
@@ -141,9 +139,9 @@ def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
     # habitat-swap-even half by one K x K expm, and returns (u, rev u)
     p = small_params(delta=0.3, rmax=0.6, n=n)
     g = build_grid(n, 3.0, 41)
-    bumps = (Bump(0.0, 0.1, 1.0),)
+    bumps = (Bump(0.0, 1.0),)
     if initial == "spread":  # three bumps: u2's coefficients are u1's reversed up to roundoff
-        bumps += (Bump(-p.beta, 0.1, 1.0), Bump(p.beta, 0.1, 1.0))
+        bumps += (Bump(-p.beta, 1.0), Bump(p.beta, 1.0))
     s0 = InitialData(bumps, bumps)
     shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
@@ -159,7 +157,7 @@ def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
 def test_equal_peaks_with_unmirrored_data_take_the_full_route(monkeypatch):
     p = small_params(delta=0.3)
     g = build_grid(1, 3.0, 41)
-    s0 = InitialData((Bump(-0.5, 0.1, 1.0),), (Bump(0.5, 0.1, 2.0),))
+    s0 = InitialData((Bump(-0.5, 1.0),), (Bump(0.5, 2.0),))
     shapes = spy_on_expm(monkeypatch)
     traj, _, _ = assert_matches_exact_propagator(
         p, g, s0, pde.SolverConfig(t_end=10.0, record_every=0.5))
@@ -174,7 +172,7 @@ def test_one_way_remainder_within_roundoff_reuses_the_cadence_propagator(monkeyp
     p = model.ModelParams(n=1, mu=0.2, rmax1=0.3, rmax2=0.1, beta=0.5,
                           migration=model.General(0.3, 0.0, 0.2, 0.7))
     g = build_grid(1, 3.0, 41)
-    bump = (Bump(0.0, 0.1, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=1.0, record_every=0.1)
     traj, _, _ = assert_matches_exact_propagator(p, g, InitialData(bump, bump), cfg)
@@ -246,14 +244,14 @@ def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow(monkey
 
 def test_logistic_needs_mirror_symmetric_data():
     p, g, s0 = small_setup(growth=model.GROWTH_LOGISTIC)
-    half = (Bump(0.0, 0.1, 0.5),)
+    half = (Bump(0.0, 0.5),)
     with pytest.raises(ValueError, match="mirror"):
         pde.integrate_to(p, InitialData(s0.u1, half), pde.SolverConfig(t_end=1.0))
 
 
 def test_float64_overflow_raises_solver_error():
     p = small_params(rmax=50.0)
-    bump = (Bump(0.0, 0.1, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     with pytest.raises(pde.SolverError, match="overflow"):
         pde.integrate_to(p, InitialData(bump, bump), pde.SolverConfig(t_end=300.0))
 
@@ -269,10 +267,15 @@ def test_integrate_to_records_on_cadence():
 
 def test_integrate_to_t_end_zero_records_initial_row_only():
     # the final state is the input's bumps at the nodes, to the roundoff floor
+    # and with FinalState.sample's clip: values below 1e-12 times the height,
+    # the larger of the maximum and the L2 norm of (u1, u2) times mu^(-1/4),
+    # are 0 (a lone bump's L2 norm is its mass times (4 pi mu)^(-1/4))
     p, g, s0 = small_setup()
     traj, final = solve(p, g, s0, pde.SolverConfig(t_end=0.0))
     assert list(traj.t) == [0.0]
-    u = oracle.gaussian(g.axis(), s0.u1)
+    u = oracle.gaussian(g.axis(), s0.u1, p.mu)
+    norm = math.hypot(*(b.mass for b in s0.u1 + s0.u2)) * (4.0 * math.pi * p.mu) ** -0.25
+    u[u < 1e-12 * max(u.max(), norm * p.mu ** -0.25)] = 0.0
     np.testing.assert_allclose(final.u1, u, rtol=0, atol=1e-12 * u.max())
 
 
@@ -329,7 +332,7 @@ def test_logistic_rescaling_of_malthusian_run():
 def test_extinction_flag_on_decaying_run():
     p = small_params(delta=0.05, rmax=-2.0)
     g = build_grid(1, 4.0, 81)
-    bump = (Bump(0.0, 0.1, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=1.0)
     traj, final = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
@@ -343,7 +346,7 @@ def test_extinction_flag_on_decaying_run():
     p = model.ModelParams(n=1, mu=0.2, rmax1=-0.5, rmax2=-0.5, beta=0.5,
                           migration=model.General(0.1, 0.05, 0.2, 0.3))
     g = build_grid(1, 3.0, 41)
-    bump = (Bump(0.0, 0.2, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=0.1)
     traj, final = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
@@ -404,15 +407,15 @@ def test_initial_state_validation():
     p, g, s0 = small_setup()
     cfg = pde.SolverConfig(t_end=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        InitialData((Bump(0.0, 0.1, -1.0),), s0.u2)
+        InitialData((Bump(0.0, -1.0),), s0.u2)
     with pytest.raises(ValueError, match="positive in each habitat"):
         pde.integrate_to(p, InitialData((), s0.u2), cfg)
-    # a bump far narrower than the basis width sqrt(mu) needs too many modes
-    needle = (Bump(0.0, 1e-6, 1.0),)
+    # a bump centred 34 basis widths sqrt(mu) out needs too many modes
+    far_out = (Bump(15.0, 1.0),)
     with pytest.raises(ValueError, match="Hermite modes"):
-        pde.integrate_to(p, InitialData(needle, needle), cfg)
+        pde.integrate_to(p, InitialData(far_out, far_out), cfg)
     # grid samples are not initial data: the solve takes only analytic bumps
-    u = oracle.gaussian(g.axis(), s0.u1)
+    u = oracle.gaussian(g.axis(), s0.u1, p.mu)
     with pytest.raises(TypeError, match="InitialData"):
         pde.integrate_to(p, Field2(u, u.copy()), cfg)
     # optima 57 basis widths apart need 2048 modes, above the solve's cap
@@ -436,7 +439,7 @@ def test_growth_rate_approaches_principal_eigenvalue():
     # late-time Malthusian growth of ln N should settle at -lambda
     p = small_params(delta=0.3)
     lam = eigen.lambda_of(p)
-    bump = (Bump(0.0, p.mu, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=30.0, record_every=1.0)
     traj, _ = pde.integrate_to(p, InitialData(bump, bump), cfg)
     tail = traj.t >= 15.0
@@ -454,7 +457,7 @@ def test_late_log_mass_slope_matches_lambda_to_1e6():
     even = scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1])
     gap = even[1] - even[0]  # mirror data stay in the habitat-swap-even modes
     t_from = 30.0 / gap
-    bump = (Bump(0.3, 0.1, 1.0),)  # off-centre: every even mode starts excited
+    bump = (Bump(0.3, 1.0),)  # off-centre: every even mode starts excited
     cfg = pde.SolverConfig(t_end=2.0 * t_from, record_every=t_from / 20.0)
     traj, _ = pde.integrate_to(p, InitialData(bump, bump[::-1]), cfg)
     tail = traj.t >= t_from
@@ -595,7 +598,7 @@ def fd_total_mass(p, bumps, t, h, L=4.0):
     dense expm of oracle.fd_mirror_matrix, data sampled at the nodes,
     trapezoid mass."""
     x, a = oracle.fd_mirror_matrix(p, L, int(round(2 * L / h)) + 1)
-    return 2.0 * np.trapezoid(scipy.linalg.expm(-t * a) @ oracle.gaussian(x, bumps), x)
+    return 2.0 * np.trapezoid(scipy.linalg.expm(-t * a) @ oracle.gaussian(x, bumps, p.mu), x)
 
 
 def test_finite_difference_solve_converges_to_the_hermite_solve_at_second_order():

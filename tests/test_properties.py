@@ -86,12 +86,12 @@ def test_pde_growth_rate_and_mirror_masses(p):
     cfg = pde.SolverConfig(t_end=50.0, record_every=5.0)
     # m_D = 0: the basis-width bump at 0 is the principal mode itself
     flat = p.with_m_D(0.0)
-    bump = (Bump(0.0, p.mu, 1.0),)
+    bump = (Bump(0.0, 1.0),)
     traj, _ = pde.integrate_to(flat, InitialData(bump, bump), cfg)
     rate = math.log(traj.n_total()[-1] / traj.n_total()[0]) / cfg.t_end
     assert rate == pytest.approx(p.rmax1 - 0.5 * p.n * p.mu, rel=1e-10, abs=1e-12)
     # mirror data on mirror habitats: the two habitats' records agree bitwise
-    spread = tuple(Bump(c, p.mu, 1.0) for c in (0.0, -p.beta, p.beta))
+    spread = tuple(Bump(c, 1.0) for c in (0.0, -p.beta, p.beta))
     traj, final = pde.integrate_to(p, InitialData(spread, spread), cfg)
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])

@@ -86,13 +86,13 @@ def test_two_trait_malthusian_masses_factor_through_the_axis(kind):
     axis = dataclasses.replace(p, n=1)
     a_2d = (np.kron(oracle.galerkin_matrix(axis, size), np.eye(modes))
             + np.kron(np.eye(2 * size), np.diag(p.mu * (np.arange(modes) + 0.5))))
-    data = pde.InitialData((pde.Bump(0.2, 0.3, 1.0),), (pde.Bump(0.2, 0.3, 0.5),))
+    data = pde.InitialData((pde.Bump(0.2, 1.0),), (pde.Bump(0.2, 0.5),))
     x, w = oracle.quadrature_axis(p.mu, 8.0)
     basis = oracle.phi(p.mu, size, x)
-    stationary = oracle.gaussian(x, (pde.Bump(0.0, p.mu, 1.0),))  # N(0, mu) in x2
+    stationary = oracle.gaussian(x, (pde.Bump(0.0, 1.0),), p.mu)  # N(0, mu) in x2
     transverse = oracle.phi(p.mu, modes, x).T @ (w * stationary)
-    c_axis = np.concatenate([basis.T @ (w * oracle.gaussian(x, data.u1)),
-                             basis.T @ (w * oracle.gaussian(x, data.u2))])
+    c_axis = np.concatenate([basis.T @ (w * oracle.gaussian(x, data.u1, p.mu)),
+                             basis.T @ (w * oracle.gaussian(x, data.u2, p.mu))])
     mass = basis.T @ w
     mass_t = oracle.phi(p.mu, modes, x).T @ w
     cfg = pde.SolverConfig(t_end=4.0, record_every=1.0)
