@@ -12,8 +12,9 @@ eigenvalue eigen computes. integrate_to solves it exactly in time by expm, in fr
 space, in the Hermite-function basis of width sqrt(mu) where eigen.lambda_of
 finds that eigenvalue (hermite.galerkin), from Gaussian bumps of the basis
 width (Bump, InitialData): coherent states, whose coefficients are closed
-form. No grid enters the solve: FinalState.sample evaluates its final state
-at points.
+form. Each block of records is observed once stepped (one product, about 4/K
+of its stepping), so an extinct run stops with its extinction record's block.
+No grid enters the solve: FinalState.sample evaluates its final state at points.
 """
 
 from __future__ import annotations
@@ -94,12 +95,14 @@ class FinalState:
     mirror: bool  # the run stayed on the habitat-swap-even half: u2 is u1 reflected
 
     def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u1, u2) at points x, symmetric about 0 on mirror runs (as Grid.axis is), where
-        u2 is u1 reversed bit for bit; values below 1e-12 times the height (integrate_to) are 0."""
-        coef = self.coef[:, :1] if self.mirror else self.coef
+        """(u1, u2) at points x; on mirror runs at points symmetric about 0 (Grid.axis), u2
+        is u1 reversed bit for bit. Values below 1e-12 times the height (integrate_to) are 0."""
+        half = self.coef[:, :1] if self.mirror else self.coef  # a mirror run's height is u1's
+        reflect = self.mirror and np.array_equal(x, -x[::-1])
+        coef = half if reflect else self.coef
         u = hermite.basis(coef.shape[0], x / math.sqrt(self.mu)) @ coef * self.mu ** -0.25
-        u = np.column_stack([u[:, 0], u[::-1, 0]]) if self.mirror else u
-        u[u < _ROUNDOFF * _height(u, coef, self.mu)] = 0.0
+        u = np.column_stack([u[:, 0], u[::-1, 0]]) if reflect else u
+        u[u < _ROUNDOFF * _height(u, half, self.mu)] = 0.0
         return u[:, 0].copy(), u[:, 1].copy()
 
 
@@ -131,35 +134,9 @@ class InitialData:
     u2: tuple[Bump, ...]
 
 
-def _propagate(a: np.ndarray, ys: np.ndarray, rec: np.ndarray, every: float):
-    """Fill ys[k] with the state of dy/dt = -a y at rec[k] from ys[0], by expm,
-    yielding the number of rows filled after each block of records (_BLOCK_WORK
-    multiply-adds of stepping) and at the end.
-
-    a needs no eigenbasis: it may be unsymmetric, and defective under one-way
-    migration between mirror habitats. One expm for the cadence, one more for
-    a remainder to t_end that differs from it beyond rec's 1e-9 roundoff, then
-    one mat-vec per record; a caller that stops iterating steps no further.
-    """
-    prop = expm(-every * a) if rec.size > 2 else None
-    block = max(1, _BLOCK_WORK // a.size)
-    for start in range(1, rec.size - 1, block):
-        stop = min(start + block, rec.size - 1)
-        for k in range(start, stop):
-            prop.dot(ys[k - 1], out=ys[k])
-        yield stop
-    if rec.size > 1:
-        last = rec[-1] - rec[-2]
-        # a remainder within rec's 1e-9 roundoff of the cadence reuses its propagator
-        if prop is None or abs(last - every) > 1e-9 * every:
-            prop = expm(-last * a)
-        prop.dot(ys[-2], out=ys[-1])
-    yield rec.size
-
-
 # Multiply-adds of stepping between two looks for extinction: 256 records at
-# the mirror K = 64, one at K = 1024, so a look (one dot product) costs about
-# 1% of its block or less.
+# the mirror K = 64, one at K = 1024. A look is one observation product of the
+# block's records (four rows against each state), about 4/K of its stepping or less.
 _BLOCK_WORK = 2 ** 20
 # Largest Hermite basis integrate_to solves in: expm works on dense 2K x 2K (mirror:
 # K x K) matrices, and peaks at 320 MB RSS at this cap (scipy 1.17, one BLAS thread).
@@ -245,7 +222,9 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     is du/dt = -A u, so the solution is exp(-A t) u0 (Moler and Van Loan,
     Nineteen Dubious Ways to Compute the Exponential of a Matrix, SIAM Review
     45, 2003, sections 3 and 6), with A the Galerkin matrix of
-    hermite.galerkin, stepped by expm (_propagate):
+    hermite.galerkin, stepped record to record by one expm of the cadence
+    (one more for a remainder to t_end that differs from it beyond rec's 1e-9
+    roundoff) and one mat-vec per record; A needs no eigenbasis:
 
     - mirror runs (Symmetric migration, rmax1 = rmax2, u2's coefficients
       those of u1 reversed to 1e-12) stay on the habitat-swap-even half, the
@@ -268,8 +247,9 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     the larger of its maximum there and its L2 norm times mu^(-1/4) (a bump
     of that norm and width sqrt(mu)), raise SolverError. The run stops early,
     with trajectory.extinct set, at the first record below _EXTINCT = 1e-12
-    times the initial mass, in that record's state; stepping stops with the
-    block of records (_BLOCK_WORK) in which the mass first falls below it.
+    times the initial mass, in that record's state: each block of records
+    (_BLOCK_WORK) is observed once it is stepped, and stepping stops with the
+    block in which the mass first falls below it.
     Record 0 holds the input's masses; the t_end = 0 final state is the input.
 
     Raises:
@@ -339,36 +319,43 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
             a = np.block([[a, np.zeros((size, 1))], [-obs[:1], np.array([[-shift]])]])
             y0 = np.append(y0, 0.0)
 
-        # Stepping stops after the first block whose last record's mass is below
-        # floor. The records come from one product over all rows (unstepped rows
-        # are 0), so they keep their bits whether or not the run stops early.
+        # Stepping stops after the first block holding a record below floor. The
+        # records come from one product over all rows (unstepped rows are 0), so
+        # they keep their bits whether or not the run stops early.
         ys = np.zeros((rec.size, y0.size))
         ys[0] = y0
-        floor, total = _EXTINCT * q0[0] + _EXTINCT * q0[1], obs[0] + obs[1]
-        if logistic:
-            growth = np.exp(shift * rec)
-        else:
-            scale = np.exp(-shift * rec)
-        for filled in _propagate(a, ys, rec, config.record_every):
-            k = filled - 1
-            if filled < rec.size:
-                mass = ys[k, :total.size] @ total
-                mass = mass / (growth[k] + ys[k, -1]) if logistic else mass * scale[k]
-                if not mass < floor:
-                    continue
+        floor = _EXTINCT * q0[0] + _EXTINCT * q0[1]
+        exp_t = np.exp(shift * rec if logistic else -shift * rec)
+
+        def observe(rows):
+            """The rows' raw records and their scales from w to u: e^(-shift t) Malthusian,
+            1 / (e^(shift t) + J) logistic."""
             if logistic:
-                scale = 1.0 / (growth + ys[:, -1])
-                q = ys[:, :-1] @ obs.T * scale[:, None]
-            else:
-                q = ys @ obs.T * scale[:, None]
-            q[0] = q0
-            low = np.flatnonzero(q[:filled, 0] + q[:filled, 1] < floor)
-            if low.size or filled == rec.size:
+                scale = 1.0 / (exp_t[rows] + ys[rows, -1])
+                return ys[rows, :-1] @ obs.T * scale[:, None], scale
+            return ys[rows] @ obs.T * exp_t[rows, None], exp_t[rows]
+
+        every, end, extinct, prop = config.record_every, rec.size - 1, False, None
+        # blocks of cadence rows (_BLOCK_WORK each), then the remainder row; none at t_end = 0
+        starts = [*range(1, end, max(1, _BLOCK_WORK // a.size)), end, end + 1] if end else []
+        for start, stop in zip(starts, starts[1:]):
+            # the cadence's expm, once; the remainder's only beyond rec's 1e-9 roundoff of it
+            span = rec[-1] - rec[-2] if stop > end else every
+            if prop is None or abs(span - every) > 1e-9 * every:
+                prop = expm(-span * a)
+            step = prop.dot  # looked up once: per row, the look-up costs 2% of the stepping
+            for prev, row in zip(ys[start - 1:stop - 1], ys[start:stop]):
+                step(prev, out=row)
+            q, _ = observe(slice(start, stop))
+            low = np.flatnonzero(q[:, 0] + q[:, 1] < floor)
+            if low.size:
+                end, extinct = start + int(low[0]), True
                 break
-        end = int(low[0]) if low.size else rec.size - 1
+        q, scale = observe(slice(None))
         q = q[:end + 1]
+        q[0] = q0
         coef = (np.column_stack([c1, c2]) if end == 0
-                else (ys[end, :total.size] * scale[end]).reshape(size, -1))
+                else (ys[end, :obs.shape[1]] * scale[end]).reshape(size, -1))
         u = _check_basis(size) @ coef * mu ** -0.25
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SolverError(f"the solution overflows float64 by t={rec[end]:.6g}")
@@ -377,7 +364,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         raise SolverError(f"final state dips to {u.min():.3g} (height {top:.3g}), beyond roundoff")
     # rows (N1, N2, rbar1, rbar2) from (N1, N2, int r1 u1, int r2 u2)
     q[:, 2:] = np.divide(q[:, 2:], q[:, :2], out=np.full_like(q[:, :2], np.nan), where=q[:, :2] > 0)
-    traj = Trajectory(rec[:end + 1].copy(), *q.T.copy(), extinct=low.size > 0)
+    traj = Trajectory(rec[:end + 1].copy(), *q.T.copy(), extinct=extinct)
     if mirror and end > 0:  # u2's coefficients are u1's times (-1)^k
         return traj, FinalState(mu, np.column_stack([coef[:, 0], sign * coef[:, 0]]), True)
     return traj, FinalState(mu, coef, False)

@@ -529,27 +529,33 @@ def test_mu_2e3_solves_match_the_taylor_reference(m_D, size, t, mass):
 @pytest.mark.parametrize("growth", [model.GROWTH_MALTHUSIAN, model.GROWTH_LOGISTIC])
 def test_extinct_run_stops_stepping_after_the_block_of_its_extinction_record(monkeypatch,
                                                                             growth):
-    # extinct at record 131 (logistic: 81) of 6001: stepping ends with the
-    # first block past that record, and every record and the final state keep
-    # the bits of a run whose one block steps to record 5999 before it looks
+    # extinct at record 131 (logistic: 81) of 6001: stepping (one mat-vec of
+    # the propagator per record) ends with the block of that record, and every
+    # record and the final state keep the bits of a run whose one block steps
+    # to record 5999 before it looks
     config = cli.ExperimentConfig(m_D=2.0, delta=0.5, t_end=3000.0, growth=growth)
     params = cli.to_model_params(config)
     args = params, cli.initial_state(config, params), cli.solver_config(config)
-    filled, inner = [], pde._propagate
+    dots, sizes, inner = [], [], pde.expm
 
-    def spy(*a):
-        for rows in inner(*a):
-            filled.append(rows)
-            yield rows
+    class Counting(np.ndarray):
+        def dot(self, *args, **kwargs):
+            dots.append(1)
+            return np.asarray(self).dot(*args, **kwargs)
 
-    monkeypatch.setattr(pde, "_propagate", spy)
+    def counting_expm(a):
+        sizes.append(a.size)
+        return inner(a).view(Counting)
+
+    monkeypatch.setattr(pde, "expm", counting_expm)
     traj, final = pde.integrate_to(*args)
-    assert traj.extinct and traj.t.size < 200
-    assert all(rows < traj.t.size for rows in filled[:-1]) and traj.t.size <= filled[-1] < 6001
+    extinct_at, block = traj.t.size - 1, pde._BLOCK_WORK // sizes[0]
+    assert traj.extinct and 1 < block < extinct_at < 200 and len(sizes) == 1
+    assert extinct_at <= len(dots) < extinct_at + block
     monkeypatch.setattr(pde, "_BLOCK_WORK", 10 ** 18)
-    filled.clear()
+    dots.clear()
     whole, whole_final = pde.integrate_to(*args)
-    assert filled == [6000]
+    assert len(dots) == 5999
     for name in ("t", "N1", "N2", "rbar1", "rbar2"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(whole, name))
     np.testing.assert_array_equal(final.coef, whole_final.coef)
@@ -564,6 +570,23 @@ def test_final_state_below_the_roundoff_floor_is_exactly_zero():
     assert not ((u > 0.0) & (u < 1e-12 * u.max())).any()
     assert u.min() == 0.0
     np.testing.assert_array_equal(final.u2, final.u1[::-1])
+
+
+def test_mirror_final_state_samples_u2_at_points_not_symmetric_about_0():
+    # u2 is u1 reflected, so u2 at x is u1 at -x: reversing u1's samples gives
+    # it only at points symmetric about 0, and [0, 0.5, 1] are not (u2(0) read
+    # 1.9e-5, u1(1), where it is 1.0e4)
+    config = cli.ExperimentConfig(t_end=10.0)
+    params = cli.to_model_params(config)
+    _, final = pde.integrate_to(params, cli.initial_state(config, params),
+                                cli.solver_config(config))
+    x = np.array([0.0, 0.5, 1.0])
+    u1, u2 = final.sample(x)
+    reflected, _ = final.sample(-x)
+    both = final.sample(np.concatenate([-x[:0:-1], x]))
+    assert final.mirror and u2[0] == pytest.approx(1.0411e4, rel=1e-4)
+    np.testing.assert_allclose(u2, reflected, rtol=1e-12)
+    np.testing.assert_allclose(np.column_stack([u1, u2]), np.column_stack(both)[2:], rtol=1e-12)
 
 
 def test_final_state_samples_a_coefficient_above_2_to_the_1023():
