@@ -20,11 +20,9 @@ calls LAPACK's dstebz (tridiagonal) or dsbevx (band) directly: bit for bit
 scipy.linalg's value, without the wrappers' per-call checks that took half
 of lambda_of's time. A LAPACK failure is an EigenError (CLI exit 2).
 
-Two rules pick the basis size K. certified, behind eigen.lambda_of, stops at
+One rule picks the basis size K: certified, behind eigen.lambda_of, stops at
 the first K whose Galerkin value it proves to within 1e-13 of the largest
-diagonal entry, by one banded Cholesky of a larger head; smallest, behind
-pde.integrate_to, stops where two successive sizes agree to that tolerance,
-one doubling later, since the propagated state needs the larger basis too.
+diagonal entry, by one banded Cholesky of a larger head.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from scipy.linalg.lapack import dlamch, dpbtrf, dpttrf, dsbevx, dstebz
 
 from . import model
 
-# Basis sizes K tried by smallest and certified, doubling up to the cap.
+# Basis sizes K tried by certified (and, up to its own cap, pde.integrate_to), doubling.
 SIZES = tuple(32 * 2 ** j for j in range(9))  # 32 ... 8192
 
 # Per-index factors of galerkin's rows, k < 2 SIZES[-1] (certified's largest
@@ -134,32 +132,6 @@ def lowest(band: np.ndarray, tridiagonal: bool = False) -> float:
     return value
 
 
-def _unconverged(params: model.ModelParams) -> EigenError:
-    return EigenError(f"Hermite-Galerkin lambda not converged at K = {SIZES[-1]} "
-                      f"(beta^2 / mu = {params.beta ** 2 / params.mu:.3g} needs a larger basis)")
-
-
-def smallest(params: model.ModelParams) -> tuple[float, int]:
-    """(smallest eigenvalue of galerkin(params, K), K), at the first K of SIZES
-    whose value agrees with the previous size's to 1e-13 times the largest
-    diagonal entry. Galerkin values decrease with K.
-
-    pde.integrate_to takes its basis size from here: the state it propagates
-    must be resolved as well as lambda, so it keeps the size one doubling past
-    certified's. Each K is one lowest call (dstebz on the mirror tridiagonal,
-    dsbevx on the pentadiagonal band). Raises EigenError past the last size,
-    or when LAPACK fails (lowest; the CLI exits 2).
-    """
-    prev = math.inf
-    for size in SIZES:
-        band = galerkin(params, size)
-        lam = lowest(band, tridiagonal=band.shape[0] == 2)
-        if abs(lam - prev) <= 1e-13 * np.abs(band[0]).max():
-            return lam, size
-        prev = lam
-    raise _unconverged(params)
-
-
 def certified(params: model.ModelParams) -> tuple[float, float, int]:
     """(value, lo, K): value = lowest(galerkin(params, K)) >= lambda, and a
     proof that lambda >= lo = value - tol, tol = 1e-13 times galerkin(K)'s
@@ -189,8 +161,8 @@ def certified(params: model.ModelParams) -> tuple[float, float, int]:
     K' is the first of 2K, 4K, ... (at most 2 SIZES[-1]) with e <= 1 and
     G - lo > |lo - floor|: the tail bound clears lo by at least lo's own height
     above floor, which keeps b^2 / s moderate. The proof succeeds once K has
-    converged, one doubling before smallest's agreement rule. Raises
-    EigenError past the last size, or when LAPACK fails (lowest).
+    converged, one doubling before two successive sizes agree on value.
+    Raises EigenError past the last size, or when LAPACK fails (lowest).
     """
     mu, beta = params.mu, params.beta
     d11, d12, d21, d22 = params.migration.rates
@@ -230,7 +202,8 @@ def certified(params: model.ModelParams) -> tuple[float, float, int]:
             info = dpbtrf(head, lower=1, overwrite_ab=1)[1]
         if info == 0:
             return value, lo, size
-    raise _unconverged(params)
+    raise EigenError(f"Hermite-Galerkin lambda not converged at K = {SIZES[-1]} "
+                     f"(beta^2 / mu = {beta ** 2 / mu:.3g} needs a larger basis)")
 
 
 def _position(v: np.ndarray, mu: float) -> np.ndarray:

@@ -159,21 +159,27 @@ def _height(u: np.ndarray, coef: np.ndarray, mu: float) -> float:
 
 def _bump_norm2(mu: float, bumps: tuple[Bump, ...], scale: float) -> float:
     """A sum of bumps' squared L2 norm over scale^2: sum_ij M_i M_j N(c_i - c_j; 0, 2 mu)."""
+    # d * d, not d ** 2, which raises OverflowError past 1e154: the term is then exp(-inf) = 0
     return sum(p.mass / scale * (q.mass / scale) / math.sqrt(2.0 * math.pi * (mu + mu))
-               * math.exp(-0.5 * (p.center - q.center) ** 2 / (mu + mu))
+               * math.exp(-0.5 * ((d := p.center - q.center) * d) / (mu + mu))
                for p in bumps for q in bumps)
 
 
-def _data_coefficients(mu: float, state0: InitialData, size: int):
-    """(K, c1, c2): K >= size from hermite.SIZES and the habitats' coefficients.
-
-    Each habitat's coefficients are computed to 2K; K is the first size at
-    which the part beyond K is below 1e-13 of the whole (the data have
-    decayed within the basis) and the whole holds the bumps' L2 norm to 1e-12
-    (Parseval, which catches coefficients that underflowed). Both run on the
-    data over the power of two at or below the largest mass, so they hold at
-    any mass; data whose coefficients overflow float64 raise ValueError.
+def _basis(params: model.ModelParams, state0: InitialData):
+    """(lambda, K, c1, c2): lambda = lowest(galerkin(params, K0)) at the first K0
+    of hermite.SIZES whose value agrees with the previous size's to 1e-13 times
+    the band's largest diagonal entry (one doubling past hermite.certified's K,
+    as the propagated state needs the larger basis too), and K the first size
+    from K0 on at which the data have decayed: each habitat's coefficients,
+    computed to 2K, hold below 1e-13 of their norm beyond K, and that norm is
+    the bumps' L2 norm to 1e-12 (Parseval, which catches coefficients that
+    underflowed), both over the power of two at or below the largest mass, so
+    at any mass. Raises SolverError when lambda, and ValueError when the data,
+    need more than _MAX_SIZE modes; ValueError when the coefficients overflow
+    float64; and EigenError when LAPACK fails (hermite.lowest).
     """
+    mu = params.mu
+
     def decayed(bumps):
         with np.errstate(over="ignore", invalid="ignore"):
             c = sum(hermite.gaussian_coefficients(mu, b.center, b.mass, 2 * size)
@@ -189,13 +195,24 @@ def _data_coefficients(mu: float, state0: InitialData, size: int):
             return c[:size]
         return None
 
-    for size in hermite.SIZES[hermite.SIZES.index(size):]:
+    lam, prev = None, math.inf
+    for size in hermite.SIZES:
         if size > _MAX_SIZE:
             break
-        c1 = decayed(state0.u1)
-        c2 = c1 if state0.u2 == state0.u1 else decayed(state0.u2)
-        if c1 is not None and c2 is not None:
-            return size, c1, c2
+        if lam is None:
+            band = hermite.galerkin(params, size)
+            value = hermite.lowest(band, tridiagonal=band.shape[0] == 2)
+            if abs(value - prev) <= 1e-13 * np.abs(band[0]).max():
+                lam = value
+            prev = value
+        if lam is not None:
+            c1 = decayed(state0.u1)
+            c2 = c1 if state0.u2 == state0.u1 else decayed(state0.u2)
+            if c1 is not None and c2 is not None:
+                return lam, size, c1, c2
+    if lam is None:
+        raise SolverError(f"lambda needs more than {_MAX_SIZE} Hermite modes, "
+                          f"at beta^2 / mu = {params.beta ** 2 / mu:.3g}")
     raise ValueError(f"the initial data need more than {_MAX_SIZE} Hermite modes of width "
                      f"sqrt(mu) = {math.sqrt(mu):.3g} (a bump centred far from 0?)")
 
@@ -215,10 +232,9 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
     """Solve from state0 to t_end exactly in time, recording every record_every.
 
     The solve runs in free space, in the basis phi_k(x) = mu^(-1/4)
-    psi_k(x / sqrt(mu)) of hermite: K is hermite.smallest's, where two
-    successive sizes agree on lambda (one doubling past the K that
-    eigen.lambda_of certifies, so the state is resolved too), doubled further
-    until the data's coefficients have decayed within it. Malthusian growth
+    psi_k(x / sqrt(mu)) of hermite, at the K of _basis: where two successive
+    sizes agree on lambda, doubled further until the data's coefficients have
+    decayed within it, at most _MAX_SIZE = 1024. Malthusian growth
     is du/dt = -A u, so the solution is exp(-A t) u0 (Moler and Van Loan,
     Nineteen Dubious Ways to Compute the Exponential of a Matrix, SIAM Review
     45, 2003, sections 3 and 6), with A the Galerkin matrix of
@@ -234,8 +250,8 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
       mirror parameters with unmirrored data) takes the 2K matrix, which may
       be unsymmetric or defective.
 
-    It steps w = e^(s t) v, s = min(lambda, 0) for hermite.smallest's
-    lambda, whose propagator stays bounded; each record, observed through
+    It steps w = e^(s t) v, s = min(lambda, 0) for _basis's lambda, whose
+    propagator stays bounded; each record, observed through
     exact integrals of the basis (hermite.moments), multiplies by e^(-s t).
     Logistic growth needs mirror data, so N1 = N2 and u = v / (1 + int_0^t
     N_v1) = w / (e^(s t) + J): (w, J) steps by the (K + 1)-square block whose
@@ -257,9 +273,9 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         ValueError: a habitat without bumps, logistic growth from data that is
             not mirror-symmetric, or data that need more than 1024 modes or
             whose coefficients overflow float64.
-        SolverError: a non-finite record or state (float64 overflow), a basis
-            above 1024 modes, or a final state more negative than roundoff.
-        EigenError: K not converged (hermite.smallest).
+        SolverError: a non-finite record or state (float64 overflow), lambda
+            not converged within 1024 modes, or a final state more negative
+            than roundoff.
     """
     if not isinstance(state0, InitialData):
         raise TypeError(f"state0 must be InitialData (Gaussian bumps), "
@@ -268,11 +284,7 @@ def integrate_to(params: model.ModelParams, state0: InitialData,
         raise ValueError("initial mass must be positive in each habitat: "
                          "give each at least one bump")
     mu = params.mu
-    lam, size = hermite.smallest(params)
-    if size > _MAX_SIZE:
-        raise SolverError(f"the solve needs {size} Hermite modes, more than {_MAX_SIZE} "
-                          f"(beta^2 / mu = {params.beta ** 2 / mu:.3g})")
-    size, c1, c2 = _data_coefficients(mu, state0, size)
+    lam, size, c1, c2 = _basis(params, state0)
     sign = (-1.0) ** np.arange(size)
     mirror = hermite.is_mirror(params) and (np.abs(c2 - sign * c1).max()
                                             <= 1e-12 * max(np.abs(c1).max(), np.abs(c2).max()))

@@ -35,7 +35,7 @@ def problem(m_d: float):
     params = cli.to_model_params(config)
     state0 = cli.initial_state(config, params)
     traj, _ = pde.integrate_to(params, state0, cli.solver_config(config))
-    size, c1, c2 = pde._data_coefficients(params.mu, state0, hermite.smallest(params)[1])
+    _, size, c1, c2 = pde._basis(params, state0)
     band = hermite.galerkin(params, size)
     sign = (-1.0) ** np.arange(size)
     return (float(traj.t[-1]), hermite.with_constant(params, band[0]), band[1, :-1],

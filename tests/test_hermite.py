@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvals_banded
 
 import oracle
-from twopatch import eigen, hermite, model
+from twopatch import eigen, hermite, model, pde
 
 MU = 0.2
 
@@ -119,7 +119,8 @@ def _scipy_band(params, size):
 
 
 def _scipy_smallest(params):
-    """smallest's K-doubling through scipy's eigh_tridiagonal / eigvals_banded."""
+    """(lambda, K) of pde._basis's agreement rule through scipy's eigh_tridiagonal /
+    eigvals_banded, over every size of SIZES."""
     prev = math.inf
     for size in hermite.SIZES:
         band = _scipy_band(params, size)
@@ -133,6 +134,22 @@ def _scipy_smallest(params):
             return float(lam), size
         prev = lam
     raise AssertionError("not converged")
+
+
+# A bump at the origin is phi_0: its coefficients decay at any K, so the walk's K is lambda's.
+ORIGIN = pde.InitialData((pde.Bump(0.0, 1.0),), (pde.Bump(0.0, 1.0),))
+
+
+def _agreement(params):
+    """_scipy_smallest's (lambda, K), checked against pde._basis: bit for bit up to
+    K = 1024, and a refusal above it."""
+    lam, size = _scipy_smallest(params)
+    if size <= pde._MAX_SIZE:
+        assert pde._basis(params, ORIGIN)[:2] == (lam, size), params
+    else:
+        with pytest.raises(pde.SolverError, match="lambda needs more than 1024"):
+            pde._basis(params, ORIGIN)
+    return lam, size
 
 
 def _direct_route_sets(count=240):
@@ -161,7 +178,7 @@ def test_smallest_is_bit_identical_to_scipy():
     sets = _direct_route_sets()
     assert {hermite.is_mirror(p) for p in sets} == {True, False}
     for p in sets:
-        assert hermite.smallest(p) == _scipy_smallest(p), p
+        _agreement(p)
         assert np.array_equal(hermite.galerkin(p, 64), _scipy_band(p, 64)), p
 
 
@@ -192,11 +209,11 @@ def test_lowest_raises_eigen_error_on_a_lapack_failure(monkeypatch, tridiagonal,
 
 
 def test_smallest_is_lambda_of_less_its_constant():
-    # lambda_of's value is certified's; smallest's, one doubling further,
-    # lies inside certified's enclosure [lo, value]
+    # lambda_of's value is certified's; the value where two sizes agree (pde's
+    # basis walk), one doubling further, lies inside certified's enclosure [lo, value]
     p = model.ModelParams(n=3, mu=MU, rmax1=0.3, rmax2=0.2, beta=0.5,
                           migration=model.General(0.3, 0.05, 0.2, 0.7))
-    lam, size = hermite.smallest(p)
+    lam, size, _, _ = pde._basis(p, ORIGIN)
     value, lo, certified_size = hermite.certified(p)
     assert size in hermite.SIZES and certified_size in hermite.SIZES
     assert eigen.lambda_of(p) == hermite.with_constant(p, value)
@@ -230,14 +247,15 @@ def _mirror_grid():
 
 @pytest.mark.parametrize("sets", [_direct_route_sets, _mirror_grid], ids=["direct", "mirror_grid"])
 def test_certified_encloses_lambda_at_a_basis_no_larger_than_smallest(sets):
-    # value is lowest at certified's K; lambda_ref, lowest at four times
-    # smallest's K, lies in [lo, value] up to e = 4 eps of that band's scale;
-    # certified's K never exceeds smallest's, and lambda_of moves from
-    # smallest's value by at most certified's tol
+    # value is lowest at certified's K; lambda_ref, lowest at four times the
+    # K where two sizes agree (pde's basis walk up to 1024), lies in [lo, value]
+    # up to e = 4 eps of that band's scale; certified's K never exceeds the
+    # agreement K, and lambda_of moves from the agreed value by at most
+    # certified's tol
     eps = np.finfo(float).eps
     for p in sets():
         value, lo, size = hermite.certified(p)
-        lam, smallest_size = hermite.smallest(p)
+        lam, smallest_size = _agreement(p)
         band = hermite.galerkin(p, size)
         assert value == hermite.lowest(band, tridiagonal=band.shape[0] == 2), p
         band = hermite.galerkin(p, 4 * smallest_size)

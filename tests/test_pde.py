@@ -128,8 +128,8 @@ def spy_on_expm(monkeypatch):
 
 
 def basis_size(p, s0):
-    """The K integrate_to chooses: hermite.smallest's, doubled until the data decay in it."""
-    return pde._data_coefficients(p.mu, s0, hermite.smallest(p)[1])[0]
+    """The K integrate_to chooses: where lambda agrees, doubled until the data decay in it."""
+    return pde._basis(p, s0)[1]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -421,8 +421,31 @@ def test_initial_state_validation():
     # optima 57 basis widths apart need 2048 modes, above the solve's cap
     far = model.ModelParams(n=1, mu=0.01, rmax1=0.1, rmax2=0.1, beta=math.sqrt(8.0),
                             migration=model.Symmetric(0.05))
-    with pytest.raises(pde.SolverError, match="2048 Hermite modes"):
+    with pytest.raises(pde.SolverError,
+                       match=r"lambda needs more than 1024 Hermite modes, at beta\^2 / mu = 800"):
         pde.integrate_to(far, s0, cfg)
+
+
+def test_bumps_too_far_apart_to_square_their_distance_need_too_many_modes():
+    # (1e200 - -1e200)^2 overflows a Python float: the pair's overlap term is
+    # exp(-inf) = 0, and the refusal is the documented ValueError
+    p = small_params()
+    far = (Bump(-1e200, 1.0), Bump(1e200, 1.0))
+    with pytest.raises(ValueError, match="initial data need more than 1024 Hermite modes"):
+        pde.integrate_to(p, InitialData(far, far), pde.SolverConfig(t_end=1.0))
+
+
+def test_refused_solve_builds_no_basis_above_the_cap(monkeypatch):
+    # mu = 1e-3, m_D = 2: lambda agrees only at K = 2048, so the solve is
+    # refused, having built no Galerkin band above 1024 modes
+    config = cli.ExperimentConfig(mu=1e-3, m_D=2.0)
+    params = cli.to_model_params(config)
+    sizes, inner = [], hermite.galerkin
+    monkeypatch.setattr(hermite, "galerkin",
+                        lambda p, size, **kwargs: sizes.append(size) or inner(p, size, **kwargs))
+    with pytest.raises(pde.SolverError, match="Hermite modes"):
+        pde.integrate_to(params, cli.initial_state(config, params), cli.solver_config(config))
+    assert max(sizes) == 1024, sizes
 
 
 def test_solver_config_validation():
@@ -453,7 +476,8 @@ def test_late_log_mass_slope_matches_lambda_to_1e6():
     # (1e-13), so the fitted slope must match lambda_of to 1e-6
     p = small_params(delta=0.3)
     lam = eigen.lambda_of(p)
-    band = hermite.galerkin(p, hermite.smallest(p)[1])
+    origin = (Bump(0.0, 1.0),)  # decays at any K: the solve's K is where lambda agrees
+    band = hermite.galerkin(p, pde._basis(p, InitialData(origin, origin))[1])
     even = scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1])
     gap = even[1] - even[0]  # mirror data stay in the habitat-swap-even modes
     t_from = 30.0 / gap
@@ -470,9 +494,15 @@ def default_solve(monkeypatch=None, factor=1, config=cli.ExperimentConfig()):
     basis enlarged by factor."""
     params = cli.to_model_params(config)
     if monkeypatch is not None:
-        inner = hermite.smallest
-        monkeypatch.setattr(hermite, "smallest",
-                            lambda p: (inner(p)[0], factor * inner(p)[1]))
+        inner = pde._basis
+
+        def wide(p, s0):
+            lam, size, _, _ = inner(p, s0)
+            c1, c2 = (sum(hermite.gaussian_coefficients(p.mu, b.center, b.mass, factor * size)
+                          for b in bumps) for bumps in (s0.u1, s0.u2))
+            return lam, factor * size, c1, c2
+
+        monkeypatch.setattr(pde, "_basis", wide)
     return solve(params, cli.grid_for(config, params), cli.initial_state(config, params),
                  cli.solver_config(config))
 
