@@ -406,7 +406,9 @@ def cmd_eigen(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
 
 
 def cmd_ibm(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
-    """Run replicate stochastic simulations; write ibm.csv and ibm_mean.csv."""
+    """Run replicate stochastic simulations; write ibm.csv and ibm_mean.csv.
+
+    The replicates are never thinned (unlike phase's): every count is simulated."""
     params = ibm_params(config, to_model_params(config))
     seeds = [[config.seed, k] for k in range(config.replicates)]
     summary = run_replicates(params, seeds)
@@ -446,6 +448,10 @@ class PhaseCell:
 
 
 def _phase_cell(args) -> PhaseCell:
+    """One sweep cell. Its IBM replicates thin above twice their founding total
+    (ceiling 4 N0, ibm.run), and N_total_ibm_mean is the replicates' mean
+    weight * (N1 + N2) at T: an unbiased estimate of the unthinned mean, at a
+    simulated population that stays near its founding size."""
     config, i, j, delta, m_d = args
     try:
         params = to_model_params(config, delta=delta, m_d=m_d)
@@ -459,7 +465,7 @@ def _phase_cell(args) -> PhaseCell:
         if config.phase_ibm:
             ip = ibm_params(config, params)
             seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
-            summary = run_replicates(ip, seeds)
+            summary = run_replicates(ip, seeds, ceiling=4 * config.N0)
             n_ibm = float(summary.n_total_mean[-1])
         return PhaseCell(delta=delta, m_D=m_d, lam=lam, classification=classification,
                          n_total_pde=n_pde, n_total_ibm_mean=n_ibm, error="")

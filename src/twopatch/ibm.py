@@ -47,7 +47,9 @@ of habitat 1 and 2; then the parent proposals of habitat 1, then of habitat
 2, each chunk its indices then its uniforms; then per habitat the mutant
 count, the mutant indices, their K, their displacements and at n >= 3
 their chi-square draws; then the mover count and the movers of habitat 1,
-then of habitat 2), so a run is bit-reproducible given its seed.
+then of habitat 2; then, for a run with a ceiling that the population
+passes, one uniform per row per halving), so a run is bit-reproducible
+given its seed.
 """
 
 from __future__ import annotations
@@ -354,7 +356,23 @@ def step(state: IbmState, params: IbmParams) -> tuple[int, int, float, float]:
     return record
 
 
-def run(params: IbmParams, seed=0) -> Trajectory:
+def _thin(state: IbmState, ceiling: int) -> int:
+    """Halve the population until N1 + N2 <= ceiling; returns the number of halvings.
+
+    Each halving keeps every row independently with probability 1/2, from
+    one uniform per row: habitat 1's rows, then habitat 2's.
+    """
+    halvings = 0
+    while state.pop1.shape[0] + state.pop2.shape[0] > ceiling:
+        n1 = state.pop1.shape[0]
+        keep = state.rng.random(n1 + state.pop2.shape[0]) < 0.5
+        state.pop1 = np.compress(keep[:n1], state.pop1, axis=0)
+        state.pop2 = np.compress(keep[n1:], state.pop2, axis=0)
+        halvings += 1
+    return halvings
+
+
+def run(params: IbmParams, seed=0, ceiling: int | None = None) -> Trajectory:
     """Simulate T generations from the clonal founding state.
 
     Returns a Trajectory sampled once per generation (t = 0 ... T); rbar is
@@ -362,9 +380,24 @@ def run(params: IbmParams, seed=0) -> Trajectory:
     population stays extinct and keeps recording zeros. Each generation's
     record comes from the fitness its reproduction evaluates; only the
     final state's fitness is evaluated for the record alone.
+
+    With a ceiling, each generation ends, after migration, by halving the
+    population while N1 + N2 > ceiling (_thin) and doubling the run's weight
+    each time: splitting and Russian roulette (H. Kahn and T. E. Harris, NBS
+    Appl. Math. Series 12, 1951). Offspring are independent given their
+    parents and migrants are picked uniformly, so the expected next
+    population is linear in the current one (up to migration's cap of N_i
+    movers), and weight * (N1 + N2) stays an unbiased estimate of the
+    unthinned total; thinning adds variance only. N1 and N2 hold the
+    individuals simulated and ``weight`` each record's weight, a power of 2.
+    A run that never passes its ceiling draws nothing extra and keeps every
+    bit of the run without one. Without a ceiling every weight is 1.
     """
     state = init_clonal(params, seed)
-    rec = [step(state, params) for _ in range(params.T)]
+    rec, halvings = [], [0]
+    for _ in range(params.T):
+        rec.append(step(state, params))
+        halvings.append(halvings[-1] + (0 if ceiling is None else _thin(state, ceiling)))
     rec.append(_record([_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]))
     arr = np.asarray(rec, dtype=float)
     return Trajectory(
@@ -374,29 +407,31 @@ def run(params: IbmParams, seed=0) -> Trajectory:
         rbar1=arr[:, 2],
         rbar2=arr[:, 3],
         extinct=bool(arr[-1, 0] + arr[-1, 1] == 0),
+        weight=np.ldexp(1.0, halvings),
     )
 
 
 @dataclass
 class ReplicateSummary:
-    """Mean total-population trajectory over replicates (extinct runs count 0)."""
+    """Mean weighted total-population trajectory over replicates (extinct runs count 0)."""
 
     t: np.ndarray
     n_total_mean: np.ndarray
     trajectories: list[Trajectory]
 
 
-def run_replicates(params: IbmParams, seeds) -> ReplicateSummary:
-    """Run one replicate per entry of seeds and average total population.
+def run_replicates(params: IbmParams, seeds, ceiling: int | None = None) -> ReplicateSummary:
+    """Run one replicate per entry of seeds and average weight * (N1 + N2).
 
     Each seed may be anything numpy's default_rng accepts; pass e.g.
     [(master, k) for k in range(R)] to derive independent replicate streams
-    from a master seed.
+    from a master seed. ``ceiling`` goes to every run: None (no thinning,
+    every weight 1) keeps each replicate's full population.
     """
-    trajectories = [run(params, seed) for seed in seeds]
+    trajectories = [run(params, seed, ceiling) for seed in seeds]
     if not trajectories:
         raise ValueError("run_replicates needs at least one seed")
-    totals = np.stack([tr.n_total() for tr in trajectories])
+    totals = np.stack([tr.n_total() * tr.weight for tr in trajectories])
     return ReplicateSummary(
         t=trajectories[0].t.copy(),
         n_total_mean=totals.mean(axis=0),

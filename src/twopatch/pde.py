@@ -81,6 +81,7 @@ class Trajectory:
     rbar1: np.ndarray
     rbar2: np.ndarray
     extinct: bool = False
+    weight: np.ndarray | None = None  # IBM runs: each record's weight (ibm.run)
 
     def n_total(self) -> np.ndarray:
         return self.N1 + self.N2

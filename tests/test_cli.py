@@ -616,6 +616,30 @@ def test_cmd_phase_cell_failure_lands_in_error_column(tmp_path):
         assert parts[2] == "nan"
 
 
+def test_phase_ibm_below_its_ceiling_keeps_every_bit():
+    # a dying cell's replicates never pass the ceiling 4 N0: they draw
+    # nothing extra, and the cell's mean is run_replicates' without a ceiling
+    cfg = ExperimentConfig(N0=50, T=40, replicates=3, t_end=10.0)
+    cell = cli._phase_cell((cfg, 1, 1, 0.1, 1.0))
+    assert cell.error == "" and cell.lam > 0
+    params = cli.ibm_params(cfg, cli.to_model_params(cfg, delta=0.1, m_d=1.0))
+    full = ibm.run_replicates(params, [[cfg.seed, 1, 1, k] for k in range(cfg.replicates)])
+    assert max(tr.n_total().max() for tr in full.trajectories) <= 4 * cfg.N0
+    assert np.float64(cell.n_total_ibm_mean).tobytes() == full.n_total_mean[-1].tobytes()
+
+
+def test_phase_ibm_thins_persisting_cells_below_the_cap(tmp_path):
+    # unthinned, each m_D = 0 replicate passes cap = 2000 within T = 120
+    # (IbmOverflowError in the error column); thinned above 4 N0 = 400, every
+    # cell finishes, and the weighted IBM means grow exactly where lambda < 0
+    cfg = ExperimentConfig(N0=100, cap=2000, T=120, replicates=5, sweep_min=(0.05, 0.0),
+                           sweep_max=(0.1, 1.0), sweep_steps=(2, 2))
+    _, data, _ = read_csv(cli.cmd_phase(cfg, str(tmp_path))["phase"])
+    rows = [ln.split(",") for ln in data]
+    assert len(rows) == 4 and all(r[3] != "error" and r[6] == "" for r in rows)
+    assert [float(r[5]) > 2 * cfg.N0 for r in rows] == [float(r[2]) < 0 for r in rows]
+
+
 def test_cmd_phase_quotes_an_error_message_with_a_comma(tmp_path):
     # m_D = 2 at mu = 0.001 needs more Hermite modes than the solve allows;
     # the SolverError text has a comma and must stay one field of seven

@@ -433,6 +433,29 @@ def test_run_replicates_mean_and_reproducibility():
         ibm.run_replicates(p, [])
 
 
+def test_thinning_keeps_the_mean_total():
+    # Splitting and Russian roulette: the mean weighted final total of runs
+    # thinned at the ceiling 4 N0 estimates the mean final total of unthinned
+    # runs (on other seeds). At rmax = 0.3 a run founded by 2 N0 = 40 passes
+    # its ceiling 4 to 5 times in T = 20 generations. A halving without
+    # its doubled weight, or a keep probability of 0.55 at weight 2, fails.
+    p = params(rmax=0.3, N0=20, T=20, delta=0.1)
+    reps, ceiling = 200, 4 * 20
+    thinned = ibm.run_replicates(p, [(1, k) for k in range(reps)], ceiling=ceiling)
+    full = ibm.run_replicates(p, [(2, k) for k in range(reps)])
+    for tr in thinned.trajectories:
+        assert tr.weight[0] == 1.0 and np.all(np.diff(tr.weight) >= 0)
+        assert np.all(np.frexp(tr.weight)[0] == 0.5)  # powers of 2
+        assert np.all(tr.n_total()[1:] <= ceiling)  # the individuals simulated
+    assert np.median([tr.weight[-1] for tr in thinned.trajectories]) >= 2.0 ** 4
+    assert all(np.all(tr.weight == 1.0) for tr in full.trajectories)
+    x = np.array([tr.n_total()[-1] * tr.weight[-1] for tr in thinned.trajectories])
+    y = np.array([tr.n_total()[-1] for tr in full.trajectories])
+    np.testing.assert_allclose(thinned.n_total_mean[-1], x.mean(), rtol=1e-12)
+    z = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / reps + y.var(ddof=1) / reps)
+    assert abs(z) <= 4.0, (x.mean(), y.mean(), z)
+
+
 @pytest.mark.parametrize("delta,m_d", [(0.05, 0.0), (0.1, 0.8)])
 def test_ibm_growth_sign_matches_lambda(delta, m_d):
     # a fast stand-in for criterion 11's IBM check: one persisting cell and
