@@ -447,28 +447,30 @@ class PhaseCell:
     error: str
 
 
+def run_cell(config: ExperimentConfig, i: int, j: int, delta: float, m_d: float):
+    """Sweep cell (i, j) at (delta, m_d): (params, lambda, PDE trajectory, IBM
+    ReplicateSummary or None when phase_ibm is off). Replicates, seeded [seed, i,
+    j, k], thin above twice their founding total (ceiling 4 N0, ibm.run), so their
+    mean weight * (N1 + N2) is an unbiased estimate of the unthinned mean."""
+    params = to_model_params(config, delta=delta, m_d=m_d)
+    lam = lambda_of(params)
+    traj, _ = integrate_to(params, initial_state(config, params), solver_config(config))
+    summary = None
+    if config.phase_ibm:
+        seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
+        summary = run_replicates(ibm_params(config, params), seeds, ceiling=4 * config.N0)
+    return params, lam, traj, summary
+
+
 def _phase_cell(args) -> PhaseCell:
-    """One sweep cell. Its IBM replicates thin above twice their founding total
-    (ceiling 4 N0, ibm.run), and N_total_ibm_mean is the replicates' mean
-    weight * (N1 + N2) at T: an unbiased estimate of the unthinned mean, at a
-    simulated population that stays near its founding size."""
+    """One sweep cell's row from run_cell: the final PDE total and IBM mean."""
     config, i, j, delta, m_d = args
     try:
-        params = to_model_params(config, delta=delta, m_d=m_d)
-        lam = lambda_of(params)
-        classification = classify(params, lam=lam)
-
-        traj, _ = integrate_to(params, initial_state(config, params), solver_config(config))
-        n_pde = float(traj.N1[-1] + traj.N2[-1])
-
-        n_ibm = math.nan
-        if config.phase_ibm:
-            ip = ibm_params(config, params)
-            seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
-            summary = run_replicates(ip, seeds, ceiling=4 * config.N0)
-            n_ibm = float(summary.n_total_mean[-1])
-        return PhaseCell(delta=delta, m_D=m_d, lam=lam, classification=classification,
-                         n_total_pde=n_pde, n_total_ibm_mean=n_ibm, error="")
+        params, lam, traj, summary = run_cell(config, i, j, delta, m_d)
+        n_ibm = math.nan if summary is None else float(summary.n_total_mean[-1])
+        return PhaseCell(delta=delta, m_D=m_d, lam=lam, classification=classify(params, lam=lam),
+                         n_total_pde=float(traj.N1[-1] + traj.N2[-1]), n_total_ibm_mean=n_ibm,
+                         error="")
     # Numerical and config failures land in the error column; anything else
     # is a programming error and propagates.
     except (SolverError, EigenError, IbmOverflowError, ValueError, FloatingPointError) as exc:

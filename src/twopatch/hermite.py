@@ -20,9 +20,11 @@ calls LAPACK's dstebz (tridiagonal) or dsbevx (band) directly: bit for bit
 scipy.linalg's value, without the wrappers' per-call checks that took half
 of lambda_of's time. A LAPACK failure is an EigenError (CLI exit 2).
 
-One rule picks the basis size K: certified, behind eigen.lambda_of, stops at
-the first K whose Galerkin value it proves to within 1e-13 of the largest
-diagonal entry, by one banded Cholesky of a larger head.
+Two rules pick the basis size K. certified, behind eigen.lambda_of (the sweep
+cells' lambda and the thresholds module), stops at the first K whose Galerkin
+value it proves to within 1e-13 of the largest diagonal entry, by one banded
+Cholesky of a larger head. pde._basis, behind pde.integrate_to (every PDE run),
+stops once the value agrees with the previous K's (unproven) and the data decay.
 """
 
 from __future__ import annotations

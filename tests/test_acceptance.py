@@ -10,7 +10,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from twopatch import cli, eigen, ibm, model, pde, thresholds
 from twopatch.grid import build_grid, reflect_field
@@ -224,7 +223,6 @@ def test_criterion_10_critical_parameter_bounds():
           f"(|lambda|={abs(res_m.lambda_at_value):.2g})")
 
 
-@pytest.mark.slow
 def test_criterion_11_desk_scale_phase_diagram():
     # 6x6 sweep over delta in [0, 0.1], m_D in [0, 1]: the persistence call
     # from the PDE final mass must agree with sign(lambda) in >= 34/36
@@ -236,27 +234,20 @@ def test_criterion_11_desk_scale_phase_diagram():
     config = cli.ExperimentConfig(initial="spread", initial_mass=1e4,
                                   t_end=150.0, record_every=150.0,
                                   N0=1000, T=150, replicates=10)
-    solver_cfg = cli.solver_config(config)
 
     pde_agree = ibm_agree = 0
     mismatches_pde = []
     mismatches_ibm = []
     for i, delta in enumerate(deltas):
         for j, md in enumerate(mds):
-            params = cli.to_model_params(config, delta=float(delta), m_d=float(md))
-            lam = eigen.lambda_of(params)
-
-            state0 = cli.initial_state(config, params)
-            traj, _ = pde.integrate_to(params, state0, solver_cfg)
+            # the cell evaluator of twopatch phase, thinned IBM replicates included
+            _, lam, traj, summary = cli.run_cell(config, i, j, float(delta), float(md))
             pde_persists = traj.n_total()[-1] > traj.n_total()[0]
             if pde_persists == (lam < 0):
                 pde_agree += 1
             else:
                 mismatches_pde.append((round(float(delta), 3), round(float(md), 3)))
 
-            ip = cli.ibm_params(config, params)
-            seeds = [[config.seed, i, j, k] for k in range(config.replicates)]
-            summary = ibm.run_replicates(ip, seeds)
             t100 = int(np.searchsorted(summary.t, 100.0))
             ibm_persists = summary.n_total_mean[-1] > summary.n_total_mean[t100]
             if ibm_persists == pde_persists:

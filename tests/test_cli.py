@@ -628,6 +628,18 @@ def test_phase_ibm_below_its_ceiling_keeps_every_bit():
     assert np.float64(cell.n_total_ibm_mean).tobytes() == full.n_total_mean[-1].tobytes()
 
 
+def test_phase_row_comes_from_run_cell():
+    # criterion 11 and the sweep share one cell evaluator: this persisting
+    # cell's replicates pass the ceiling 4 N0, and its row holds run_cell's
+    # lambda and weighted IBM mean bit for bit
+    cfg = ExperimentConfig(N0=50, T=60, replicates=2)
+    _, lam, _, summary = cli.run_cell(cfg, 1, 0, 0.05, 0.0)
+    cell = cli._phase_cell((cfg, 1, 0, 0.05, 0.0))
+    assert lam < 0 and max(tr.weight.max() for tr in summary.trajectories) > 1
+    assert (np.array([cell.lam, cell.n_total_ibm_mean]).tobytes()
+            == np.array([lam, summary.n_total_mean[-1]]).tobytes())
+
+
 def test_phase_ibm_thins_persisting_cells_below_the_cap(tmp_path):
     # unthinned, each m_D = 0 replicate passes cap = 2000 within T = 120
     # (IbmOverflowError in the error column); thinned above 4 N0 = 400, every

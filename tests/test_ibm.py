@@ -458,8 +458,8 @@ def test_thinning_keeps_the_mean_total():
 
 @pytest.mark.parametrize("delta,m_d", [(0.05, 0.0), (0.1, 0.8)])
 def test_ibm_growth_sign_matches_lambda(delta, m_d):
-    # a fast stand-in for criterion 11's IBM check: one persisting cell and
-    # one extinct cell of its sweep, at N0 = 200, T = 60 and 3 replicates
+    # unthinned replicates grow with the sign of -lambda: one persisting and one
+    # extinct cell of criterion 11's sweep, at N0 = 200, T = 60 and 3 replicates
     start = time.perf_counter()
     config = cli.ExperimentConfig(N0=200, T=60, replicates=3)
     params = cli.to_model_params(config, delta=delta, m_d=m_d)
