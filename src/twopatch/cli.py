@@ -268,7 +268,7 @@ def initial_state(config: ExperimentConfig, params: model.ModelParams) -> Initia
 
 def ibm_params(config: ExperimentConfig, params: model.ModelParams) -> IbmParams:
     """The IBM of params (to_model_params of config) with the config's U, N0, T and cap.
-    IbmParams rejects a params without mirror habitats and a U that is not > 0."""
+    IbmParams rejects a params without mirror habitats, a U that is not > 0 and 2 N0 > cap."""
     return IbmParams(model=params, U=config.U, N0=config.N0, T=config.T, cap=config.cap)
 
 

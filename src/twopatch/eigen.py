@@ -30,7 +30,7 @@ free-space value as L grows
 (zero-extension of an eigenvector is admissible on any larger box with the
 same spacing), so a ladder of boxes with fixed h plus Richardson
 extrapolation in h gives its lambda, about 2e-6 above the Hermite value
-at the default spacing, and the eigenfunction on the finest grid. Each
+at the default spacing. Each
 rung is one principal_eigenpair solve on one band: the assembler's order of
 the unknowns (half-bandwidth 2: each node meets only its two grid neighbours
 and its partner in the other habitat or its mirror image) serves both
@@ -53,7 +53,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import hermite, model
-from .grid import Field2, Grid, build_grid, reflect_field
+from .grid import Grid, build_grid
 from .hermite import EigenError
 
 if TYPE_CHECKING:
@@ -112,13 +112,10 @@ class EigenRow:
 
 @dataclass
 class EigenResult:
-    """Ladder result; eigenfield is the x1 factor of the principal
-    eigenfunction on the finest grid (times N(0, mu I_{n-1}) for n traits)."""
+    """Ladder result: each rung's row, the extrapolated lam, and the last solve's residual."""
 
     rows: list[EigenRow]
     lam: float
-    eigenfield: Field2
-    grid: Grid
     residual: float
     iterations: int
     converged: bool
@@ -343,8 +340,7 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
 
     rows: list[EigenRow] = []
     iterations, converged, prev = 0, False, math.inf
-    mirror = hermite.is_mirror(params)
-    assemble = assemble_symmetric_reduced if mirror else assemble_full
+    assemble = assemble_symmetric_reduced if hermite.is_mirror(params) else assemble_full
     for L, m in zip(ls, ms):
         g = build_grid(params.n, L, m)
         pair = principal_eigenpair(assemble(params, g))
@@ -366,12 +362,10 @@ def lambda_limit(params: model.ModelParams, L_schedule, m_schedule, *,
         rows.append(EigenRow(L=g.L, m=g2.m, lambda_L=pair2.value, residual=pair2.residual))
         iterations += pair2.iterations
         lam = (4.0 * pair2.value - pair.value) / 3.0
-        g, pair = g2, pair2
+        pair = pair2
 
-    v = pair.vector
-    field = Field2(v, reflect_field(g, v)) if mirror else Field2(v[:g.size], v[g.size:])
-    return EigenResult(rows=rows, lam=lam, eigenfield=field, grid=g, residual=pair.residual,
-                       iterations=iterations, converged=converged)
+    return EigenResult(rows=rows, lam=lam, residual=pair.residual, iterations=iterations,
+                       converged=converged)
 
 
 def lambda_of(params: model.ModelParams, *, h_target: float | None = None,

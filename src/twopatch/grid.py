@@ -54,28 +54,10 @@ class Grid:
     def shape(self) -> tuple[int]:
         return (self.m,)
 
-    @property
-    def size(self) -> int:
-        return self.m
-
     def axis(self) -> np.ndarray:
         # Built symmetrically around the center index so the midpoint is 0.0
         # exactly and axis[m-1-k] == -axis[k] bitwise.
         return (np.arange(self.m) - (self.m - 1) // 2) * self.h
-
-
-@dataclass
-class Field2:
-    """A pair of scalar fields over the grid nodes, one per habitat."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.u1 = np.asarray(self.u1, dtype=float)
-        self.u2 = np.asarray(self.u2, dtype=float)
-        if self.u1.shape != self.u2.shape:
-            raise ValueError(f"component shapes differ: {self.u1.shape} vs {self.u2.shape}")
 
 
 def build_grid(n: int, L: float, m: int) -> Grid:
@@ -103,9 +85,3 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     """Trapezoid quadrature of a nodal field along the axis."""
     _check_shape(grid, f)
     return float(np.trapezoid(f, dx=grid.h))
-
-
-def reflect_field(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Habitat-swap reflection x1 -> -x1 as an exact index reversal."""
-    _check_shape(grid, f)
-    return f[::-1].copy()

@@ -85,7 +85,7 @@ class IbmParams:
             _MAX_U, with lambda_var = mu^2 / U finite and > 0.
         N0: founding individuals per habitat.
         T: generations to simulate.
-        cap: abort threshold on total population size.
+        cap: abort threshold on total population size, at least the 2 N0 founders.
     """
 
     model: ModelParams
@@ -123,6 +123,8 @@ class IbmParams:
             errors.append(f"T must be an integer >= 0, got {self.T!r}")
         if not isinstance(self.cap, int) or self.cap < 1:
             errors.append(f"cap must be an integer >= 1, got {self.cap!r}")
+        elif isinstance(self.N0, int) and 2 * self.N0 > self.cap:
+            errors.append(f"the 2 N0 = {2 * self.N0} founders exceed cap = {self.cap}")
         if errors:
             raise ValueError("invalid IbmParams: " + "; ".join(errors))
 

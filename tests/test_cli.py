@@ -616,6 +616,16 @@ def test_cmd_phase_cell_failure_lands_in_error_column(tmp_path):
         assert parts[2] == "nan"
 
 
+def test_cmd_phase_refuses_founders_above_the_cap_before_any_cell(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_cell", refuse)
+    with pytest.raises(ValueError, match="the 2 N0 = 120 founders exceed cap = 100"):
+        cli.cmd_phase(quick_phase_config(N0=60, cap=100), str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_phase_ibm_below_its_ceiling_keeps_every_bit():
     # a dying cell's replicates never pass the ceiling 4 N0: they draw
     # nothing extra, and the cell's mean is run_replicates' without a ceiling
@@ -785,6 +795,10 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
     # ... or underflows to 0: mutants that never move
     ("ibm", "mu = 1e-170\n", "mu^2 / U underflows to 0, got mu = 1e-170"),
     ("phase", "mu = 1e-170\n", "mu^2 / U underflows to 0, got mu = 1e-170"),
+    # more founders than cap: refused before they are allocated (ibm used to
+    # exit 2 after a generation, phase to write an error row per cell)
+    ("ibm", "N0 = 60\ncap = 100\n", "error: invalid IbmParams: the 2 N0 = 120 founders exceed"),
+    ("phase", "N0 = 60\ncap = 100\n", "error: invalid IbmParams: the 2 N0 = 120 founders exceed"),
     # a sweep corner no cell can take
     ("phase", "sweep_min = -0.1, -0.5\n", "m_D must be >= 0"),
     ("phase", "sweep_min = -0.1, 0\n", "Symmetric.delta must be >= 0"),
@@ -817,7 +831,8 @@ def test_main_inconsistent_request_exits_1(tmp_path, capsys):
         "phase_t_end", "phase_infinite_t_end", "phase_record_every", "solve_records",
         "phase_records", "phase_mu", "solve_subnormal_mass", "phase_subnormal_mass",
         "ibm_zero_U", "phase_zero_U", "ibm_mu_1e200", "phase_mu_1e200", "ibm_mu_1e-170",
-        "phase_mu_1e-170", "phase_negative_sweep",
+        "phase_mu_1e-170", "ibm_founders_above_cap", "phase_founders_above_cap",
+        "phase_negative_sweep",
         "phase_negative_delta_corner",
         "eigen_one_rung", "solve_infinite_L", "solve_nan_L", "phase_infinite_L", "phase_nan_L",
         "phase_negative_seed", "ibm_negative_seed", "solve_n_1e6", "solve_n_1e9",

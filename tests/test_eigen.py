@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from twopatch import cli, eigen, hermite, model, thresholds
-from twopatch.grid import build_grid, reflect_field
+from twopatch.grid import build_grid
 
 FIG_MU = math.sqrt(1.0 / 1800.0)
 FIG_RMAX = 1.0 / 18.0
@@ -40,7 +40,7 @@ def test_rayleigh_quotient_never_beats_principal_value():
     lam = eigen.principal_eigenpair(op).value
     rng = np.random.default_rng(2)
     for _ in range(25):
-        psi = rng.normal(size=g.size)
+        psi = rng.normal(size=g.m)
         rho = psi @ (op.matrix @ psi) / (psi @ psi)
         assert rho >= lam - 1e-10
 
@@ -101,10 +101,8 @@ def test_reduced_and_full_routes_agree():
     red = eigen.principal_eigenpair(eigen.assemble_symmetric_reduced(p, g))
     full = eigen.principal_eigenpair(eigen.assemble_full(p, g))
     assert full.value == pytest.approx(red.value, abs=1e-9)
-    v1 = full.vector[:g.size].reshape(g.shape)
-    v2 = full.vector[g.size:].reshape(g.shape)
-    np.testing.assert_allclose(v2, reflect_field(g, v1), rtol=0,
-                               atol=1e-6 * v1.max())
+    v1, v2 = full.vector[:g.m], full.vector[g.m:]
+    np.testing.assert_allclose(v2, v1[::-1], rtol=0, atol=1e-6 * v1.max())
 
 
 def test_general_migration_with_equal_rates_matches_symmetric():
@@ -377,12 +375,14 @@ def test_ladder_is_monotone_and_converges():
 def test_eigenfield_positive_decaying_and_mirror_linked():
     p = ref_params()
     ls, ms = eigen.default_schedules(p)
-    res = eigen.lambda_limit(p, ls, ms)
-    u1 = res.eigenfield.u1
+    finest = eigen.lambda_limit(p, ls, ms).rows[-1]
+    g = build_grid(p.n, finest.L, finest.m)
+    v = eigen.principal_eigenpair(eigen.assemble_full(p, g)).vector
+    u1, u2 = v[:g.m], v[g.m:]
     assert u1.min() >= 0.0
     assert u1.max() == pytest.approx(1.0)
     assert max(abs(u1[0]), abs(u1[-1])) <= 1e-12  # super-exponential tails
-    np.testing.assert_array_equal(res.eigenfield.u2, reflect_field(res.grid, u1))
+    np.testing.assert_allclose(u2, u1[::-1], rtol=0, atol=1e-8)  # both habitats solved
 
 
 def test_growth_rate_increases_with_delta():

@@ -32,7 +32,6 @@ def test_spacing_shape_size():
         assert gr.n == n
         assert gr.h == 1.0
         assert gr.shape == (7,)
-        assert gr.size == 7
 
 
 def test_axis_is_bitwise_antisymmetric_with_center_zero():
@@ -82,35 +81,9 @@ def test_quadrature_second_order_on_smooth_field():
     assert e1 / e2 > 3.5  # halving h should shrink the error ~4x
 
 
-def test_reflect_field_involution_and_symmetry():
-    rng = np.random.default_rng(0)
-    for n in (1, 2):
-        gr = g.build_grid(n, 1.0, 9)
-        f = rng.normal(size=gr.shape)
-        r = g.reflect_field(gr, f)
-        np.testing.assert_array_equal(g.reflect_field(gr, r), f)
-        # reflection must be mass-preserving under the trapezoid rule
-        assert g.integrate(gr, r) == pytest.approx(g.integrate(gr, f), rel=1e-12)
-
-
-def test_reflect_field_commutes_with_laplacian_bitwise():
-    # both are index-local stencils, so the commutation is exact
-    gr = g.build_grid(2, 1.5, 11)
-    rng = np.random.default_rng(4)
-    f = rng.normal(size=gr.shape)
-    a = g.laplacian(gr, g.reflect_field(gr, f))
-    b = g.reflect_field(gr, g.laplacian(gr, f))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_field2_shape_check_and_copy():
-    with pytest.raises(ValueError, match="shapes differ"):
-        g.Field2(np.zeros(3), np.zeros(4))
-
-
 def test_shape_mismatch_errors():
     gr = g.build_grid(1, 1.0, 5)
     bad = np.zeros(7)
-    for fn in (g.laplacian, g.integrate, g.reflect_field):
+    for fn in (g.laplacian, g.integrate):
         with pytest.raises(ValueError, match="does not match"):
             fn(gr, bad)

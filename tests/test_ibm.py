@@ -69,6 +69,14 @@ def test_mutation_rate_must_be_positive_and_finite(U, message):
         params(U=U)
 
 
+def test_founders_above_the_cap_are_refused():
+    # the founders are allocated before reproduction_selection first compares
+    # the population with cap, so the check is at construction; 2 N0 == cap is fine
+    with pytest.raises(ValueError, match="the 2 N0 = 120 founders exceed cap = 100"):
+        params(N0=60, cap=100)
+    assert params(N0=50, cap=100).cap == 100
+
+
 def test_run_is_bit_reproducible():
     p = params(T=20)
     a = ibm.run(p, seed=123)

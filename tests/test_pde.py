@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracle
 from twopatch import cli, eigen, hermite, model, pde
-from twopatch.grid import Field2, build_grid, integrate, laplacian
+from twopatch.grid import build_grid, integrate, laplacian
 from twopatch.pde import Bump, InitialData
 
 
@@ -18,9 +18,9 @@ def small_params(delta=0.2, growth=model.GROWTH_MALTHUSIAN, rmax=0.3, n=1):
 
 
 def solve(p, g, s0, cfg):
-    """integrate_to's trajectory and its final state sampled on g's axis."""
+    """integrate_to's trajectory and its final state (u1, u2) sampled on g's axis."""
     traj, final = pde.integrate_to(p, s0, cfg)
-    return traj, Field2(*final.sample(g.axis()))
+    return traj, final.sample(g.axis())
 
 
 def small_setup(delta=0.2, growth=model.GROWTH_MALTHUSIAN, n=1):
@@ -49,9 +49,9 @@ def test_bump_outside_the_sampling_box_keeps_its_mass():
     p = small_params()
     g = build_grid(1, 2.0, 21)
     far = (Bump(5.0, 1.0),)
-    traj, final = solve(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
+    traj, (u1, _) = solve(p, g, InitialData(far, far), pde.SolverConfig(t_end=0.0))
     assert traj.N1[0] == pytest.approx(1.0, rel=1e-12)
-    assert final.u1.max() < 1e-9
+    assert u1.max() < 1e-9
 
 
 def test_rhs_matches_hand_formula_with_general_migration():
@@ -95,8 +95,7 @@ def assert_matches_exact_propagator(p, g, s0, cfg):
     np.testing.assert_allclose(traj.N1, want[:, 0], rtol=1e-9, atol=0)
     np.testing.assert_allclose(traj.N2, want[:, 1], rtol=1e-9, atol=0)
     u = np.concatenate(exact.state(coef[-1], g.axis()))
-    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), u,
-                               rtol=0, atol=1e-9 * u.max())
+    np.testing.assert_allclose(np.concatenate(final), u, rtol=0, atol=1e-9 * u.max())
     return traj, final, coef
 
 
@@ -145,13 +144,13 @@ def test_mirror_route_matches_exact_propagator(monkeypatch, n, initial):
     s0 = InitialData(bumps, bumps)
     shapes = spy_on_expm(monkeypatch)
     cfg = pde.SolverConfig(t_end=10.0, record_every=0.5)
-    traj, final, _ = assert_matches_exact_propagator(p, g, s0, cfg)
+    traj, (u1, u2), _ = assert_matches_exact_propagator(p, g, s0, cfg)
     size = basis_size(p, s0)
     assert shapes == [(size, size)]
     assert abs(traj.N1[-1] / traj.N1[0] - 1) > 0.1  # far from its start
     np.testing.assert_array_equal(traj.N1[1:], traj.N2[1:])
     np.testing.assert_array_equal(traj.rbar1[1:], traj.rbar2[1:])
-    np.testing.assert_array_equal(final.u2, final.u1[::-1])
+    np.testing.assert_array_equal(u2, u1[::-1])
 
 
 def test_equal_peaks_with_unmirrored_data_take_the_full_route(monkeypatch):
@@ -219,8 +218,7 @@ def test_logistic_run_matches_high_order_integration():
     for k, col in enumerate((traj.N1, traj.N2, traj.rbar1, traj.rbar2)):
         np.testing.assert_allclose(col, want[:, k], rtol=1e-8, atol=0)
     u = np.concatenate(exact.state(sol.y[:, -1], g.axis()))
-    np.testing.assert_allclose(np.concatenate([final.u1, final.u2]), u,
-                               rtol=0, atol=1e-8 * u.max())
+    np.testing.assert_allclose(np.concatenate(final), u, rtol=0, atol=1e-8 * u.max())
 
 
 def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow(monkeypatch):
@@ -235,11 +233,11 @@ def test_logistic_plateau_is_the_grid_eigenvalue_past_malthusian_overflow(monkey
     shapes = spy_on_expm(monkeypatch)
     for every in (500.0, math.inf):
         shapes.clear()
-        traj, final = solve(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=every))
+        traj, (u1, _) = solve(p, g, s0, pde.SolverConfig(t_end=10000.0, record_every=every))
         assert len(traj.t) == (21 if every == 500.0 else 2) and len(shapes) == 1
         assert traj.N1[-1] == pytest.approx(-lam0, rel=1e-9)
         assert traj.N2[-1] == pytest.approx(-lam0, rel=1e-9)
-        assert np.isfinite(final.u1).all() and final.u1.max() > 0
+        assert np.isfinite(u1).all() and u1.max() > 0
 
 
 def test_logistic_needs_mirror_symmetric_data():
@@ -258,9 +256,9 @@ def test_float64_overflow_raises_solver_error():
 
 def test_integrate_to_records_on_cadence():
     p, g, s0 = small_setup()
-    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=2.0, record_every=0.5))
+    traj, (u1, _) = solve(p, g, s0, pde.SolverConfig(t_end=2.0, record_every=0.5))
     np.testing.assert_allclose(traj.t, [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-12)
-    assert final.u1.shape == g.shape
+    assert u1.shape == g.shape
     assert not traj.extinct
     assert traj.n_total()[0] == pytest.approx(2.0, rel=1e-12)
 
@@ -271,12 +269,12 @@ def test_integrate_to_t_end_zero_records_initial_row_only():
     # the larger of the maximum and the L2 norm of (u1, u2) times mu^(-1/4),
     # are 0 (a lone bump's L2 norm is its mass times (4 pi mu)^(-1/4))
     p, g, s0 = small_setup()
-    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=0.0))
+    traj, (u1, _) = solve(p, g, s0, pde.SolverConfig(t_end=0.0))
     assert list(traj.t) == [0.0]
     u = oracle.gaussian(g.axis(), s0.u1, p.mu)
     norm = math.hypot(*(b.mass for b in s0.u1 + s0.u2)) * (4.0 * math.pi * p.mu) ** -0.25
     u[u < 1e-12 * max(u.max(), norm * p.mu ** -0.25)] = 0.0
-    np.testing.assert_allclose(final.u1, u, rtol=0, atol=1e-12 * u.max())
+    np.testing.assert_allclose(u1, u, rtol=0, atol=1e-12 * u.max())
 
 
 def test_mass_balance_matches_mean_fitness():
@@ -295,11 +293,9 @@ def test_mass_balance_matches_mean_fitness():
 
 def test_mirror_symmetry_is_preserved():
     p, g, s0 = small_setup(delta=0.3)
-    traj, final = solve(p, g, s0, pde.SolverConfig(t_end=5.0, record_every=1.0))
+    traj, (u1, u2) = solve(p, g, s0, pde.SolverConfig(t_end=5.0, record_every=1.0))
     np.testing.assert_allclose(traj.N1, traj.N2, rtol=1e-9)
-    from twopatch.grid import reflect_field
-    np.testing.assert_allclose(final.u2, reflect_field(g, final.u1),
-                               rtol=0, atol=1e-9 * final.u1.max())
+    np.testing.assert_allclose(u2, u1[::-1], rtol=0, atol=1e-9 * u1.max())
 
 
 def test_logistic_mass_stays_bounded():
@@ -334,13 +330,13 @@ def test_extinction_flag_on_decaying_run():
     g = build_grid(1, 4.0, 81)
     bump = (Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=1.0)
-    traj, final = solve(p, g, InitialData(bump, bump), cfg)
+    traj, (u1, u2) = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
     assert traj.t[-1] < 50.0  # stopped early
     assert traj.n_total()[-1] < 1e-12 * 2.0  # the extinction floor times the initial mass
     # the run stops on the extinct record itself: its state is the final state
     assert traj.N1.min() >= 0.0 and traj.N2.min() >= 0.0
-    mass = integrate(g, final.u1) + integrate(g, final.u2)
+    mass = integrate(g, u1) + integrate(g, u2)
     assert mass == pytest.approx(traj.n_total()[-1], rel=1e-12)
     # with unequal migration rates the final state is still nonnegative
     p = model.ModelParams(n=1, mu=0.2, rmax1=-0.5, rmax2=-0.5, beta=0.5,
@@ -348,9 +344,9 @@ def test_extinction_flag_on_decaying_run():
     g = build_grid(1, 3.0, 41)
     bump = (Bump(0.0, 1.0),)
     cfg = pde.SolverConfig(t_end=50.0, record_every=0.1)
-    traj, final = solve(p, g, InitialData(bump, bump), cfg)
+    traj, (u1, u2) = solve(p, g, InitialData(bump, bump), cfg)
     assert traj.extinct
-    assert final.u1.min() >= 0.0 and final.u2.min() >= 0.0
+    assert u1.min() >= 0.0 and u2.min() >= 0.0
 
 
 def test_step_sequence_does_not_depend_on_record_cadence():
@@ -363,9 +359,9 @@ def test_step_sequence_does_not_depend_on_record_cadence():
                 for every in (0.05, 6.0)]
         (fine, fine_end), (coarse, coarse_end) = runs
         assert len(fine.t) == 121 and len(coarse.t) == 2
-        height = coarse_end.u1.max()
-        np.testing.assert_allclose(fine_end.u1, coarse_end.u1, rtol=0, atol=1e-13 * height)
-        np.testing.assert_allclose(fine_end.u2, coarse_end.u2, rtol=0, atol=1e-13 * height)
+        height = coarse_end[0].max()
+        for fine_u, coarse_u in zip(fine_end, coarse_end):
+            np.testing.assert_allclose(fine_u, coarse_u, rtol=0, atol=1e-13 * height)
         assert fine.N1[-1] == pytest.approx(coarse.N1[-1], rel=1e-14)
 
 
@@ -417,7 +413,7 @@ def test_initial_state_validation():
     # grid samples are not initial data: the solve takes only analytic bumps
     u = oracle.gaussian(g.axis(), s0.u1, p.mu)
     with pytest.raises(TypeError, match="InitialData"):
-        pde.integrate_to(p, Field2(u, u.copy()), cfg)
+        pde.integrate_to(p, (u, u.copy()), cfg)
     # optima 57 basis widths apart need 2048 modes, above the solve's cap
     far = model.ModelParams(n=1, mu=0.01, rmax1=0.1, rmax2=0.1, beta=math.sqrt(8.0),
                             migration=model.Symmetric(0.05))
@@ -508,12 +504,12 @@ def default_solve(monkeypatch=None, factor=1, config=cli.ExperimentConfig()):
 
 
 def test_default_solve_agrees_across_two_basis_doublings(monkeypatch):
-    traj, final = default_solve()
+    traj, (u1, _) = default_solve()
     assert traj.n_total()[-1] == pytest.approx(49.4602, abs=5e-5)
     for factor in (2, 4):
-        wide, wide_final = default_solve(monkeypatch, factor)
+        wide, (wide_u1, _) = default_solve(monkeypatch, factor)
         np.testing.assert_allclose(wide.n_total(), traj.n_total(), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(wide_final.u1, final.u1, rtol=0, atol=1e-12 * final.u1.max())
+        np.testing.assert_allclose(wide_u1, u1, rtol=0, atol=1e-12 * u1.max())
 
 
 def test_general_solve_decaying_far_below_its_start_converges_in_the_basis(monkeypatch):
@@ -594,12 +590,11 @@ def test_extinct_run_stops_stepping_after_the_block_of_its_extinction_record(mon
 def test_final_state_below_the_roundoff_floor_is_exactly_zero():
     # the truncated Hermite sum dips to roundoff (-1e-31 and below) at the
     # box edge; integrate_to prints those nodes as exact zeros
-    _, final = default_solve()
-    u = final.u1
+    _, (u, u2) = default_solve()
     assert (u == 0.0).any()
     assert not ((u > 0.0) & (u < 1e-12 * u.max())).any()
     assert u.min() == 0.0
-    np.testing.assert_array_equal(final.u2, final.u1[::-1])
+    np.testing.assert_array_equal(u2, u[::-1])
 
 
 def test_mirror_final_state_samples_u2_at_points_not_symmetric_about_0():
@@ -642,8 +637,8 @@ def test_integrate_to_builds_no_grid_sized_matrix(monkeypatch):
                  "reflection_permutation", "Grid", "Field2"):
         assert not hasattr(pde, name)
     assert list(inspect.signature(pde.integrate_to).parameters) == ["params", "state0", "config"]
-    _, final = default_solve(config=cli.ExperimentConfig(m=4097))
-    assert final.u1.shape == (4097,)
+    _, (u1, _) = default_solve(config=cli.ExperimentConfig(m=4097))
+    assert u1.shape == (4097,)
 
 
 def fd_total_mass(p, bumps, t, h, L=4.0):

@@ -12,8 +12,9 @@ and a failure names the set. The identities are exact up to rounding:
 - mirror runs give N1 == N2 bitwise;
 - a delta, m_D or mu search either finds no crossing or lands on one to
   |lambda| <= 1e-12, inside a bracket whose ends straddle it;
-- off the mirror (General migration, one-way included, and unequal peaks),
-  lambda is the smallest eigenvalue of the dense Galerkin matrix of oracle.
+- on the mirror and off it (General migration, one-way included, and
+  unequal peaks), lambda is the smallest eigenvalue of oracle's dense,
+  unreduced 2K Galerkin block matrix.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ import numpy as np
 import oracle
 import pytest
 
-from twopatch import eigen, model, pde, thresholds
+from twopatch import eigen, hermite, model, pde, thresholds
 from twopatch.grid import build_grid
 from twopatch.pde import Bump, InitialData
 
@@ -130,8 +131,11 @@ def test_nonmirror_lambda_identities(p):
     assert lam == pytest.approx(eigen.lambda_of(one) + 0.5 * (p.n - 1) * p.mu, abs=1e-12)
 
 
-@pytest.mark.parametrize("p", NONMIRROR, ids=IDS)
+@pytest.mark.parametrize("p", PARAMS + NONMIRROR, ids=[f"mirror-{k}" for k in IDS] + IDS)
 def test_nonmirror_lambda_matches_dense_oracle(p):
-    # the banded, symmetrised route against dense eigvals of the unsymmetric block matrix
-    dense = np.linalg.eigvals(oracle.galerkin_matrix(p, 256)).real.min()
+    # the banded route (mirror sets: the reduced even half; others: the
+    # symmetrised twin) against the dense eigenvalues of the unreduced block
+    # matrix, which is symmetric for mirror sets
+    a = oracle.galerkin_matrix(p, 256)
+    dense = np.linalg.eigvalsh(a)[0] if hermite.is_mirror(p) else np.linalg.eigvals(a).real.min()
     assert eigen.lambda_of(p) == pytest.approx(dense, abs=1e-12)
