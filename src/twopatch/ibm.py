@@ -49,7 +49,8 @@ count, the mutant indices, their K, their displacements and at n >= 3
 their chi-square draws; then the mover count and the movers of habitat 1,
 then of habitat 2; then, for a run with a ceiling that the population
 passes, one uniform per row per halving), so a run is bit-reproducible
-given its seed.
+given its seed. An empty generation draws nothing, so a run stops stepping
+once both habitats are empty.
 """
 
 from __future__ import annotations
@@ -158,10 +159,10 @@ def _fitness(params: IbmParams, habitat: int, pop: np.ndarray) -> np.ndarray:
 
 def _record(fitness: list[np.ndarray]) -> tuple[int, int, float, float]:
     """(N1, N2, rbar1, rbar2) of habitats with these fitness arrays; rbar is
-    the mean fitness, nan for an empty habitat, -inf where its sum overflows."""
-    with np.errstate(over="ignore"):
-        return (fitness[0].size, fitness[1].size,
-                *(float(np.mean(r)) if r.size else math.nan for r in fitness))
+    the mean fitness, bitwise np.mean's, nan for an empty habitat and -inf
+    where its sum overflows (call under np.errstate(over="ignore"))."""
+    return (fitness[0].size, fitness[1].size,
+            *(float(np.add.reduce(r)) / r.size if r.size else math.nan for r in fitness))
 
 
 def init_clonal(params: IbmParams, seed=0) -> IbmState:
@@ -180,13 +181,17 @@ def init_clonal(params: IbmParams, seed=0) -> IbmState:
 _PROPOSAL_CHUNK = 1 << 16
 
 
+# one void dtype per row width: building it costs more than the view itself
+_record_dtype = functools.cache(lambda nbytes: np.dtype((np.void, nbytes)))
+
+
 def _records(pop: np.ndarray) -> np.ndarray:
     """1-D view of the rows of ``pop`` as opaque records of min(n, 2) floats.
 
     ``pop``'s last axis must be contiguous (the stages pass C-ordered arrays).
     Moving rows through this view costs a fraction of 2-D row indexing.
     """
-    return pop.view(np.dtype((np.void, pop.itemsize * pop.shape[1])))[:, 0]
+    return pop.view(_record_dtype(pop.itemsize * pop.shape[1]))[:, 0]
 
 
 def _offspring(rng: np.random.Generator, pop: np.ndarray, lam: np.ndarray,
@@ -204,14 +209,14 @@ def _offspring(rng: np.random.Generator, pop: np.ndarray, lam: np.ndarray,
     if total == 0:
         return new
     rows, dest = _records(np.ascontiguousarray(pop)), _records(new)
-    lam /= lam.max()
-    acceptance = float(lam.mean())
+    lam /= np.maximum.reduce(lam)
+    acceptance = float(np.add.reduce(lam)) / lam.size
     filled = 0
     while filled < total:
         need = total - filled
         size = min(_PROPOSAL_CHUNK, math.ceil(need / acceptance))
         j = rng.integers(lam.size, size=size)
-        j = np.compress(rng.random(size) < lam.take(j), j)[:need]
+        j = j.compress(rng.random(size) < lam.take(j))[:need]
         # j is in range; mode="raise" would buffer the whole output chunk
         rows.take(j, out=dest[filled:filled + j.size], mode="clip")
         filled += j.size
@@ -231,11 +236,11 @@ def reproduction_selection(state: IbmState, params: IbmParams) -> tuple[int, int
     would exceed ``cap`` or their expected total exceeds _MAX_POISSON.
     """
     lams = [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
-    record = _record(lams)
-    with np.errstate(over="ignore"):  # an exp(r) past float64 is inf, refused below
+    with np.errstate(over="ignore"):  # the mean r may be -inf; an inf exp(r) is refused below
+        record = _record(lams)
         for lam in lams:
             np.exp(lam, out=lam)
-        means = [lam.sum() for lam in lams]
+        means = [np.add.reduce(lam) for lam in lams]
     if not max(means) <= _MAX_POISSON:
         raise IbmOverflowError(f"expected offspring {max(means):.3g} at generation "
                                f"{state.generation}, more than any cap can hold")
@@ -292,6 +297,7 @@ def mutation(state: IbmState, params: IbmParams) -> None:
     """
     p_mutant = -math.expm1(-params.U)
     cdf = _truncated_poisson_cdf(params.U)
+    lambda_var, n = params.lambda_var, params.model.n
     rng = state.rng
     pops = [np.ascontiguousarray(state.pop1), np.ascontiguousarray(state.pop2)]
     state.pop1, state.pop2 = pops
@@ -300,12 +306,12 @@ def mutation(state: IbmState, params: IbmParams) -> None:
         if m == 0:
             continue
         idx = rng.choice(pop.shape[0], m, replace=False, shuffle=False)
-        k = np.searchsorted(cdf, rng.random(m), side="right") + 1
-        s = np.sqrt(k * params.lambda_var)
+        k = cdf.searchsorted(rng.random(m), side="right") + 1
+        s = np.sqrt(k * lambda_var)
         rows = s[:, None] * rng.standard_normal((m, pop.shape[1]))
         rows += pop.take(idx, axis=0)
-        if params.model.n > 2:  # rows[:, 1] holds rho + s g
-            rows[:, 1] = np.hypot(rows[:, 1], s * np.sqrt(rng.chisquare(params.model.n - 2, m)))
+        if n > 2:  # rows[:, 1] holds rho + s g
+            rows[:, 1] = np.hypot(rows[:, 1], s * np.sqrt(rng.chisquare(n - 2, m)))
         _records(pop)[idx] = _records(rows)
 
 
@@ -327,7 +333,7 @@ def _movers_to_tail(rng: np.random.Generator, pop: np.ndarray, rate: float) -> i
     stayers_in_tail = np.ones(m, dtype=bool)
     stayers_in_tail[idx[in_tail] - head] = False
     src = idx[~in_tail]
-    dst = np.flatnonzero(stayers_in_tail) + head
+    dst = stayers_in_tail.nonzero()[0] + head
     rows = _records(pop)
     rows[src], rows[dst] = rows[dst], rows[src]
     return m
@@ -368,8 +374,8 @@ def _thin(state: IbmState, ceiling: int) -> int:
     while state.pop1.shape[0] + state.pop2.shape[0] > ceiling:
         n1 = state.pop1.shape[0]
         keep = state.rng.random(n1 + state.pop2.shape[0]) < 0.5
-        state.pop1 = np.compress(keep[:n1], state.pop1, axis=0)
-        state.pop2 = np.compress(keep[n1:], state.pop2, axis=0)
+        state.pop1 = state.pop1.compress(keep[:n1], axis=0)
+        state.pop2 = state.pop2.compress(keep[n1:], axis=0)
         halvings += 1
     return halvings
 
@@ -378,10 +384,12 @@ def run(params: IbmParams, seed=0, ceiling: int | None = None) -> Trajectory:
     """Simulate T generations from the clonal founding state.
 
     Returns a Trajectory sampled once per generation (t = 0 ... T); rbar is
-    the population mean fitness, nan once a habitat is empty. An extinct
-    population stays extinct and keeps recording zeros. Each generation's
-    record comes from the fitness its reproduction evaluates; only the
-    final state's fitness is evaluated for the record alone.
+    the population mean fitness, nan once a habitat is empty. Each
+    generation's record comes from the fitness its reproduction evaluates;
+    only the final state's fitness is evaluated for the record alone. Once
+    both habitats are empty the run stops stepping and repeats the empty
+    record (0, 0, nan, nan) and the weight reached up to T: a step of an
+    empty population draws nothing and records just that.
 
     With a ceiling, each generation ends, after migration, by halving the
     population while N1 + N2 > ceiling (_thin) and doubling the run's weight
@@ -398,10 +406,15 @@ def run(params: IbmParams, seed=0, ceiling: int | None = None) -> Trajectory:
     state = init_clonal(params, seed)
     rec, halvings = [], [0]
     for _ in range(params.T):
+        if state.pop1.size + state.pop2.size == 0:  # extinct: later steps draw nothing
+            break
         rec.append(step(state, params))
         halvings.append(halvings[-1] + (0 if ceiling is None else _thin(state, ceiling)))
-    rec.append(_record([_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]))
-    arr = np.asarray(rec, dtype=float)
+    final = [_fitness(params, 1, state.pop1), _fitness(params, 2, state.pop2)]
+    with np.errstate(over="ignore"):
+        rec.append(_record(final))
+    rest = params.T + 1 - len(rec)  # the generations an extinct run skipped
+    arr = np.asarray(rec + rec[-1:] * rest, dtype=float)
     return Trajectory(
         t=np.arange(params.T + 1, dtype=float),
         N1=arr[:, 0],
@@ -409,7 +422,7 @@ def run(params: IbmParams, seed=0, ceiling: int | None = None) -> Trajectory:
         rbar1=arr[:, 2],
         rbar2=arr[:, 3],
         extinct=bool(arr[-1, 0] + arr[-1, 1] == 0),
-        weight=np.ldexp(1.0, halvings),
+        weight=np.ldexp(1.0, halvings + halvings[-1:] * rest),
     )
 
 

@@ -93,7 +93,8 @@ def _sha256(a):
 
 
 # sha256 prefixes of the float64 bytes of N1, N2, rbar1, rbar2 from ibm.run,
-# then of pop1 and pop2 after T steps from the same founding state
+# then of pop1 and pop2 after T steps from the same founding state; a
+# "ceiling" entry goes to ibm.run and thins the manual steps too
 _STREAM_DIGESTS = {
     "n2_persisting": (dict(rmax=0.3, N0=300, T=30), 2020, (
         "8ec4d3c02d82d481", "388b9786c8b39b97", "ab52e6d98b0a01fe", "5f06f5041a02c3a7",
@@ -102,6 +103,14 @@ _STREAM_DIGESTS = {
     "n3": (dict(n=3, N0=400, T=15, delta=0.1), 7, (
         "07cfd619d9ed90be", "f6e0f968c208dd1f", "80e09e87004f5bd6", "06d1dcfedf0b8e0b",
         "16cdf1bb3648e8a8", "5dec0c924103236f")),
+    # delta > 0, and extinct from record 7 of 41 on
+    "n2_extinct": (dict(rmax=-0.5, N0=20, T=40, delta=0.1), 5, (
+        "897890ac8d3d258e", "62ce67f781e516bc", "392ffd60e8bcda4b", "783d9aea7511ba39",
+        "e3b0c44298fc1c14", "e3b0c44298fc1c14")),
+    # passes its ceiling 4 N0 and halves six times, once every 3 to 5 generations
+    "n2_thinned": (dict(rmax=0.3, N0=100, T=30, delta=0.1, ceiling=400), 11, (
+        "33906d5165498853", "32acd9d694d515c5", "6291e6d16e231748", "b68f22be96627944",
+        "b64140b74c432ee2", "570e481e543e8513")),
 }
 
 
@@ -109,18 +118,23 @@ _STREAM_DIGESTS = {
 def test_run_stream_is_pinned(case):
     # Pins the RNG stream and the arithmetic of every stage bit for bit: a
     # change that alters any draw, its order or a row's value changes these
-    # digests and must say so. The n = 2 case persists with delta > 0 and
-    # beta > 0, so every stage runs and its last generations draw parent
+    # digests and must say so. The n2_persisting case persists with delta > 0
+    # and beta > 0, so every stage runs and its last generations draw parent
     # proposals in more than one chunk.
     overrides, seed, want = _STREAM_DIGESTS[case]
+    overrides = dict(overrides)
+    ceiling = overrides.pop("ceiling", None)
     p = params(**overrides)
-    traj = ibm.run(p, seed)
+    traj = ibm.run(p, seed, ceiling)
     s = ibm.init_clonal(p, seed)
+    halvings = [0]
     for t in range(p.T):
         record = ibm.step(s, p)  # the parents' record, as ibm.run keeps it
         np.testing.assert_array_equal(record, [traj.N1[t], traj.N2[t],
                                                traj.rbar1[t], traj.rbar2[t]])
+        halvings.append(halvings[-1] + (0 if ceiling is None else ibm._thin(s, ceiling)))
     assert s.pop1.shape[0] == traj.N1[-1] and s.pop2.shape[0] == traj.N2[-1]
+    assert traj.weight.tobytes() == np.ldexp(1.0, halvings).tobytes()
     got = tuple(_sha256(a) for a in (traj.N1, traj.N2, traj.rbar1, traj.rbar2, s.pop1, s.pop2))
     assert got == want
 
@@ -418,6 +432,64 @@ def test_extinct_population_stays_extinct():
     assert dead.size > 0
     np.testing.assert_array_equal(traj.n_total()[dead[0]:], 0.0)
     assert math.isnan(traj.rbar1[-1])
+
+
+def test_run_stops_stepping_at_extinction(monkeypatch):
+    # An empty generation draws nothing, so ibm.run steps only up to the
+    # extinction generation and fills the rest with the empty record, keeping
+    # the weight reached. The ceiling below 2 N0 halves this run twice before
+    # it dies in generation 12, so the kept weight is 4. The trajectory must
+    # equal, bit for bit, a manual loop that steps all T generations.
+    p, seed, ceiling = params(rmax=-0.5, N0=20, T=40, delta=0.1), 4, 20
+    calls = []
+    stage = ibm.reproduction_selection
+
+    def spy(state, params):
+        calls.append(state.generation)
+        return stage(state, params)
+
+    monkeypatch.setattr(ibm, "reproduction_selection", spy)
+    traj = ibm.run(p, seed, ceiling)
+    monkeypatch.undo()
+    dead = int(np.flatnonzero(traj.n_total() == 0)[0])
+    assert 0 < dead < p.T // 2 and traj.extinct
+    assert calls == list(range(dead))
+    assert traj.weight[-1] == 4.0
+
+    s = ibm.init_clonal(p, seed)
+    rec, halvings = [], [0]
+    for _ in range(p.T):
+        rec.append(ibm.step(s, p))
+        halvings.append(halvings[-1] + ibm._thin(s, ceiling))
+    rec.append((0, 0, math.nan, math.nan))  # the final state is empty
+    want = np.asarray(rec, dtype=float)
+    for k, field in enumerate(("N1", "N2", "rbar1", "rbar2")):
+        assert getattr(traj, field).tobytes() == want[:, k].tobytes(), field
+    assert traj.weight.tobytes() == np.ldexp(1.0, halvings).tobytes()
+
+
+def test_record_mean_is_bitwise_np_mean():
+    # _record's rbar is np.add.reduce / size, bitwise np.mean's on the
+    # strided, offset and byte-unaligned arrays numpy sums in other loops
+    rng = np.random.default_rng(8)
+    block = rng.normal(0.05, 3.0, (4001, 3))
+    flat = rng.normal(-2.0, 7.0, 10_007)
+    raw = np.zeros(8 * 1001 + 1, dtype=np.uint8)
+    unaligned = raw[1:].view(np.float64)
+    unaligned[:] = rng.normal(0.0, 1.0, 1001)
+    assert not unaligned.flags.aligned
+    columns = [block[:, 1], block[3::7, 2], flat[1:], flat[5:-3], flat[::3], flat[1:130],
+               flat[7:8], flat[:127], unaligned, unaligned[3:], unaligned[1::2]]
+    with np.errstate(over="ignore"):
+        for r in columns:
+            got = ibm._record([r, r[:0]])
+            assert got[:2] == (r.size, 0)
+            assert np.float64(got[2]).tobytes() == np.mean(r).tobytes()
+            assert math.isnan(got[3])
+        overflow = np.full(64, -1e308)  # the sum overflows to -inf before the division
+        assert ibm._record([overflow, overflow[::2]])[2:] == (-math.inf, -math.inf)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.mean(overflow) == -math.inf  # as np.mean reads it
 
 
 def test_trajectory_layout():
